@@ -29,10 +29,6 @@ class UsageError(ValueError):
     pass
 
 
-class VerificationFailure(RuntimeError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # config handling
 
@@ -239,12 +235,13 @@ def cmd_denoise(args):
 
     atomic(os.path.join(out, "zhat.csv"), write_csv)
     if result is not None:
-        diag = {"meta": dict(zip(("version", "seed", "config_hash"), pre)),
-                "method": method,
-                "per_species": result.training_diagnostics(table)}
+        per_species = result.training_diagnostics(table)
     else:
-        diag = {"method": method, "per_species": [
-            {"species": s} for s in table.species_names]}
+        per_species = [{"species": s} for s in table.species_names]
+    diag = {"meta": {"version": __version__, "seed": seed,
+                     "config_hash": config_hash(cfg)},
+            "method": method,
+            "per_species": per_species}
 
     def write_json(p):
         with open(p, "w", encoding="utf-8") as fh:
@@ -253,7 +250,7 @@ def cmd_denoise(args):
 
     atomic(os.path.join(out, "diagnostics.json"), write_json)
     if result is not None:
-        for entry in result.training_diagnostics(table):
+        for entry in per_species:
             print(f"{entry['species']}: covariate_mse="
                   f"{entry['covariate_model_mse']:.6g} "
                   f"residual_mse={entry['residual_model_mse']:.6g}")
@@ -472,9 +469,6 @@ def main(argv=None):
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except VerificationFailure as e:
-        print(f"verification failed: {e}", file=sys.stderr)
-        return EXIT_VERIFY_FAIL
     except (ValueError, RuntimeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

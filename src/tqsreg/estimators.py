@@ -8,7 +8,6 @@ between the latent quantities is preserved.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +78,7 @@ class DenoiseResult:
     residuals: np.ndarray
     covariate_models: tuple
     residual_models: tuple
+    aux_columns: tuple  # per species, the residual columns its model was fit on
     method: str
 
     def training_diagnostics(self, table):
@@ -92,8 +92,8 @@ class DenoiseResult:
                 entry["covariate_model_mse"] = float(
                     np.mean((table.counts[:, i] - pred) ** 2)
                 )
-            others = [j for j in range(table.n_species) if j != i]
-            pred_r = predict(self.residual_models[i], self.residuals[:, others])
+            aux = list(self.aux_columns[i])
+            pred_r = predict(self.residual_models[i], self.residuals[:, aux])
             entry["residual_model_mse"] = float(
                 np.mean((self.residuals[:, i] - pred_r) ** 2)
             )
@@ -101,13 +101,25 @@ class DenoiseResult:
         return out
 
 
-def tqs_multi_species(table, cfg_x, cfg_res):
+def _aux_species(counts, i, n_aux):
+    """Auxiliary columns for species i: all others in index order when
+    ``n_aux`` is None, else the n_aux most abundant others, descending."""
+    others = [j for j in range(counts.shape[1]) if j != i]
+    if n_aux is None:
+        return others
+    totals = counts.sum(axis=0)
+    others.sort(key=lambda j: (-totals[j], j))
+    return others[:n_aux]
+
+
+def tqs_multi_species(table, cfg_x, cfg_res, n_aux=None):
     """Residual-form 3QS denoising of every species in a table.
 
     Per species i: fit E[Y_i|X], form the residual R_i, fit E[R_i|R_-i]
-    and subtract its prediction from Y_i.  Each species uses seeds
-    derived from (master seed, species index), so results do not depend
-    on processing order.
+    and subtract its prediction from Y_i.  ``n_aux`` limits R_-i to the
+    residuals of the n_aux most abundant other species; None uses all
+    of them.  Each species uses seeds derived from (master seed, species
+    index), so results do not depend on processing order.
     """
     s = table.n_species
     if s < 2:
@@ -130,38 +142,24 @@ def tqs_multi_species(table, cfg_x, cfg_res):
         residuals[:, i] = y[:, i] - predict(model, x)
 
     res_models = []
+    aux_columns = []
     z_hat = np.empty((m, s))
     for i in range(s):
-        others = [j for j in range(s) if j != i]
+        aux = _aux_species(y, i, n_aux)
         cfg = cfg_res.with_seed(species_seed(cfg_res.seed, i))
         try:
-            model = fit(cfg, residuals[:, others], residuals[:, i])
+            model = fit(cfg, residuals[:, aux], residuals[:, i])
         except regress.RegressionError as e:
             raise EstimationError(f"residual model failed for species {i}: {e}") from e
         res_models.append(model)
-        z_hat[:, i] = y[:, i] - predict(model, residuals[:, others])
+        aux_columns.append(tuple(aux))
+        z_hat[:, i] = y[:, i] - predict(model, residuals[:, aux])
 
     return DenoiseResult(
         z_hat=z_hat,
         residuals=residuals,
         covariate_models=tuple(cov_models),
         residual_models=tuple(res_models),
+        aux_columns=tuple(aux_columns),
         method="3QS_residual",
     )
-
-
-def save_denoise_result(result, table, csv_path, json_path, preamble=()):
-    """Write z-hat per species to CSV and fit diagnostics to JSON."""
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        for line in preamble:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(table.species_names) + "\n")
-        for row in result.z_hat:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-    diag = {
-        "method": result.method,
-        "per_species": result.training_diagnostics(table),
-    }
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(diag, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -17,9 +17,11 @@ import numpy as np
 
 from . import data_model
 from .data_model import ObservationTable, split_by_group
-from .estimators import hs_estimate, species_seed, tqs_multi_species
+from .estimators import _aux_species, hs_estimate, species_seed, tqs_multi_species
 from .regress import RegressorConfig, fit, predict
 
+# raw smoother, HS, 3QS, brightness-feature model, and the pooled-years
+# oracle smoother
 METHODS = ("raw", "hs", "3qs", "mb", "global")
 
 LUNAR_PERIOD = 29.5
@@ -28,12 +30,6 @@ BRIGHTNESS_ZERO_DEFAULT = 0.05
 
 class EvalError(ValueError):
     pass
-
-
-def method_suite():
-    """All comparison methods: raw smoother, HS, 3QS, brightness-feature
-    model, and the pooled-years oracle smoother."""
-    return list(METHODS)
 
 
 def percent_improvement(mse_method, mse_baseline):
@@ -87,43 +83,6 @@ def brightness_zero_subset(table, column, threshold=None):
 # denoisers over tables
 
 
-def _aux_species(counts, i, n_aux):
-    """Indices of the n_aux most abundant other species, descending."""
-    totals = counts.sum(axis=0)
-    others = [j for j in range(counts.shape[1]) if j != i]
-    others.sort(key=lambda j: (-totals[j], j))
-    return others[:n_aux]
-
-
-def denoise_3qs(table, cfg_x, cfg_res, n_aux=None):
-    """Residual-form 3QS z-hat matrix for every species of a table.
-
-    ``n_aux`` limits how many other-species residuals feed each
-    regression, most abundant first; None uses all of them.
-    """
-    if n_aux is None:
-        return tqs_multi_species(table, cfg_x, cfg_res).z_hat
-    s = table.n_species
-    if s < 2:
-        raise EvalError("need >= 2 species")
-    y = table.counts
-    x = table.covariates
-    residuals = np.empty_like(y)
-    for i in range(s):
-        model = fit(cfg_x.with_seed(species_seed(cfg_x.seed, i)), x, y[:, i])
-        residuals[:, i] = y[:, i] - predict(model, x)
-    z_hat = np.empty_like(y)
-    for i in range(s):
-        others = _aux_species(y, i, n_aux)
-        model = fit(
-            cfg_res.with_seed(species_seed(cfg_res.seed, i)),
-            residuals[:, others],
-            residuals[:, i],
-        )
-        z_hat[:, i] = y[:, i] - predict(model, residuals[:, others])
-    return z_hat
-
-
 def denoise_hs(table, cfg_res, n_aux=None):
     """Half-sibling z-hat matrix, re-centered to each species' mean."""
     s = table.n_species
@@ -132,8 +91,7 @@ def denoise_hs(table, cfg_res, n_aux=None):
     y = table.counts
     z_hat = np.empty_like(y)
     for i in range(s):
-        others = _aux_species(y, i, n_aux) if n_aux is not None \
-            else [j for j in range(s) if j != i]
+        others = _aux_species(y, i, n_aux)
         cfg = cfg_res.with_seed(species_seed(cfg_res.seed, i))
         # HS output is a residual; restore the observed mean so the
         # downstream smoother works on the measurement scale
@@ -211,7 +169,7 @@ def compute_diagnostics(table, cfg_x, cfg_res, column):
     """Table-1-style diagnostics from a full-table denoise per method."""
     out = {}
     for method, z_hat in (
-        ("3qs", denoise_3qs(table, cfg_x, cfg_res)),
+        ("3qs", tqs_multi_species(table, cfg_x, cfg_res).z_hat),
         ("hs", denoise_hs(table, cfg_res)),
     ):
         corr = external_correlation(table, z_hat, column)
@@ -229,7 +187,7 @@ def loyo_evaluate(table, methods, cfg_x, cfg_res, smooth_cfg, test_filter=None,
                   brightness_column=None, n_aux=None, with_diagnostics=False):
     """Leave-one-group-out predictive evaluation of denoising methods.
 
-    ``methods`` is a subset of ``method_suite()``.  ``test_filter``, if
+    ``methods`` is a subset of ``METHODS``.  ``test_filter``, if
     given, maps the test-year table to a boolean row mask (e.g. a
     brightness-zero rule).  ``n_aux`` caps the auxiliary species used
     by hs/3qs.  Test rows never touch any fitted model.
@@ -268,7 +226,8 @@ def loyo_evaluate(table, methods, cfg_x, cfg_res, smooth_cfg, test_filter=None,
 
         denoised = {"raw": train.counts}
         if "3qs" in score_methods:
-            denoised["3qs"] = denoise_3qs(train, cfg_x, cfg_res, n_aux=n_aux)
+            denoised["3qs"] = tqs_multi_species(train, cfg_x, cfg_res,
+                                                n_aux=n_aux).z_hat
         if "hs" in score_methods:
             denoised["hs"] = denoise_hs(train, cfg_res, n_aux=n_aux)
         train_groups = [g for g in groups if g != test_g]

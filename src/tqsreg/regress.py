@@ -23,8 +23,6 @@ import numpy as np
 from scipy.interpolate import BSpline
 from scipy.spatial.distance import cdist
 
-from . import _kernels
-
 
 class RegressionError(ValueError):
     pass
@@ -206,10 +204,71 @@ class FittedBoostedTrees(FittedRegressor):
     def _predict(self, x):
         out = np.full(x.shape[0], self.init)
         for feat, thr, left, right, value in self.trees:
-            out += self.learning_rate * _kernels.tree_predict(
+            out += self.learning_rate * _tree_predict(
                 feat, thr, left, right, value, x
             )
         return out
+
+
+def _best_split(x, y, min_leaf):
+    """Exhaustive best split over all features of ``x`` for squared error.
+
+    Returns (sse, feature, threshold); feature is -1 when no valid
+    split exists.  Ties broken by lowest feature index, then lowest
+    threshold (first candidate encountered wins under strict '<').
+    """
+    m, d = x.shape
+    best_sse = np.inf
+    best_f = -1
+    best_thr = 0.0
+    for f in range(d):
+        order = np.argsort(x[:, f])
+        xs = x[order, f]
+        ys = y[order]
+        c1 = np.cumsum(ys)
+        c2 = np.cumsum(ys * ys)
+        tot1 = c1[-1]
+        tot2 = c2[-1]
+        cut = np.nonzero(xs[:-1] < xs[1:])[0]
+        if cut.size == 0:
+            continue
+        nl = cut + 1.0
+        nr = m - nl
+        ok = (nl >= min_leaf) & (nr >= min_leaf)
+        if not np.any(ok):
+            continue
+        cut = cut[ok]
+        nl = nl[ok]
+        nr = nr[ok]
+        sl = c1[cut]
+        s2l = c2[cut]
+        sse = (s2l - sl * sl / nl) + ((tot2 - s2l) - (tot1 - sl) ** 2 / nr)
+        j = int(np.argmin(sse))
+        if sse[j] < best_sse:
+            i = int(cut[j])
+            thr = 0.5 * (xs[i] + xs[i + 1])
+            if thr >= xs[i + 1]:
+                # midpoint rounded up to the right value; split on the left one
+                thr = xs[i]
+            best_sse = float(sse[j])
+            best_f = f
+            best_thr = float(thr)
+    return best_sse, best_f, best_thr
+
+
+def _tree_predict(feature, threshold, left, right, value, x):
+    out = np.empty(x.shape[0])
+    stack = [(0, np.arange(x.shape[0]))]
+    while stack:
+        node, idx = stack.pop()
+        f = feature[node]
+        if f < 0:
+            out[idx] = value[node]
+        else:
+            go_left = x[idx, f] <= threshold[node]
+            stack.append((left[node], idx[go_left]))
+            stack.append((right[node], idx[~go_left]))
+    return out
 
 
 def _grow_tree(x, r, max_depth, min_leaf):
@@ -229,7 +288,7 @@ def _grow_tree(x, r, max_depth, min_leaf):
         if depth == 0 or idx.size < 2 * min_leaf or idx.size < 2:
             return add_leaf(sub)
         parent_sse = float(np.sum((sub - np.mean(sub)) ** 2))
-        sse, f, thr = _kernels.best_split(x[idx], sub, min_leaf)
+        sse, f, thr = _best_split(x[idx], sub, min_leaf)
         if f < 0 or not sse < parent_sse:
             return add_leaf(sub)
         go_left = x[idx, f] <= thr
@@ -271,7 +330,7 @@ def _fit_boosted_trees(params, x, y, seed):
             tree = _grow_tree(x, resid, params["max_depth"], params["min_leaf"])
         trees.append(tree)
         feat, thr, left, right, value = tree
-        pred = pred + params["learning_rate"] * _kernels.tree_predict(
+        pred = pred + params["learning_rate"] * _tree_predict(
             feat, thr, left, right, value, x
         )
     return FittedBoostedTrees(x.shape[1], init, params["learning_rate"], trees)

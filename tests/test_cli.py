@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from tqsreg import cli
+from tqsreg import __version__, cli
 from tqsreg.cli import (
     EXIT_OK,
     EXIT_USAGE,
@@ -14,6 +14,9 @@ from tqsreg.cli import (
     read_config,
     validate_keys,
 )
+from tqsreg.data_model import load_table
+from tqsreg.estimators import tqs_multi_species
+from tqsreg.regress import RegressorConfig
 
 
 def run(argv):
@@ -94,15 +97,28 @@ class TestDenoise:
         assert lines[3] == "# method=3qs"
         assert lines[4] == "species_00,species_01,species_02"
         assert len(lines) == 5 + 3 * 40
+        got = np.array([[float(v) for v in ln.split(",")] for ln in lines[5:]])
+        schema = {"day_of_year": "covariate", "year": "group",
+                  "moon_brightness": "diagnostic",
+                  **{f"species_0{i}": "count" for i in range(3)}}
+        table = load_table(str(sim_dir / "survey.csv"), schema)
+        want = tqs_multi_species(table, RegressorConfig("spline_gam"),
+                                 RegressorConfig("boosted_trees")).z_hat
+        np.testing.assert_array_equal(got, want)
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["method"] == "3qs"
         assert len(diag["per_species"]) == 3
+        assert diag["meta"] == {"version": __version__, "seed": 0,
+                                "config_hash": config_hash({"seed": "0"})}
 
     def test_hs_method(self, sim_dir, tmp_path):
         out = tmp_path / "dn"
         assert run(["denoise", "--input", str(sim_dir / "survey.csv"),
                     "--method", "hs", "--out", str(out)]) == EXIT_OK
-        assert json.loads((out / "diagnostics.json").read_text())["method"] == "hs"
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["method"] == "hs"
+        assert diag["meta"] == {"version": __version__, "seed": 0,
+                                "config_hash": config_hash({"method": "hs"})}
 
     def test_missing_input_is_usage_error(self, tmp_path):
         assert run(["denoise", "--out", str(tmp_path)]) == EXIT_USAGE

@@ -6,7 +6,6 @@ from tqsreg.estimators import (
     EstimationError,
     center,
     hs_estimate,
-    save_denoise_result,
     species_seed,
     tqs_eq1,
     tqs_eq2,
@@ -205,18 +204,20 @@ class TestMultiSpecies:
             assert entry["covariate_model_mse"] >= 0
             assert entry["residual_model_mse"] >= 0
 
-    def test_save_round_trip(self, spline_cfg, krr_cfg, rng, tmp_path):
-        table, _ = make_table(rng, s=2, m=60)
-        res = tqs_multi_species(table, spline_cfg, krr_cfg)
-        csv_p = tmp_path / "zhat.csv"
-        json_p = tmp_path / "diag.json"
-        save_denoise_result(res, table, csv_p, json_p, preamble=("seed=0",))
-        lines = csv_p.read_text().splitlines()
-        assert lines[0] == "# seed=0"
-        assert lines[1] == "sp0,sp1"
-        got = np.array([[float(v) for v in ln.split(",")] for ln in lines[2:]])
-        np.testing.assert_array_equal(got, res.z_hat)
-        import json
-        doc = json.loads(json_p.read_text())
-        assert doc["method"] == "3QS_residual"
-        assert len(doc["per_species"]) == 2
+    def test_n_aux_uses_most_abundant_others(self, spline_cfg, krr_cfg, rng):
+        table, _ = make_table(rng, s=4, m=120)
+        totals = table.counts.sum(axis=0)
+        res = tqs_multi_species(table, spline_cfg, krr_cfg, n_aux=2)
+        for i, aux in enumerate(res.aux_columns):
+            others = sorted((j for j in range(4) if j != i),
+                            key=lambda j: (-totals[j], j))
+            assert aux == tuple(others[:2])
+            assert res.residual_models[i].n_features == 2
+        assert len(res.training_diagnostics(table)) == 4
+        full = tqs_multi_species(table, spline_cfg, krr_cfg)
+        assert full.aux_columns == ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+
+    def test_n_aux_fit_failure_names_species(self, spline_cfg, krr_cfg, rng):
+        table, _ = make_table(rng, s=3, m=60)
+        with pytest.raises(EstimationError, match="residual model failed for species 0"):
+            tqs_multi_species(table, spline_cfg, krr_cfg, n_aux=0)

@@ -3,14 +3,13 @@ import pytest
 
 from tqsreg import evalharness as ev
 from tqsreg.data_model import ObservationTable
+from tqsreg.estimators import tqs_multi_species
 from tqsreg.evalharness import (
     EvalError,
     brightness_zero_subset,
-    denoise_3qs,
     denoise_hs,
     external_correlation,
     loyo_evaluate,
-    method_suite,
     percent_improvement,
     retained_std_fraction,
     simulate_moth_survey,
@@ -140,8 +139,9 @@ class TestSimulation:
 class TestDenoisers:
     def test_3qs_n_aux_none_matches_full(self, small_sim, spline_cfg, krr_cfg):
         t = small_sim.table
-        full = denoise_3qs(t, spline_cfg, krr_cfg)
-        capped = denoise_3qs(t, spline_cfg, krr_cfg, n_aux=t.n_species - 1)
+        full = tqs_multi_species(t, spline_cfg, krr_cfg).z_hat
+        capped = tqs_multi_species(t, spline_cfg, krr_cfg,
+                                   n_aux=t.n_species - 1).z_hat
         np.testing.assert_allclose(full, capped, atol=1e-9)
 
     def test_hs_preserves_mean(self, small_sim, krr_cfg):
@@ -155,7 +155,7 @@ class TestDenoisers:
     def test_3qs_reduces_brightness_correlation(self, small_sim, spline_cfg,
                                                 krr_cfg):
         t = small_sim.table
-        z = denoise_3qs(t, spline_cfg, krr_cfg)
+        z = tqs_multi_species(t, spline_cfg, krr_cfg, n_aux=None).z_hat
         pairs = external_correlation(t, z, "moon_brightness")
         before = np.mean([abs(p[0]) for p in pairs])
         after = np.mean([abs(p[1]) for p in pairs])
@@ -169,7 +169,7 @@ class TestDenoisers:
             group_labels=["g"] * 10,
         )
         with pytest.raises((EvalError, Exception)):
-            denoise_3qs(t, spline_cfg, krr_cfg)
+            tqs_multi_species(t, spline_cfg, krr_cfg, n_aux=None)
 
 
 class TestLoyoProtocol:
@@ -268,5 +268,5 @@ class TestLoyoProtocol:
         assert lines[1].startswith("species,train_group,test_group,method,mse")
         assert len(lines) == 2 + len(rep.cells)
 
-    def test_method_suite(self):
-        assert method_suite() == ["raw", "hs", "3qs", "mb", "global"]
+    def test_methods(self):
+        assert ev.METHODS == ("raw", "hs", "3qs", "mb", "global")

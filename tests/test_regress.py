@@ -1,6 +1,4 @@
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -305,80 +303,56 @@ class TestBoostedTrees:
         assert counts.min() >= 5
 
 
-class TestNumpyFallbackParity:
-    """The numba and numpy kernel paths must build identical models.
+class TestGoldenTrees:
+    """Boosted-tree fits must reproduce the trees in ``data/golden_trees.npz``.
 
-    Without numba only the ``TQSREG_NO_NUMBA`` switch checks mean
-    anything: ``test_env_flag_selects_fallback`` sees whether numba is
-    requested at all, and the automatic fallback when it does not import.
-    ``test_identical_predictions`` then compares the numpy path with
-    itself and passes vacuously; ``test_numba_used_when_importable`` is
-    skipped.
+    The file holds the fits of the depth-first split search on the data
+    below, so a rewrite of tree growth has to build the same trees.  Each
+    config's trees are stored concatenated (``<name>_feature`` etc.) with
+    the node count of every tree in ``<name>_sizes``, plus ``init`` and the
+    training-set predictions.  The structure must match exactly; leaf
+    values and predictions may differ only by summation order.  Near-tie
+    splits make the structure sensitive to the order in which the split
+    SSE is accumulated, not only to the split rule.
     """
 
-    SCRIPT = (
-        "import numpy as np\n"
-        "from tqsreg.regress import RegressorConfig, fit\n"
-        "rng = np.random.default_rng(42)\n"
-        "x = rng.uniform(-1, 1, size=(150, 3))\n"
-        "y = np.sin(3 * x[:, 0]) - x[:, 1] ** 2 + 0.2 * rng.normal(size=150)\n"
-        "model = fit(RegressorConfig('boosted_trees'), x, y)\n"
-        "print(repr(model.predict(x).sum()))\n"
-        "print(repr(float(np.mean((model.predict(x) - y) ** 2))))\n"
-    )
+    CONFIGS = {
+        "default": RegressorConfig("boosted_trees"),
+        "subsample": RegressorConfig(
+            "boosted_trees", {"subsample": 0.6, "max_depth": 5, "min_leaf": 3}, seed=7
+        ),
+    }
 
-    # Prints USING_NUMBA, whether importing tqsreg._kernels asked the import
-    # system for numba, and whether numba imports in this interpreter.  The
-    # finder only records the request: it returns None, so the normal
-    # finders still decide whether numba is found.
-    PROBE = (
-        "import sys\n"
-        "class Recorder:\n"
-        "    requested = False\n"
-        "    def find_spec(self, name, path=None, target=None):\n"
-        "        if name.split('.')[0] == 'numba':\n"
-        "            Recorder.requested = True\n"
-        "        return None\n"
-        "sys.meta_path.insert(0, Recorder())\n"
-        "from tqsreg._kernels import USING_NUMBA\n"
-        "requested = Recorder.requested\n"
-        "try:\n"
-        "    import numba\n"
-        "    importable = True\n"
-        "except ImportError:\n"
-        "    importable = False\n"
-        "print(USING_NUMBA, requested, importable)\n"
-    )
+    @pytest.fixture(scope="class")
+    def golden(self):
+        path = os.path.join(os.path.dirname(__file__), "data", "golden_trees.npz")
+        with np.load(path, allow_pickle=False) as data:
+            return dict(data)
 
-    def run(self, no_numba):
-        env = dict(os.environ, TQSREG_NO_NUMBA="1" if no_numba else "0")
-        out = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        return out.stdout
+    @pytest.fixture(scope="class")
+    def data(self):
+        rng = np.random.default_rng(42)
+        x = rng.uniform(-1, 1, size=(150, 3))
+        y = np.sin(3 * x[:, 0]) - x[:, 1] ** 2 + 0.2 * rng.normal(size=150)
+        return x, y
 
-    def probe(self, flag):
-        env = dict(os.environ, TQSREG_NO_NUMBA=flag)
-        out = subprocess.run(
-            [sys.executable, "-c", self.PROBE],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        using, requested, importable = out.stdout.split()
-        return using == "True", requested == "True", importable == "True"
-
-    def test_identical_predictions(self):
-        assert self.run(False) == self.run(True)
-
-    def test_env_flag_selects_fallback(self):
-        for flag in ("1", "true", "yes"):
-            using, requested, _ = self.probe(flag)
-            assert not requested, f"TQSREG_NO_NUMBA={flag} still asked for numba"
-            assert not using
-        using, requested, importable = self.probe("0")
-        assert requested, "TQSREG_NO_NUMBA=0 never asked for numba"
-        assert using == importable
-
-    def test_numba_used_when_importable(self):
-        pytest.importorskip("numba", exc_type=ImportError)
-        assert self.probe("0") == (True, True, True)
+    def test_matches_golden(self, golden, data):
+        x, y = data
+        for name, cfg in self.CONFIGS.items():
+            model = fit(cfg, x, y)
+            np.testing.assert_array_equal(
+                [len(t[0]) for t in model.trees], golden[f"{name}_sizes"], err_msg=name
+            )
+            for k, field in enumerate(("feature", "threshold", "left", "right", "value")):
+                got = np.concatenate([t[k] for t in model.trees])
+                want = golden[f"{name}_{field}"]
+                msg = f"{name} {field}"
+                if field == "value":
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=msg)
+                else:
+                    assert got.dtype == want.dtype, msg
+                    np.testing.assert_array_equal(got, want, err_msg=msg)
+            np.testing.assert_allclose(model.init, golden[f"{name}_init"][0],
+                                       rtol=1e-12, err_msg=name)
+            np.testing.assert_allclose(model.predict(x), golden[f"{name}_predict"],
+                                       rtol=1e-12, atol=0, err_msg=name)
