@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
-from tqsreg.data_model import ObservationTable
+from tqsreg import cli
+from tqsreg.data_model import ObservationTable, save_table, table_schema
 from tqsreg.estimators import (
     EstimationError,
     center,
@@ -203,6 +206,28 @@ class TestMultiSpecies:
         for entry in diag:
             assert entry["covariate_model_mse"] >= 0
             assert entry["residual_model_mse"] >= 0
+
+    def test_save_round_trip(self, spline_cfg, krr_cfg, rng, tmp_path):
+        # the denoise subcommand is the one writer of a DenoiseResult
+        table, _ = make_table(rng, s=2, m=60)
+        res = tqs_multi_species(table, spline_cfg, krr_cfg)
+        csv_p = tmp_path / "survey.csv"
+        save_table(table, csv_p)
+        cfg_p = tmp_path / "dn.cfg"
+        cfg_p.write_text(
+            "".join(f"schema.{c} = {r}\n" for c, r in table_schema(table).items())
+            + "regressor.res.kind = kernel_ridge\n")
+        out = tmp_path / "dn"
+        assert cli.main(["denoise", "--input", str(csv_p), "--config", str(cfg_p),
+                         "--out", str(out)]) == cli.EXIT_OK
+        lines = (out / "zhat.csv").read_text().splitlines()
+        assert lines[0].startswith("# ")
+        assert lines[-61] == "sp0,sp1"
+        got = np.array([[float(v) for v in ln.split(",")] for ln in lines[-60:]])
+        np.testing.assert_array_equal(got, res.z_hat)
+        doc = json.loads((out / "diagnostics.json").read_text())
+        assert doc["method"] == "3qs"
+        assert doc["per_species"] == res.training_diagnostics(table)
 
     def test_n_aux_uses_most_abundant_others(self, spline_cfg, krr_cfg, rng):
         table, _ = make_table(rng, s=4, m=120)
