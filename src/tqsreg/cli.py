@@ -2,14 +2,19 @@
 
 Subcommands: denoise, synth, verify, eval, simulate.  Every run is
 fully described by a flat dotted-key config file plus command-line
-overrides; all output tables carry a '#' metadata preamble with the
-tool version, seed and config hash so runs can be reproduced exactly.
-Outputs are written to a temporary file and renamed on success.
+overrides (a flag beats its config key).  This module owns every output
+format: result CSVs carry a '#' metadata preamble and JSON files a
+``meta`` record, both with the tool version, seed and config hash so
+runs can be reproduced exactly; the simulated ``survey.csv`` is written
+by ``data_model.save_table``, the pair of ``load_table``.  Outputs are
+written to a temporary file and renamed on success.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -122,7 +127,7 @@ def _grid(cfg, key, default):
 
 
 # ---------------------------------------------------------------------------
-# output helpers
+# file formats
 
 
 def preamble(cfg, seed):
@@ -131,6 +136,10 @@ def preamble(cfg, seed):
         f"seed={seed}",
         f"config_hash={config_hash(cfg)}",
     ]
+
+
+def _meta(cfg, seed):
+    return {"version": __version__, "seed": seed, "config_hash": config_hash(cfg)}
 
 
 def atomic(path, write_fn):
@@ -143,6 +152,59 @@ def atomic(path, write_fn):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _write_json(path, doc):
+    def write(p):
+        with open(p, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+
+    atomic(path, write)
+
+
+def _write_csv(path, header, rows, pre=()):
+    """'# ' preamble lines, the header, then rows of formatted cells."""
+    def write(p):
+        with open(p, "w", encoding="utf-8", newline="") as fh:
+            for line in pre:
+                fh.write(f"# {line}\n")
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(row) + "\n")
+
+    atomic(path, write)
+
+
+def _floats(matrix):
+    return ([repr(float(v)) for v in row] for row in matrix)
+
+
+def _load_input(cfg, command):
+    if "input" not in cfg:
+        raise UsageError(f"{command} requires --input or config key 'input'")
+    if any(k.startswith("schema.") for k in cfg):
+        schema = schema_from_config(cfg)
+    else:
+        # no schema supplied: assume a table written by this tool
+        schema = _default_schema(cfg["input"])
+    return data_model.load_table(cfg["input"], schema)
+
+
+def _default_schema(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        header = next(csv.reader(fh), [])
+    schema = {}
+    for col in header:
+        if col in ("day_of_year",):
+            schema[col] = "covariate"
+        elif col in ("year", "group"):
+            schema[col] = "group"
+        elif col.startswith("species"):
+            schema[col] = "count"
+        else:
+            schema[col] = "diagnostic"
+    return schema
 
 
 def _out_dir(args):
@@ -171,27 +233,24 @@ def merged_config(args, extra=()):
 
 
 def cmd_simulate(args):
-    cfg = merged_config(args)
-    seed = int(cfg.get("seed", 0))
+    cfg = merged_config(args, [
+        ("simulate.years", args.years),
+        ("simulate.days_per_year", args.days_per_year),
+        ("simulate.n_species", args.n_species),
+    ])
     sim = evalharness.simulate_moth_survey(
-        years=int(cfg.get("simulate.years", args.years)),
-        days_per_year=int(cfg.get("simulate.days_per_year", args.days_per_year)),
-        n_species=int(cfg.get("simulate.n_species", args.n_species)),
-        seed=seed,
+        years=int(cfg.get("simulate.years", 5)),
+        days_per_year=int(cfg.get("simulate.days_per_year", 180)),
+        n_species=int(cfg.get("simulate.n_species", 10)),
+        seed=int(cfg.get("seed", 0)),
         beta=float(cfg.get("simulate.beta", 1.0)),
         idio_sigma=float(cfg.get("simulate.idio_sigma", 0.1)),
     )
     out = _out_dir(args)
     atomic(os.path.join(out, "survey.csv"),
            lambda p: data_model.save_table(sim.table, p))
-
-    def write_truth(p):
-        with open(p, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(sim.table.species_names) + "\n")
-            for row in sim.true_log_abundance:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-    atomic(os.path.join(out, "truth.csv"), write_truth)
+    _write_csv(os.path.join(out, "truth.csv"), sim.table.species_names,
+               _floats(sim.true_log_abundance))
     print(f"wrote {out}/survey.csv ({sim.table.n_rows} rows, "
           f"{sim.table.n_species} species)")
     return EXIT_OK
@@ -199,16 +258,8 @@ def cmd_simulate(args):
 
 def cmd_denoise(args):
     cfg = merged_config(args, [("input", args.input), ("method", args.method)])
-    if "input" not in cfg:
-        raise UsageError("denoise requires --input or config key 'input'")
     seed = int(cfg.get("seed", 0))
-    schema = schema_from_config(cfg) if any(k.startswith("schema.") for k in cfg) \
-        else None
-    if schema is None:
-        # no schema supplied: assume a table written by this tool
-        probe = _default_schema(cfg["input"])
-        schema = probe
-    table = data_model.load_table(cfg["input"], schema)
+    table = _load_input(cfg, "denoise")
     if table.n_species < 2:
         raise UsageError("need >= 2 species to denoise")
     cfg_x = regressor_from_config(cfg, "x", "spline_gam")
@@ -217,39 +268,19 @@ def cmd_denoise(args):
     if method == "3qs":
         result = estimators.tqs_multi_species(table, cfg_x, cfg_res)
         z_hat = result.z_hat
+        per_species = result.training_diagnostics(table)
     elif method == "hs":
         z_hat = evalharness.denoise_hs(table, cfg_res)
-        result = None
+        per_species = [{"species": s} for s in table.species_names]
     else:
         raise UsageError(f"unknown method {method!r} (expected 3qs or hs)")
     out = _out_dir(args)
-    pre = preamble(cfg, seed) + [f"method={method}"]
-
-    def write_csv(p):
-        with open(p, "w", encoding="utf-8", newline="") as fh:
-            for line in pre:
-                fh.write(f"# {line}\n")
-            fh.write(",".join(table.species_names) + "\n")
-            for row in z_hat:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-    atomic(os.path.join(out, "zhat.csv"), write_csv)
-    if result is not None:
-        per_species = result.training_diagnostics(table)
-    else:
-        per_species = [{"species": s} for s in table.species_names]
-    diag = {"meta": {"version": __version__, "seed": seed,
-                     "config_hash": config_hash(cfg)},
-            "method": method,
-            "per_species": per_species}
-
-    def write_json(p):
-        with open(p, "w", encoding="utf-8") as fh:
-            json.dump(diag, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    atomic(os.path.join(out, "diagnostics.json"), write_json)
-    if result is not None:
+    _write_csv(os.path.join(out, "zhat.csv"), table.species_names, _floats(z_hat),
+               pre=preamble(cfg, seed) + [f"method={method}"])
+    _write_json(os.path.join(out, "diagnostics.json"),
+                {"meta": _meta(cfg, seed), "method": method,
+                 "per_species": per_species})
+    if method == "3qs":
         for entry in per_species:
             print(f"{entry['species']}: covariate_mse="
                   f"{entry['covariate_model_mse']:.6g} "
@@ -258,22 +289,10 @@ def cmd_denoise(args):
     return EXIT_OK
 
 
-def _default_schema(path):
-    import csv as _csv
-
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = next(_csv.reader(fh))
-    schema = {}
-    for col in header:
-        if col in ("day_of_year",):
-            schema[col] = "covariate"
-        elif col in ("year", "group"):
-            schema[col] = "group"
-        elif col.startswith("species"):
-            schema[col] = "count"
-        else:
-            schema[col] = "diagnostic"
-    return schema
+def _sweep_cells(rows):
+    for r in rows:
+        stderr = "" if np.isnan(r.stderr_mse) else repr(r.stderr_mse)
+        yield [repr(r.sweep_value), r.method, repr(r.mean_mse), stderr, str(r.trials)]
 
 
 def cmd_synth(args):
@@ -290,11 +309,11 @@ def cmd_synth(args):
     noise_rows = synthgen.run_noise_sweep(
         sigmas, trials, backend, master_seed=seed + 1, n_obs=n_obs, jobs=jobs)
     out = _out_dir(args)
-    pre = preamble(cfg, seed)
-    atomic(os.path.join(out, "species_sweep.csv"),
-           lambda p: synthgen.sweep_to_csv(species_rows, p, pre))
-    atomic(os.path.join(out, "noise_sweep.csv"),
-           lambda p: synthgen.sweep_to_csv(noise_rows, p, pre))
+    header = ("sweep_value", "method", "mean_mse", "stderr_mse", "trials")
+    for name, rows in (("species_sweep.csv", species_rows),
+                       ("noise_sweep.csv", noise_rows)):
+        _write_csv(os.path.join(out, name), header, _sweep_cells(rows),
+                   pre=preamble(cfg, seed))
     print(f"wrote {out}/species_sweep.csv and {out}/noise_sweep.csv")
     return EXIT_OK
 
@@ -303,6 +322,8 @@ def cmd_verify(args):
     cfg = merged_config(args, [("joints", args.joints)])
     seed = int(cfg.get("seed", 0))
     n_joints = int(cfg.get("joints", 100))
+    if n_joints < 1:
+        raise UsageError(f"verify needs at least 1 joint (got {n_joints})")
     rng = np.random.default_rng(np.random.SeedSequence(seed & 0xFFFFFFFF))
     reports = []
     failures = []
@@ -329,20 +350,10 @@ def cmd_verify(args):
         if not ok:
             failures.append(idx)
         reports.append(entry)
-    doc = {
-        "meta": {"version": __version__, "seed": seed,
-                 "config_hash": config_hash(cfg), "joints": n_joints},
-        "failures": failures,
-        "reports": reports,
-    }
     out = _out_dir(args)
-
-    def write(p):
-        with open(p, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    atomic(os.path.join(out, "theorems.json"), write)
+    _write_json(os.path.join(out, "theorems.json"),
+                {"meta": {**_meta(cfg, seed), "joints": n_joints},
+                 "failures": failures, "reports": reports})
     if failures:
         print(f"FAIL: {len(failures)}/{n_joints} joints failed: {failures}")
         return EXIT_VERIFY_FAIL
@@ -356,12 +367,8 @@ def cmd_eval(args):
         ("methods", args.methods),
         ("eval.test_filter", args.test_filter),
     ])
-    if "input" not in cfg:
-        raise UsageError("eval requires --input or config key 'input'")
     seed = int(cfg.get("seed", 0))
-    schema = schema_from_config(cfg) if any(k.startswith("schema.") for k in cfg) \
-        else _default_schema(cfg["input"])
-    table = data_model.load_table(cfg["input"], schema)
+    table = _load_input(cfg, "eval")
     methods = [m.strip() for m in cfg.get("methods", ",".join(evalharness.METHODS)).split(",")
                if m.strip()]
     cfg_x = regressor_from_config(cfg, "x", "spline_gam")
@@ -370,14 +377,11 @@ def cmd_eval(args):
     brightness_column = cfg.get("eval.brightness_column")
     filter_kind = cfg.get("eval.test_filter", "none")
     if filter_kind == "brightness-zero":
-        column = brightness_column or (
-            next(iter(table.diagnostics)) if len(table.diagnostics) == 1 else None)
-        if column is None or column not in table.diagnostics:
-            raise UsageError("brightness-zero filter needs a brightness column")
+        column = evalharness.resolve_brightness_column(table, brightness_column)
         thr = cfg.get("eval.threshold")
         thr = float(thr) if thr is not None else None
         test_filter = lambda t: evalharness.brightness_zero_subset(t, column, thr)
-    elif filter_kind in ("none", None):
+    elif filter_kind == "none":
         test_filter = None
     else:
         raise UsageError(f"unknown test filter {filter_kind!r}")
@@ -390,11 +394,18 @@ def cmd_eval(args):
         with_diagnostics=bool(table.diagnostics),
     )
     out = _out_dir(args)
-    pre = preamble(cfg, seed)
-    atomic(os.path.join(out, "eval_report.json"),
-           lambda p: report.to_json(p, {"version": __version__, "seed": seed,
-                                        "config_hash": config_hash(cfg)}))
-    atomic(os.path.join(out, "eval_cells.csv"), lambda p: report.to_csv(p, pre))
+    _write_json(os.path.join(out, "eval_report.json"), {
+        "meta": _meta(cfg, seed),
+        "baseline": report.baseline,
+        "improvements": report.improvements,
+        "diagnostics": report.diagnostics,
+        "cells": [dataclasses.asdict(c) for c in report.cells],
+    })
+    _write_csv(os.path.join(out, "eval_cells.csv"),
+               ("species", "train_group", "test_group", "method", "mse"),
+               ([c.species, c.train_group, c.test_group, c.method, repr(c.mse)]
+                for c in report.cells),
+               pre=preamble(cfg, seed))
     print("mean percent improvement vs raw baseline:")
     for method in methods:
         print(f"  {method:>8s}: {report.improvements[method]:+8.2f}%")
@@ -453,9 +464,12 @@ def build_parser():
 
     p = sub.add_parser("simulate", help="write a simulated survey CSV")
     common(p)
-    p.add_argument("--years", type=int, default=5)
-    p.add_argument("--days-per-year", dest="days_per_year", type=int, default=180)
-    p.add_argument("--n-species", dest="n_species", type=int, default=10)
+    p.add_argument("--years", type=int, default=None,
+                   help="survey years (default 5)")
+    p.add_argument("--days-per-year", dest="days_per_year", type=int, default=None,
+                   help="nights per year (default 180)")
+    p.add_argument("--n-species", dest="n_species", type=int, default=None,
+                   help="number of species (default 10)")
     p.set_defaults(func=cmd_simulate)
 
     return parser

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import regress
-from .regress import RegressorConfig, fit, predict
+from .regress import fit, predict
 
 
 class EstimationError(RuntimeError):
@@ -107,6 +107,8 @@ def _aux_species(counts, i, n_aux):
     others = [j for j in range(counts.shape[1]) if j != i]
     if n_aux is None:
         return others
+    if n_aux < 1:
+        raise EstimationError(f"n_aux must be >= 1 (got {n_aux})")
     totals = counts.sum(axis=0)
     others.sort(key=lambda j: (-totals[j], j))
     return others[:n_aux]
@@ -129,6 +131,7 @@ def tqs_multi_species(table, cfg_x, cfg_res, n_aux=None):
     y = table.counts
     x = table.covariates
     m = table.n_rows
+    aux_columns = [_aux_species(y, i, n_aux) for i in range(s)]
 
     cov_models = []
     residuals = np.empty((m, s))
@@ -142,17 +145,14 @@ def tqs_multi_species(table, cfg_x, cfg_res, n_aux=None):
         residuals[:, i] = y[:, i] - predict(model, x)
 
     res_models = []
-    aux_columns = []
     z_hat = np.empty((m, s))
-    for i in range(s):
-        aux = _aux_species(y, i, n_aux)
+    for i, aux in enumerate(aux_columns):
         cfg = cfg_res.with_seed(species_seed(cfg_res.seed, i))
         try:
             model = fit(cfg, residuals[:, aux], residuals[:, i])
         except regress.RegressionError as e:
             raise EstimationError(f"residual model failed for species {i}: {e}") from e
         res_models.append(model)
-        aux_columns.append(tuple(aux))
         z_hat[:, i] = y[:, i] - predict(model, residuals[:, aux])
 
     return DenoiseResult(
@@ -160,6 +160,6 @@ def tqs_multi_species(table, cfg_x, cfg_res, n_aux=None):
         residuals=residuals,
         covariate_models=tuple(cov_models),
         residual_models=tuple(res_models),
-        aux_columns=tuple(aux_columns),
+        aux_columns=tuple(tuple(aux) for aux in aux_columns),
         method="3QS_residual",
     )

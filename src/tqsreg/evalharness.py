@@ -10,15 +10,13 @@ correlation / retained-variability diagnostics.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import data_model
 from .data_model import ObservationTable, split_by_group
 from .estimators import _aux_species, hs_estimate, species_seed, tqs_multi_species
-from .regress import RegressorConfig, fit, predict
+from .regress import fit, predict
 
 # raw smoother, HS, 3QS, brightness-feature model, and the pooled-years
 # oracle smoother
@@ -67,6 +65,18 @@ def retained_std_fraction(counts, z_hat):
     if np.any(stds == 0):
         raise EvalError("zero-variance species column")
     return list(z_hat.std(axis=0) / stds)
+
+
+def resolve_brightness_column(table, column):
+    """The named diagnostic column, else the table's only one."""
+    if column is None:
+        if len(table.diagnostics) != 1:
+            raise EvalError("name a brightness column: the table has "
+                            f"{len(table.diagnostics)} diagnostic columns")
+        column = next(iter(table.diagnostics))
+    if column not in table.diagnostics:
+        raise EvalError(f"no diagnostic column {column!r}")
+    return column
 
 
 def brightness_zero_subset(table, column, threshold=None):
@@ -125,37 +135,6 @@ class EvalReport:
             raise EvalError(f"no cells for method {method!r}")
         return float(np.mean(vals))
 
-    def to_json(self, path, preamble=None):
-        doc = {
-            "meta": dict(preamble or {}),
-            "baseline": self.baseline,
-            "improvements": self.improvements,
-            "diagnostics": self.diagnostics,
-            "cells": [
-                {
-                    "species": c.species,
-                    "train_group": c.train_group,
-                    "test_group": c.test_group,
-                    "method": c.method,
-                    "mse": c.mse,
-                }
-                for c in self.cells
-            ],
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    def to_csv(self, path, preamble=()):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            for line in preamble:
-                fh.write(f"# {line}\n")
-            fh.write("species,train_group,test_group,method,mse\n")
-            for c in self.cells:
-                fh.write(
-                    f"{c.species},{c.train_group},{c.test_group},{c.method},{c.mse!r}\n"
-                )
-
 
 def _unique_groups(table):
     seen = []
@@ -202,13 +181,8 @@ def loyo_evaluate(table, methods, cfg_x, cfg_res, smooth_cfg, test_filter=None,
     if table.n_species < 2:
         raise EvalError("need >= 2 species")
     needs_brightness = "mb" in methods
-    if (needs_brightness or with_diagnostics) and brightness_column is None:
-        if len(table.diagnostics) == 1:
-            brightness_column = next(iter(table.diagnostics))
-        else:
-            raise EvalError("mb/diagnostics require a brightness column")
-    if needs_brightness and brightness_column not in table.diagnostics:
-        raise EvalError(f"no diagnostic column {brightness_column!r}")
+    if needs_brightness or with_diagnostics:
+        brightness_column = resolve_brightness_column(table, brightness_column)
 
     score_methods = list(dict.fromkeys(["raw"] + methods))
     cells = []

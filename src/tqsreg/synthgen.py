@@ -9,7 +9,7 @@ reconstruction of species 1, with paired instances across methods.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -187,13 +187,3 @@ def run_noise_sweep(sigmas, trials, cfg, master_seed=0, n_obs=DEFAULT_N_OBS, job
     if trials < 1:
         raise ValueError("trials must be >= 1")
     return _run_sweep("noise", list(sigmas), trials, cfg, master_seed, n_obs, jobs)
-
-
-def sweep_to_csv(rows, path, preamble=()):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for line in preamble:
-            fh.write(f"# {line}\n")
-        fh.write("sweep_value,method,mean_mse,stderr_mse,trials\n")
-        for r in rows:
-            stderr = "" if np.isnan(r.stderr_mse) else repr(r.stderr_mse)
-            fh.write(f"{r.sweep_value!r},{r.method},{r.mean_mse!r},{stderr},{r.trials}\n")

@@ -75,6 +75,22 @@ class TestSimulate:
             outs.append((out / "survey.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_flag_beats_config_key(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("simulate.years = 3\nsimulate.days_per_year = 10\n"
+                       "simulate.n_species = 2\n")
+        out = tmp_path / "flags"
+        assert run(["simulate", "--config", str(cfg), "--out", str(out),
+                    "--years", "2", "--days-per-year", "7"]) == EXIT_OK
+        survey = (out / "survey.csv").read_text().splitlines()
+        assert len(survey) == 1 + 2 * 7
+        # a key without its flag still applies
+        assert survey[0].split(",")[1:3] == ["species_00", "species_01"]
+        assert survey[0].split(",")[3] == "year"
+        out = tmp_path / "keys"
+        assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert len((out / "survey.csv").read_text().splitlines()) == 1 + 3 * 10
+
     def test_seed_changes_output(self, tmp_path):
         blobs = []
         for seed in ("1", "2"):
@@ -127,6 +143,12 @@ class TestDenoise:
         assert run(["denoise", "--input", str(tmp_path / "missing.csv"),
                     "--out", str(tmp_path)]) == EXIT_USAGE
 
+    def test_empty_input_is_usage_error(self, tmp_path):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        assert run(["denoise", "--input", str(empty),
+                    "--out", str(tmp_path)]) == EXIT_USAGE
+
     def test_byte_identical_reruns(self, sim_dir, tmp_path):
         blobs = []
         for name in ("a", "b"):
@@ -171,6 +193,12 @@ class TestVerify:
                     "--joints", "5", "--corrupt-for-testing"]) == EXIT_VERIFY_FAIL
         doc = json.loads((out / "theorems.json").read_text())
         assert doc["failures"]  # corrupted estimates must fail the bound
+
+    @pytest.mark.parametrize("joints", ["0", "-3"])
+    def test_no_joints_is_usage_error(self, tmp_path, joints):
+        assert run(["verify", "--out", str(tmp_path / "v"),
+                    "--joints", joints]) == EXIT_USAGE
+        assert not (tmp_path / "v" / "theorems.json").exists()
 
     def test_deterministic(self, tmp_path):
         blobs = []
@@ -228,6 +256,22 @@ class TestEval:
         assert run(["eval", "--input", str(sim_dir / "survey.csv"),
                     "--out", str(out), "--methods", "raw",
                     "--test-filter", "brightness-zero"]) == EXIT_OK
+
+    def test_brightness_zero_without_diagnostic_column(self, tmp_path):
+        survey = tmp_path / "survey.csv"
+        rows = ["day_of_year,species_00,species_01,year"]
+        rows += [f"{d},{d % 5},{d % 3},y{2013 + d % 2}" for d in range(40)]
+        survey.write_text("\n".join(rows) + "\n")
+        assert run(["eval", "--input", str(survey), "--out", str(tmp_path / "e"),
+                    "--methods", "raw",
+                    "--test-filter", "brightness-zero"]) == EXIT_USAGE
+
+    def test_negative_n_aux_is_usage_error(self, sim_dir, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("eval.n_aux = -1\nregressor.res.kind = kernel_ridge\n")
+        assert run(["eval", "--input", str(sim_dir / "survey.csv"),
+                    "--config", str(cfg), "--out", str(tmp_path / "e"),
+                    "--methods", "raw,3qs"]) == EXIT_USAGE
 
     def test_unknown_method_is_usage_error(self, sim_dir, tmp_path):
         assert run(["eval", "--input", str(sim_dir / "survey.csv"),

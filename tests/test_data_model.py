@@ -1,5 +1,10 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tqsreg import data_model
 from tqsreg.data_model import (
@@ -100,6 +105,57 @@ class TestLoadTable:
         np.testing.assert_array_equal(
             t.diagnostics["bright"], t2.diagnostics["bright"]
         )
+
+
+_cells = st.text(st.characters(exclude_categories=("Cs",)), max_size=6)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def tables(draw):
+    m = draw(st.integers(1, 6))
+    n_cov = draw(st.integers(0, 2))
+    n_diag = draw(st.integers(0, 2))
+    n_species = draw(st.integers(1, 3))
+    names = draw(st.lists(_cells.filter(bool), unique=True,
+                          min_size=n_cov + n_diag + n_species + 1,
+                          max_size=n_cov + n_diag + n_species + 1))
+
+    def matrix(k):
+        return np.array(draw(st.lists(_finite, min_size=m * k, max_size=m * k)),
+                        dtype=float).reshape(m, k)
+
+    diag = matrix(n_diag)
+    return ObservationTable(
+        covariates=matrix(n_cov),
+        counts=matrix(n_species),
+        species_names=names[n_cov:n_cov + n_species],
+        # load_table strips each cell, so the labels it returns never carry
+        # surrounding whitespace; the round trip is exact on such tables
+        group_labels=draw(st.lists(_cells.map(str.strip), min_size=m, max_size=m)),
+        diagnostics={d: diag[:, j] for j, d in enumerate(names[n_cov + n_species:-1])},
+        covariate_names=names[:n_cov],
+        group_name=names[-1],
+    )
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(tables())
+    def test_save_then_load_is_identity(self, t):
+        with tempfile.TemporaryDirectory() as tmp:
+            p = os.path.join(tmp, "t.csv")
+            save_table(t, p)
+            t2 = load_table(p, table_schema(t))
+        assert t2.covariate_names == t.covariate_names
+        assert t2.species_names == t.species_names
+        assert t2.group_name == t.group_name
+        assert t2.group_labels == t.group_labels
+        np.testing.assert_array_equal(t2.covariates, t.covariates)
+        np.testing.assert_array_equal(t2.counts, t.counts)
+        assert list(t2.diagnostics) == list(t.diagnostics)
+        for name, col in t.diagnostics.items():
+            np.testing.assert_array_equal(t2.diagnostics[name], col)
 
 
 class TestTableInvariants:

@@ -242,7 +242,14 @@ class TestMultiSpecies:
         full = tqs_multi_species(table, spline_cfg, krr_cfg)
         assert full.aux_columns == ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
 
-    def test_n_aux_fit_failure_names_species(self, spline_cfg, krr_cfg, rng):
+    def test_n_aux_fit_failure_names_species(self, spline_cfg, rng):
         table, _ = make_table(rng, s=3, m=60)
+        bad_res = RegressorConfig("kernel_ridge", {"bogus": 1.0})
         with pytest.raises(EstimationError, match="residual model failed for species 0"):
-            tqs_multi_species(table, spline_cfg, krr_cfg, n_aux=0)
+            tqs_multi_species(table, spline_cfg, bad_res, n_aux=1)
+
+    @pytest.mark.parametrize("n_aux", [0, -1])
+    def test_n_aux_below_one_rejected(self, spline_cfg, krr_cfg, rng, n_aux):
+        table, _ = make_table(rng, s=4, m=60)
+        with pytest.raises(EstimationError, match=rf"n_aux must be >= 1 \(got {n_aux}\)"):
+            tqs_multi_species(table, spline_cfg, krr_cfg, n_aux=n_aux)

@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
+from tqsreg import cli
 from tqsreg import evalharness as ev
-from tqsreg.data_model import ObservationTable
-from tqsreg.estimators import tqs_multi_species
+from tqsreg.data_model import ObservationTable, save_table
+from tqsreg.estimators import EstimationError, tqs_multi_species
 from tqsreg.evalharness import (
     EvalError,
     brightness_zero_subset,
@@ -144,6 +147,11 @@ class TestDenoisers:
                                    n_aux=t.n_species - 1).z_hat
         np.testing.assert_allclose(full, capped, atol=1e-9)
 
+    @pytest.mark.parametrize("n_aux", [0, -1])
+    def test_hs_n_aux_below_one_rejected(self, small_sim, krr_cfg, n_aux):
+        with pytest.raises(EstimationError, match=rf"n_aux must be >= 1 \(got {n_aux}\)"):
+            denoise_hs(small_sim.table, krr_cfg, n_aux=n_aux)
+
     def test_hs_preserves_mean(self, small_sim, krr_cfg):
         t = small_sim.table
         z = denoise_hs(t, krr_cfg)
@@ -253,20 +261,37 @@ class TestLoyoProtocol:
 
     def test_report_serialization(self, small_sim, smooth_cfg, krr_cfg,
                                   spline_cfg, tmp_path):
-        import json
+        # the eval subcommand is the one writer of an EvalReport
         rep = loyo_evaluate(small_sim.table, ["raw", "global"], spline_cfg,
-                            krr_cfg, smooth_cfg)
-        jp = tmp_path / "r.json"
-        cp = tmp_path / "r.csv"
-        rep.to_json(jp, preamble={"seed": 0})
-        rep.to_csv(cp, preamble=("seed=0",))
-        doc = json.loads(jp.read_text())
+                            krr_cfg, smooth_cfg, with_diagnostics=True)
+        survey = tmp_path / "survey.csv"
+        save_table(small_sim.table, survey)
+        cfg_p = tmp_path / "ev.cfg"
+        cfg_p.write_text("regressor.res.kind = kernel_ridge\n")
+        out = tmp_path / "ev"
+        assert cli.main(["eval", "--input", str(survey), "--config", str(cfg_p),
+                         "--out", str(out), "--seed", "0",
+                         "--methods", "raw,global"]) == cli.EXIT_OK
+        doc = json.loads((out / "eval_report.json").read_text())
         assert doc["baseline"] == "raw"
         assert len(doc["cells"]) == len(rep.cells)
-        lines = cp.read_text().splitlines()
-        assert lines[0] == "# seed=0"
-        assert lines[1].startswith("species,train_group,test_group,method,mse")
-        assert len(lines) == 2 + len(rep.cells)
+        assert doc["cells"] == [
+            {"species": c.species, "train_group": c.train_group,
+             "test_group": c.test_group, "method": c.method, "mse": c.mse}
+            for c in rep.cells
+        ]
+        assert doc["improvements"] == rep.improvements
+        assert doc["diagnostics"] == rep.diagnostics
+        lines = (out / "eval_cells.csv").read_text().splitlines()
+        assert lines[0].startswith("# tqsreg_version=")
+        assert lines[1] == "# seed=0"
+        assert lines[2].startswith("# config_hash=")
+        assert lines[3].startswith("species,train_group,test_group,method,mse")
+        assert len(lines) == 4 + len(rep.cells)
+        for ln, c in zip(lines[4:], rep.cells):
+            assert ln.split(",")[:4] == [c.species, c.train_group, c.test_group,
+                                         c.method]
+            assert float(ln.split(",")[4]) == c.mse
 
     def test_methods(self):
         assert ev.METHODS == ("raw", "hs", "3qs", "mb", "global")

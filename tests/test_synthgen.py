@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tqsreg import synthgen
+from tqsreg import cli, synthgen
 from tqsreg.regress import RegressorConfig
 from tqsreg.synthgen import (
     SynthConfig,
@@ -9,7 +9,6 @@ from tqsreg.synthgen import (
     reconstruction_mse,
     run_noise_sweep,
     run_species_sweep,
-    sweep_to_csv,
     trial_seed,
 )
 
@@ -126,18 +125,27 @@ class TestSweeps:
             run_species_sweep([2], trials=0, cfg=RegressorConfig("kernel_ridge"))
 
     def test_csv_output(self, tmp_path):
+        # the synth subcommand is the one writer of sweep rows; it seeds
+        # the noise sweep with master seed + 1
         cfg = RegressorConfig("kernel_ridge")
-        rows = run_noise_sweep([0.0, 0.1], trials=1, cfg=cfg, n_obs=100)
-        p = tmp_path / "sweep.csv"
-        sweep_to_csv(rows, p, preamble=("seed=0",))
-        lines = p.read_text().splitlines()
-        assert lines[0] == "# seed=0"
-        assert lines[1] == "sweep_value,method,mean_mse,stderr_mse,trials"
-        assert len(lines) == 2 + len(rows)
+        rows = run_noise_sweep([0.0, 0.1], trials=1, cfg=cfg, master_seed=1,
+                               n_obs=100)
+        cfg_p = tmp_path / "s.cfg"
+        cfg_p.write_text("synth.species_grid = 2\nsynth.sigma_grid = 0,0.1\n"
+                         "synth.n_obs = 100\n")
+        out = tmp_path / "s"
+        assert cli.main(["synth", "--out", str(out), "--seed", "0",
+                         "--trials", "1", "--config", str(cfg_p)]) == cli.EXIT_OK
+        lines = (out / "noise_sweep.csv").read_text().splitlines()
+        assert lines[0].startswith("# tqsreg_version=")
+        assert lines[1] == "# seed=0"
+        assert lines[2].startswith("# config_hash=")
+        assert lines[3] == "sweep_value,method,mean_mse,stderr_mse,trials"
+        assert len(lines) == 4 + len(rows)
         # stderr column empty for single-trial rows
-        assert all(ln.split(",")[3] == "" for ln in lines[2:])
+        assert all(ln.split(",")[3] == "" for ln in lines[4:])
         # values round-trip through float()
-        for ln, row in zip(lines[2:], rows):
+        for ln, row in zip(lines[4:], rows):
             parts = ln.split(",")
             assert float(parts[0]) == row.sweep_value
             assert float(parts[2]) == row.mean_mse
