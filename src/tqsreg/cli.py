@@ -204,6 +204,11 @@ def _default_schema(path):
             schema[col] = "count"
         else:
             schema[col] = "diagnostic"
+    guessed = [c for c, role in schema.items() if role == "diagnostic"]
+    if guessed:
+        # a mistyped species column would otherwise drop out of denoising unseen
+        print(f"note: no schema.* keys; reading {guessed} as diagnostic columns",
+              file=sys.stderr)
     return schema
 
 

@@ -117,6 +117,7 @@ def load_table(path, schema):
     ``schema`` maps each CSV column name to one role among
     covariate/count/group/diagnostic/ignore.  Exactly the file's columns
     must appear in the schema; at most one column may be the group.
+    Group labels are kept verbatim; numeric cells may carry spaces.
     """
     for col, role in schema.items():
         if role not in ROLES:
@@ -174,7 +175,7 @@ def load_table(path, schema):
     diagnostics = {c: numeric([c])[:, 0] for c in diag_cols}
     if group_cols:
         k = col_idx[group_cols[0]]
-        labels = [row[k].strip() for row in rows]
+        labels = [row[k] for row in rows]  # " y2013" and "y2013" are two groups
         group_name = group_cols[0]
     else:
         labels = [""] * len(rows)

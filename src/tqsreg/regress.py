@@ -7,7 +7,9 @@ by the denoising estimators:
                        second-difference penalty, smoothness chosen by
                        GCV over a fixed logarithmic grid.
 * ``boosted_trees``  - gradient boosted regression trees, squared-error
-                       loss, deterministic split tie-breaking.
+                       loss, exact greedy splits on features sorted once
+                       per fit; tied values keep row order, so the trees
+                       do not depend on numpy's sort implementation.
 * ``kernel_ridge``   - RBF kernel ridge regression with an unpenalized
                        intercept and median-distance bandwidth heuristic.
 
@@ -73,6 +75,10 @@ class RegressorConfig:
 
 
 def _validate_params(kind, p):
+    for name in ("n_stages", "max_depth", "min_leaf", "n_knots"):
+        v = p.get(name, 1)
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
+            raise RegressionError(f"{name} must be an integer >= 1 (got {v!r})")
     if kind == "kernel_ridge":
         if p["penalty"] <= 0:
             raise RegressionError("kernel_ridge penalty must be > 0")
@@ -81,15 +87,9 @@ def _validate_params(kind, p):
     elif kind == "boosted_trees":
         if p["learning_rate"] <= 0:
             raise RegressionError("learning_rate must be > 0")
-        if p["max_depth"] < 1:
-            raise RegressionError("max_depth must be >= 1")
-        if p["n_stages"] < 1:
-            raise RegressionError("n_stages must be >= 1")
         if not 0 < p["subsample"] <= 1:
             raise RegressionError("subsample must be in (0, 1]")
     elif kind == "spline_gam":
-        if p["n_knots"] < 1:
-            raise RegressionError("n_knots must be >= 1")
         if p["penalty"] is not None and p["penalty"] <= 0:
             raise RegressionError("spline penalty must be > 0")
 
@@ -210,50 +210,29 @@ class FittedBoostedTrees(FittedRegressor):
         return out
 
 
-def _best_split(x, y, min_leaf):
-    """Exhaustive best split over all features of ``x`` for squared error.
+def _best_split(xs, ys, min_leaf):
+    """Best squared-error split of one node, over all its features at once.
 
-    Returns (sse, feature, threshold); feature is -1 when no valid
-    split exists.  Ties broken by lowest feature index, then lowest
-    threshold (first candidate encountered wins under strict '<').
+    ``xs`` (d, n) holds each feature's values of the node's rows sorted
+    ascending, ``ys`` the targets in the same orders.  Cut ``i`` of
+    feature ``f`` sends the rows of ``xs[f, :i + 1]`` left.  Returns
+    (sse, f, i); sse is inf when no valid cut exists.  Ties go to the
+    lowest feature, then the lowest cut (the first flat argmin).
     """
-    m, d = x.shape
-    best_sse = np.inf
-    best_f = -1
-    best_thr = 0.0
-    for f in range(d):
-        order = np.argsort(x[:, f])
-        xs = x[order, f]
-        ys = y[order]
-        c1 = np.cumsum(ys)
-        c2 = np.cumsum(ys * ys)
-        tot1 = c1[-1]
-        tot2 = c2[-1]
-        cut = np.nonzero(xs[:-1] < xs[1:])[0]
-        if cut.size == 0:
-            continue
-        nl = cut + 1.0
-        nr = m - nl
-        ok = (nl >= min_leaf) & (nr >= min_leaf)
-        if not np.any(ok):
-            continue
-        cut = cut[ok]
-        nl = nl[ok]
-        nr = nr[ok]
-        sl = c1[cut]
-        s2l = c2[cut]
-        sse = (s2l - sl * sl / nl) + ((tot2 - s2l) - (tot1 - sl) ** 2 / nr)
-        j = int(np.argmin(sse))
-        if sse[j] < best_sse:
-            i = int(cut[j])
-            thr = 0.5 * (xs[i] + xs[i + 1])
-            if thr >= xs[i + 1]:
-                # midpoint rounded up to the right value; split on the left one
-                thr = xs[i]
-            best_sse = float(sse[j])
-            best_f = f
-            best_thr = float(thr)
-    return best_sse, best_f, best_thr
+    n = xs.shape[1]  # >= 2 * min_leaf, so at least one cut leaves min_leaf a side
+    lo, hi = min_leaf - 1, n - min_leaf
+    c1 = ys.cumsum(axis=1)
+    c2 = (ys * ys).cumsum(axis=1)
+    tot1 = c1[:, -1:]
+    tot2 = c2[:, -1:]
+    sl = c1[:, lo:hi]
+    s2l = c2[:, lo:hi]
+    nl = np.arange(lo + 1.0, hi + 1.0)
+    nr = n - nl
+    sse = (s2l - sl * sl / nl) + ((tot2 - s2l) - (tot1 - sl) ** 2 / nr)
+    sse[xs[:, lo:hi] == xs[:, lo + 1:hi + 1]] = np.inf  # no cut inside a tie
+    f, j = divmod(int(sse.argmin()), hi - lo)
+    return float(sse[f, j]), f, lo + j
 
 
 def _tree_predict(feature, threshold, left, right, value, x):
@@ -271,63 +250,75 @@ def _tree_predict(feature, threshold, left, right, value, x):
     return out
 
 
-def _grow_tree(x, r, max_depth, min_leaf):
-    """Depth-first CART growth; returns flat node arrays."""
-    feature, threshold, left, right, value = [], [], [], [], []
+def _grow_tree(rows, order, xs, r, max_depth, min_leaf):
+    """Depth-first CART growth on presorted features; returns flat node arrays.
 
-    def add_leaf(vals):
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(float(np.mean(vals)))
-        return len(feature) - 1
+    ``rows`` (ascending) are the rows to fit, ``order`` (d, n) the same
+    rows sorted by each feature (ties in row order) and ``xs`` their
+    values.  Children inherit both by a stable partition: no node sorts.
+    """
+    nodes = []  # [feature, threshold, left, right, value], depth-first
+    d = order.shape[0]
 
-    def build(idx, depth):
-        sub = r[idx]
-        if depth == 0 or idx.size < 2 * min_leaf or idx.size < 2:
-            return add_leaf(sub)
-        parent_sse = float(np.sum((sub - np.mean(sub)) ** 2))
-        sse, f, thr = _best_split(x[idx], sub, min_leaf)
-        if f < 0 or not sse < parent_sse:
-            return add_leaf(sub)
-        go_left = x[idx, f] <= thr
-        node = len(feature)
-        feature.append(f)
-        threshold.append(thr)
-        left.append(-1)
-        right.append(-1)
-        value.append(0.0)
-        left[node] = build(idx[go_left], depth - 1)
-        right[node] = build(idx[~go_left], depth - 1)
+    def leaf(v):
+        nodes.append([-1, 0.0, -1, -1, float(v.sum() / v.size)])  # np.mean's bits
+        return len(nodes) - 1
+
+    def build(rows, order, xs, depth):
+        sub = r[rows]
+        n = rows.size
+        if depth == 0 or n < 2 * min_leaf or n < 2:
+            return leaf(sub)
+        parent_sse = float(((sub - sub.sum() / n) ** 2).sum())
+        sse, f, i = _best_split(xs, r[order], min_leaf)
+        if not sse < parent_sse:
+            return leaf(sub)
+        thr = 0.5 * (xs[f, i] + xs[f, i + 1])
+        if thr >= xs[f, i + 1]:
+            # midpoint rounded up to the right value; split on the left one
+            thr = xs[f, i]
+        go_left = np.zeros(r.size, dtype=bool)
+        go_left[order[f, :i + 1]] = True
+        node = len(nodes)
+        nodes.append([f, float(thr), -1, -1, 0.0])
+        in_left = go_left[rows]
+        if depth == 1:  # both children are leaves; skip the partition
+            nodes[node][2:4] = leaf(sub[in_left]), leaf(sub[~in_left])
+            return node
+        ml = go_left[order]
+        for k, keep, sel in ((2, ml, in_left), (3, ~ml, ~in_left)):
+            nodes[node][k] = build(rows[sel], order[keep].reshape(d, -1),
+                                   xs[keep].reshape(d, -1), depth - 1)
         return node
 
-    build(np.arange(x.shape[0]), max_depth)
-    return (
-        np.asarray(feature, dtype=np.int64),
-        np.asarray(threshold, dtype=np.float64),
-        np.asarray(left, dtype=np.int64),
-        np.asarray(right, dtype=np.int64),
-        np.asarray(value, dtype=np.float64),
-    )
+    build(rows, order, xs, max_depth)
+    cols = zip(*nodes)
+    return tuple(np.asarray(c, dtype=t) for c, t in
+                 zip(cols, (np.int64, np.float64, np.int64, np.int64, np.float64)))
 
 
 def _fit_boosted_trees(params, x, y, seed):
-    m = x.shape[0]
+    m, d = x.shape
     init = float(np.mean(y))
     pred = np.full(m, init)
+    xt = x.T
+    order = np.argsort(xt, axis=1, kind="stable")  # the only sort of the fit
+    xs = np.take_along_axis(xt, order, axis=1)
+    rows, o, v = np.arange(m), order, xs
     trees = []
     rng = None
     if params["subsample"] < 1.0:
         rng = np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF]))
+        n_sub = max(2, int(round(params["subsample"] * m)))
     for _ in range(params["n_stages"]):
         resid = y - pred
         if rng is not None:
-            n_sub = max(2, int(round(params["subsample"] * m)))
-            idx = np.sort(rng.choice(m, size=n_sub, replace=False))
-            tree = _grow_tree(x[idx], resid[idx], params["max_depth"], params["min_leaf"])
-        else:
-            tree = _grow_tree(x, resid, params["max_depth"], params["min_leaf"])
+            rows = np.sort(rng.choice(m, size=n_sub, replace=False))
+            in_sample = np.zeros(m, dtype=bool)
+            in_sample[rows] = True
+            keep = in_sample[order]  # filtering a sorted order keeps it sorted
+            o, v = order[keep].reshape(d, n_sub), xs[keep].reshape(d, n_sub)
+        tree = _grow_tree(rows, o, v, resid, params["max_depth"], params["min_leaf"])
         trees.append(tree)
         feat, thr, left, right, value = tree
         pred = pred + params["learning_rate"] * _tree_predict(

@@ -149,6 +149,39 @@ class TestDenoise:
         assert run(["denoise", "--input", str(empty),
                     "--out", str(tmp_path)]) == EXIT_USAGE
 
+    def test_fractional_tree_stages_is_usage_error(self, sim_dir, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("regressor.res.n_stages = 2.5\n")
+        out = tmp_path / "dn"
+        assert run(["denoise", "--input", str(sim_dir / "survey.csv"),
+                    "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert "n_stages must be an integer >= 1" in capsys.readouterr().err
+        assert not (out / "zhat.csv").exists()
+
+    def test_guessed_diagnostic_columns_named_on_stderr(self, tmp_path, capsys):
+        csv_p = tmp_path / "typo.csv"
+        rng = np.random.default_rng(0)
+        lines = ["day_of_year,species_01,Species_02,species_03,year,moon_brightness"]
+        for i in range(40):
+            counts = ",".join(f"{v:.6f}" for v in rng.normal(size=3))
+            lines.append(f"{i % 20},{counts},y{2000 + i // 20},{rng.uniform():.6f}")
+        csv_p.write_text("\n".join(lines) + "\n")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("regressor.x.kind = kernel_ridge\n"
+                       "regressor.res.kind = kernel_ridge\n")
+        out = tmp_path / "dn"
+        assert run(["denoise", "--input", str(csv_p), "--out", str(out),
+                    "--config", str(cfg)]) == EXIT_OK
+        captured = capsys.readouterr()
+        err = [ln for ln in captured.err.splitlines() if ln]
+        assert err == ["note: no schema.* keys; reading ['Species_02', "
+                       "'moon_brightness'] as diagnostic columns"]
+        assert "Species_02" not in captured.out
+        header = [ln for ln in (out / "zhat.csv").read_text().splitlines()
+                  if not ln.startswith("#")][0]
+        assert "Species_02" not in header.split(",")
+        assert {"species_01", "species_03"} <= set(header.split(","))
+
     def test_byte_identical_reruns(self, sim_dir, tmp_path):
         blobs = []
         for name in ("a", "b"):

@@ -130,9 +130,7 @@ def tables(draw):
         covariates=matrix(n_cov),
         counts=matrix(n_species),
         species_names=names[n_cov:n_cov + n_species],
-        # load_table strips each cell, so the labels it returns never carry
-        # surrounding whitespace; the round trip is exact on such tables
-        group_labels=draw(st.lists(_cells.map(str.strip), min_size=m, max_size=m)),
+        group_labels=draw(st.lists(_cells, min_size=m, max_size=m)),
         diagnostics={d: diag[:, j] for j, d in enumerate(names[n_cov + n_species:-1])},
         covariate_names=names[:n_cov],
         group_name=names[-1],
@@ -301,3 +299,12 @@ class TestSplitByGroup:
         original = sorted(map(tuple, t.covariates.tolist()))
         assert combined == original
         assert train.n_rows + test.n_rows == t.n_rows
+
+    def test_labels_loaded_verbatim_stay_separate_groups(self, tmp_path):
+        p = write_csv(tmp_path / "a.csv",
+                      'day,speciesA,year\n1,3," y2013"\n2,0,y2013\n3,7, y2013\n')
+        t = load_table(p, BASIC_SCHEMA)
+        assert t.group_labels == (" y2013", "y2013", " y2013")
+        train, test = split_by_group(t, "y2013")
+        assert test.n_rows == 1 and train.n_rows == 2
+        assert set(train.group_labels) == {" y2013"}

@@ -2,6 +2,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from tqsreg import regress
@@ -50,6 +52,16 @@ class TestConfig:
             ("boosted_trees", {"subsample": 0.0}),
             ("spline_gam", {"n_knots": 0}),
             ("spline_gam", {"penalty": -2.0}),
+            # integer counts: a fractional max_depth never reaches depth 0
+            # and a fractional n_stages fails inside range()
+            ("boosted_trees", {"max_depth": 2.5}),
+            ("boosted_trees", {"max_depth": True}),
+            ("boosted_trees", {"n_stages": 2.5}),
+            ("boosted_trees", {"n_stages": 1e3}),
+            ("boosted_trees", {"min_leaf": 0}),
+            ("boosted_trees", {"min_leaf": 1.0}),
+            ("spline_gam", {"n_knots": 2.5}),
+            ("spline_gam", {"n_knots": False}),
         ]
         for kind, hyper in cases:
             with pytest.raises(RegressionError):
@@ -356,3 +368,120 @@ class TestGoldenTrees:
                                        rtol=1e-12, err_msg=name)
             np.testing.assert_allclose(model.predict(x), golden[f"{name}_predict"],
                                        rtol=1e-12, atol=0, err_msg=name)
+
+
+# Reference split search: the per-node, per-feature search that the
+# presorted engine replaced, with numpy's stable sort so that rows in a
+# run of equal feature values keep their input order.
+
+
+def _ref_best_split(x, y, min_leaf):
+    m, d = x.shape
+    best_sse, best_f, best_thr = np.inf, -1, 0.0
+    for f in range(d):
+        order = np.argsort(x[:, f], kind="stable")
+        xs = x[order, f]
+        ys = y[order]
+        c1 = np.cumsum(ys)
+        c2 = np.cumsum(ys * ys)
+        tot1, tot2 = c1[-1], c2[-1]
+        cut = np.nonzero(xs[:-1] < xs[1:])[0]
+        nl = cut + 1.0
+        nr = m - nl
+        ok = (nl >= min_leaf) & (nr >= min_leaf)
+        if not np.any(ok):
+            continue
+        cut, nl, nr = cut[ok], nl[ok], nr[ok]
+        sl, s2l = c1[cut], c2[cut]
+        sse = (s2l - sl * sl / nl) + ((tot2 - s2l) - (tot1 - sl) ** 2 / nr)
+        j = int(np.argmin(sse))
+        if sse[j] < best_sse:
+            i = int(cut[j])
+            thr = 0.5 * (xs[i] + xs[i + 1])
+            if thr >= xs[i + 1]:
+                thr = xs[i]
+            best_sse, best_f, best_thr = float(sse[j]), f, float(thr)
+    return best_sse, best_f, best_thr
+
+
+def _ref_grow_tree(x, r, max_depth, min_leaf):
+    nodes = []  # [feature, threshold, left, right, value]
+
+    def build(idx, depth):
+        sub = r[idx]
+        node = len(nodes)
+        nodes.append([-1, 0.0, -1, -1, float(np.mean(sub))])
+        if depth == 0 or idx.size < 2 * min_leaf or idx.size < 2:
+            return node
+        parent_sse = float(np.sum((sub - np.mean(sub)) ** 2))
+        sse, f, thr = _ref_best_split(x[idx], sub, min_leaf)
+        if f < 0 or not sse < parent_sse:
+            return node
+        go_left = x[idx, f] <= thr
+        nodes[node] = [f, thr, -1, -1, 0.0]
+        nodes[node][2] = build(idx[go_left], depth - 1)
+        nodes[node][3] = build(idx[~go_left], depth - 1)
+        return node
+
+    build(np.arange(x.shape[0]), max_depth)
+    cols = list(zip(*nodes))
+    dtypes = (np.int64, np.float64, np.int64, np.int64, np.float64)
+    return tuple(np.asarray(c, dtype=t) for c, t in zip(cols, dtypes))
+
+
+def _ref_fit_trees(params, x, y, seed):
+    m = x.shape[0]
+    pred = np.full(m, float(np.mean(y)))
+    trees = []
+    rng = None
+    if params["subsample"] < 1.0:
+        rng = np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF]))
+    for _ in range(params["n_stages"]):
+        resid = y - pred
+        idx = np.arange(m)
+        if rng is not None:
+            n_sub = max(2, int(round(params["subsample"] * m)))
+            idx = np.sort(rng.choice(m, size=n_sub, replace=False))
+        tree = _ref_grow_tree(x[idx], resid[idx], params["max_depth"], params["min_leaf"])
+        trees.append(tree)
+        pred = pred + params["learning_rate"] * regress._tree_predict(*tree, x)
+    return trees
+
+
+@st.composite
+def tied_problems(draw):
+    m = draw(st.integers(2, 60))
+    d = draw(st.integers(1, 3))
+    grid = draw(st.sampled_from([0.5, 1.0, 0.1]))
+    levels = draw(st.integers(1, 5))
+    x = np.array(draw(st.lists(st.integers(0, levels), min_size=m * d,
+                               max_size=m * d)), dtype=float).reshape(m, d) * grid
+    y = np.array(draw(st.lists(
+        st.integers(-3, 3).map(float)
+        | st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+        min_size=m, max_size=m)))
+    hyper = {
+        "n_stages": draw(st.integers(1, 4)),
+        "max_depth": draw(st.integers(1, 4)),
+        "min_leaf": draw(st.integers(1, 4)),
+        "subsample": draw(st.sampled_from([1.0, 0.6])),
+    }
+    return x, y, hyper, draw(st.integers(0, 3))
+
+
+class TestPresortedEngine:
+    """The presorted engine grows the per-node search's trees bit for bit,
+    including the order in which tied feature values are summed."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_problems())
+    def test_matches_reference_search_on_ties(self, problem):
+        x, y, hyper, seed = problem
+        cfg = RegressorConfig("boosted_trees", hyper, seed=seed)
+        got = fit(cfg, x, y).trees
+        want = _ref_fit_trees(cfg.resolved(), x, y, seed)
+        assert len(got) == len(want)
+        for t_got, t_want in zip(got, want):
+            for a, b in zip(t_got, t_want):
+                assert a.dtype == b.dtype
+                assert np.array_equal(a, b)
