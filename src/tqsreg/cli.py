@@ -130,16 +130,14 @@ def _grid(cfg, key, default):
 # file formats
 
 
-def preamble(cfg, seed):
-    return [
-        f"tqsreg_version={__version__}",
-        f"seed={seed}",
-        f"config_hash={config_hash(cfg)}",
-    ]
-
-
 def _meta(cfg, seed):
     return {"version": __version__, "seed": seed, "config_hash": config_hash(cfg)}
+
+
+def preamble(cfg, seed):
+    """The ``_meta`` facts as CSV preamble lines, the version as 'tqsreg_version'."""
+    return [f"{'tqsreg_version' if k == 'version' else k}={v}"
+            for k, v in _meta(cfg, seed).items()]
 
 
 def atomic(path, write_fn):
@@ -337,16 +335,12 @@ def cmd_verify(args):
         entry = {"joint": idx, "seed": seed, "support": joint.size}
         try:
             z_hat = oracle.exact_tqs(joint)
-            if args.corrupt_for_testing:
-                z_hat = z_hat + 1.0  # negative-control hook used by the test suite
-                lhs = joint.expectation((z_hat - joint.z1) ** 2)
-                rhs = joint.expectation((joint.y1 - joint.z1) ** 2)
-                t1 = oracle.TheoremReport(lhs, rhs, rhs - lhs >= -oracle.TOL, rhs - lhs)
-            else:
-                t1 = oracle.verify_theorem1(joint)
-            t2 = oracle.verify_theorem2(joint)
-            entry["theorem1"] = t1.to_dict()
-            entry["theorem2"] = t2.to_dict()
+            # --corrupt-for-testing: negative-control hook used by the test suite
+            t1 = oracle.verify_theorem1(
+                joint, z_hat + 1.0 if args.corrupt_for_testing else z_hat)
+            t2 = oracle.verify_theorem2(joint, z_hat)
+            entry["theorem1"] = dataclasses.asdict(t1)
+            entry["theorem2"] = dataclasses.asdict(t2)
             ok = t1.satisfied and t2.satisfied
         except AssertionError as e:
             entry["error"] = str(e)
@@ -485,10 +479,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, RuntimeError, OSError) as e:
+    except (ValueError, RuntimeError, OSError) as e:  # UsageError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

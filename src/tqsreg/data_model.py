@@ -135,6 +135,10 @@ def load_table(path, schema):
         rows = [row for row in reader if row]
     if len(set(header)) != len(header):
         raise TableError("duplicate column names in CSV header")
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise TableError(
+                f"row {i + 2} has {len(row)} cells, the header has {len(header)}")
     missing = [c for c in header if c not in schema]
     if missing:
         raise TableError(f"columns missing from schema: {missing}")
@@ -158,7 +162,7 @@ def load_table(path, schema):
         for j, c in enumerate(col_names):
             k = col_idx[c]
             for i, row in enumerate(rows):
-                cell = row[k].strip() if k < len(row) else ""
+                cell = row[k].strip()
                 try:
                     v = float(cell)
                 except ValueError:

@@ -2,8 +2,11 @@
 
 Everything here enumerates the full support, so conditional
 expectations are exact up to floating-point rounding; all checks use a
-1e-12 tolerance and nothing looser.  These joints back the
-equivalence, error-bound and exact-recovery checks for the estimators.
+1e-12 tolerance and nothing looser.  Every conditional expectation is
+one group mean over the support (``_cond_mean``).  These joints back the
+equivalence, error-bound and exact-recovery checks for the estimators:
+``tqsreg verify`` computes one exact 3QS estimate per joint with
+``exact_tqs``, and the theorem checks take the estimate they check.
 """
 
 from __future__ import annotations
@@ -68,14 +71,6 @@ class TheoremReport:
     satisfied: bool
     slack: float
 
-    def to_dict(self):
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "satisfied": self.satisfied,
-            "slack": self.slack,
-        }
-
 
 def _normalized(dist, what):
     vals = np.array(sorted(dist), dtype=float)
@@ -94,43 +89,40 @@ def build_joint(px, pz1_given_x, pz2_given_x, pn, f, additive=True,
     value to such a distribution; ``f`` maps n to the error term.  With
     ``additive=True`` the measurements are y_i = z_i + f(n); otherwise
     explicit ``measure_y1(z1, n)`` / ``measure_y2(z2, n)`` maps are
-    required.
+    required.  The support is ordered by x, then z1, z2 and n.
     """
     if not additive and (measure_y1 is None or measure_y2 is None):
         raise JointError("non-additive joints need explicit measurement maps")
-    if additive:
-        measure_y1 = lambda z, n: z + f(n)
-        measure_y2 = lambda z, n: z + f(n)
-
     xs, pxs = _normalized(px, "x")
     ns, pns = _normalized(pn, "n")
-    rows = {"x": [], "z1": [], "z2": [], "n": [], "y1": [], "y2": [],
-            "fvals": [], "probs": []}
+    blocks = []
     for xv, pxv in zip(xs, pxs):
         z1s, pz1s = _normalized(pz1_given_x[xv], f"z1|x={xv}")
         z2s, pz2s = _normalized(pz2_given_x[xv], f"z2|x={xv}")
-        for z1v, p1 in zip(z1s, pz1s):
-            for z2v, p2 in zip(z2s, pz2s):
-                for nv, pnv in zip(ns, pns):
-                    rows["x"].append(xv)
-                    rows["z1"].append(z1v)
-                    rows["z2"].append(z2v)
-                    rows["n"].append(nv)
-                    rows["y1"].append(measure_y1(z1v, nv))
-                    rows["y2"].append(measure_y2(z2v, nv))
-                    rows["fvals"].append(f(nv))
-                    rows["probs"].append(pxv * p1 * p2 * pnv)
-    return DiscreteJoint(
-        x=np.array(rows["x"]),
-        z1=np.array(rows["z1"]),
-        z2=np.array(rows["z2"]),
-        n=np.array(rows["n"]),
-        y1=np.array(rows["y1"]),
-        y2=np.array(rows["y2"]),
-        fvals=np.array(rows["fvals"]),
-        probs=np.array(rows["probs"]),
-        additive=bool(additive),
-    )
+        i1, i2, i3 = np.indices((len(z1s), len(z2s), len(ns))).reshape(3, -1)
+        blocks.append((np.full(i1.size, xv), z1s[i1], z2s[i2], ns[i3],
+                       pxv * pz1s[i1] * pz2s[i2] * pns[i3]))
+    x, z1, z2, n, probs = (np.concatenate(col) for col in zip(*blocks))
+    fvals = np.array([f(v) for v in n])
+    if additive:
+        y1, y2 = z1 + fvals, z2 + fvals
+    else:
+        y1 = np.array([measure_y1(z, v) for z, v in zip(z1, n)])
+        y2 = np.array([measure_y2(z, v) for z, v in zip(z2, n)])
+    return DiscreteJoint(x=x, z1=z1, z2=z2, n=n, y1=y1, y2=y2, fvals=fvals,
+                         probs=probs, additive=bool(additive))
+
+
+def _cond_mean(joint, values, *given):
+    """Exact E[values | given] at every outcome, in support order.
+
+    Outcomes are grouped by their row of ``given`` values; ``bincount``
+    sums each group in support order.
+    """
+    _, inv = np.unique(np.column_stack(given), axis=0, return_inverse=True)
+    num = np.bincount(inv, weights=joint.probs * values)
+    den = np.bincount(inv, weights=joint.probs)
+    return (num / den)[inv]
 
 
 def exact_cond_expectation(joint, target, given):
@@ -143,12 +135,8 @@ def exact_cond_expectation(joint, target, given):
     outs = joint.outcomes()
     tvals = np.array([target(o) for o in outs], dtype=float)
     keys = [tuple(g(o) for g in given) for o in outs]
-    num = {}
-    den = {}
-    for k, t, p in zip(keys, tvals, joint.probs):
-        num[k] = num.get(k, 0.0) + p * t
-        den[k] = den.get(k, 0.0) + p
-    return {k: num[k] / den[k] for k in num}
+    means = _cond_mean(joint, tvals, *np.array(keys, dtype=float).T)
+    return dict(zip(keys, means))
 
 
 def exact_tqs(joint):
@@ -158,17 +146,9 @@ def exact_tqs(joint):
     conditional expectations, asserts they agree within 1e-12 and
     returns the residual-form values (aligned with the support order).
     """
-    outs = joint.outcomes()
-    e_y1_x = exact_cond_expectation(joint, lambda o: o.y1, [lambda o: o.x])
-
-    def residual_fn(o):
-        return o.y1 - e_y1_x[(o.x,)]
-
-    e_r_xy2 = exact_cond_expectation(joint, residual_fn, [lambda o: o.x, lambda o: o.y2])
-    e_y1_xy2 = exact_cond_expectation(joint, lambda o: o.y1, [lambda o: o.x, lambda o: o.y2])
-
-    eq1 = np.array([o.y1 - e_r_xy2[(o.x, o.y2)] for o in outs])
-    eq2 = np.array([o.y1 - e_y1_xy2[(o.x, o.y2)] + e_y1_x[(o.x,)] for o in outs])
+    e_y1_x = _cond_mean(joint, joint.y1, joint.x)
+    eq1 = joint.y1 - _cond_mean(joint, joint.y1 - e_y1_x, joint.x, joint.y2)
+    eq2 = joint.y1 - _cond_mean(joint, joint.y1, joint.x, joint.y2) + e_y1_x
     if np.max(np.abs(eq1 - eq2)) > TOL:
         raise AssertionError("3QS forms disagree: estimator implementation bug")
     return eq1
@@ -176,37 +156,32 @@ def exact_tqs(joint):
 
 def check_mean_match(joint):
     """Verify E[Y1|X=x] = E[Z1|X=x] for every x; raise naming offenders."""
-    e_y1 = exact_cond_expectation(joint, lambda o: o.y1, [lambda o: o.x])
-    e_z1 = exact_cond_expectation(joint, lambda o: o.z1, [lambda o: o.x])
-    bad = [k[0] for k in e_y1 if abs(e_y1[k] - e_z1[k]) > 1e-9]
+    gap = _cond_mean(joint, joint.y1, joint.x) - _cond_mean(joint, joint.z1, joint.x)
+    bad = np.unique(joint.x[np.abs(gap) > 1e-9]).tolist()
     if bad:
         raise JointError(f"E[Y1|X] != E[Z1|X] at X={bad}")
 
 
-def verify_theorem1(joint):
-    """Exact-expectation error bound: MSE of the 3QS estimate vs raw Y1."""
+def verify_theorem1(joint, z_hat):
+    """Exact-expectation error bound: MSE of the estimate ``z_hat`` vs raw Y1."""
     check_mean_match(joint)
-    z_hat = exact_tqs(joint)
     lhs = joint.expectation((z_hat - joint.z1) ** 2)
     rhs = joint.expectation((joint.y1 - joint.z1) ** 2)
     slack = rhs - lhs
     return TheoremReport(lhs=lhs, rhs=rhs, satisfied=slack >= -TOL, slack=slack)
 
 
-def verify_theorem2(joint):
-    """Additive-model identity: offset-corrected MSE equals E[Var(f(N)|X,Y2)]."""
+def verify_theorem2(joint, z_hat):
+    """Additive-model identity for the 3QS estimate ``z_hat``: its
+    offset-corrected MSE equals E[Var(f(N)|X,Y2)]."""
     if not joint.additive:
         raise JointError("theorem 2 requires an additive joint")
-    z_hat = exact_tqs(joint)
     ef = joint.expectation(joint.fvals)
     lhs = joint.expectation((z_hat - (joint.z1 + ef)) ** 2)
-    e_f = exact_cond_expectation(joint, lambda o: o.y1 - o.z1, [lambda o: o.x, lambda o: o.y2])
-    e_f2 = exact_cond_expectation(
-        joint, lambda o: (o.y1 - o.z1) ** 2, [lambda o: o.x, lambda o: o.y2]
-    )
-    outs = joint.outcomes()
-    cond_var = np.array([e_f2[(o.x, o.y2)] - e_f[(o.x, o.y2)] ** 2 for o in outs])
-    rhs = joint.expectation(cond_var)
+    noise = joint.y1 - joint.z1
+    e_f = _cond_mean(joint, noise, joint.x, joint.y2)
+    e_f2 = _cond_mean(joint, noise ** 2, joint.x, joint.y2)
+    rhs = joint.expectation(e_f2 - e_f ** 2)
     slack = -abs(lhs - rhs)
     return TheoremReport(lhs=lhs, rhs=rhs, satisfied=slack >= -TOL, slack=slack)
 

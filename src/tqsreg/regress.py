@@ -19,6 +19,8 @@ equivariant in the target.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -45,10 +47,10 @@ _DEFAULTS = {
     },
     "spline_gam": {
         "n_knots": 20,
-        "penalty": None,  # None -> GCV over penalty_grid
-        "penalty_grid": tuple(np.logspace(-3.0, 3.0, 13)),
+        "penalty": None,  # None -> GCV over _PENALTY_GRID
     },
 }
+_PENALTY_GRID = tuple(np.logspace(-3.0, 3.0, 13))
 
 
 @dataclass(frozen=True)
@@ -79,6 +81,12 @@ def _validate_params(kind, p):
         v = p.get(name, 1)
         if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
             raise RegressionError(f"{name} must be an integer >= 1 (got {v!r})")
+    for name in ("learning_rate", "subsample", "penalty", "bandwidth"):
+        if name not in p or (p[name] is None and _DEFAULTS[kind][name] is None):
+            continue  # None, where it is the default, selects the value from data
+        v = p[name]
+        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+            raise RegressionError(f"{name} must be a finite real number (got {v!r})")
     if kind == "kernel_ridge":
         if p["penalty"] <= 0:
             raise RegressionError("kernel_ridge penalty must be > 0")
@@ -407,7 +415,7 @@ def _fit_spline_gam(params, x, y):
         _, coef = solve(lam)
     else:
         best = (np.inf, None, None)
-        for lam in params["penalty_grid"]:
+        for lam in _PENALTY_GRID:
             a, coef = solve(lam)
             fitvals = b @ coef
             rss = float(np.sum((y - fitvals) ** 2))

@@ -96,8 +96,8 @@ def test_criterion_2_theorem1_bound():
     t0 = time.perf_counter()
     worst_slack = np.inf
     for _ in range(100):
-        rep = oracle.verify_theorem1(
-            oracle.random_joint(rng, additive=True, zero_mean_f=True))
+        joint = oracle.random_joint(rng, additive=True, zero_mean_f=True)
+        rep = oracle.verify_theorem1(joint, oracle.exact_tqs(joint))
         worst_slack = min(worst_slack, rep.slack)
     elapsed = time.perf_counter() - t0
     ok = worst_slack >= -1e-12 and elapsed < 5.0
@@ -110,8 +110,8 @@ def test_criterion_3_theorem2_identity():
     rng = np.random.default_rng(200)  # same stream as criterion 2
     worst = 0.0
     for _ in range(100):
-        rep = oracle.verify_theorem2(
-            oracle.random_joint(rng, additive=True, zero_mean_f=True))
+        joint = oracle.random_joint(rng, additive=True, zero_mean_f=True)
+        rep = oracle.verify_theorem2(joint, oracle.exact_tqs(joint))
         worst = max(worst, abs(rep.lhs - rep.rhs))
     ok = worst <= 1e-12
     report(3, ok, f"max |lhs-rhs| = {worst:.2e} over 100 joints (tol 1e-12)")

@@ -149,6 +149,25 @@ class TestDenoise:
         assert run(["denoise", "--input", str(empty),
                     "--out", str(tmp_path)]) == EXIT_USAGE
 
+    def test_ragged_row_is_usage_error(self, tmp_path, capsys):
+        csv_p = tmp_path / "ragged.csv"
+        csv_p.write_text("day,speciesA,speciesB,year\n1,3,4,2013\n2,4,5\n")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("schema.day = covariate\nschema.speciesA = count\n"
+                       "schema.speciesB = count\nschema.year = group\n")
+        assert run(["denoise", "--input", str(csv_p), "--config", str(cfg),
+                    "--out", str(tmp_path)]) == EXIT_USAGE
+        assert "row 3 has 3 cells, the header has 4" in capsys.readouterr().err
+
+    def test_non_numeric_hyperparameter_is_usage_error(self, sim_dir, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("regressor.res.learning_rate = fast\n")
+        out = tmp_path / "dn"
+        assert run(["denoise", "--input", str(sim_dir / "survey.csv"),
+                    "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert "learning_rate must be a finite real number" in capsys.readouterr().err
+        assert not (out / "zhat.csv").exists()
+
     def test_fractional_tree_stages_is_usage_error(self, sim_dir, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("regressor.res.n_stages = 2.5\n")

@@ -54,6 +54,12 @@ class TestLoadTable:
         with pytest.raises(TableError, match="non-numeric value"):
             load_table(p, BASIC_SCHEMA)
 
+    @pytest.mark.parametrize("bad_row", ["2,4", "2,4,2013,7"])
+    def test_ragged_row(self, tmp_path, bad_row):
+        p = write_csv(tmp_path / "a.csv", f"day,speciesA,year\n1,3,2013\n{bad_row}\n")
+        with pytest.raises(TableError, match="row 3 has [0-9] cells, the header has 3"):
+            load_table(p, BASIC_SCHEMA)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(TableError, match="cannot read"):
             load_table(str(tmp_path / "nope.csv"), BASIC_SCHEMA)

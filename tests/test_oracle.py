@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tqsreg import oracle
 from tqsreg.oracle import (
@@ -108,48 +110,52 @@ class TestTheorem1:
     def test_textbook_four_outcome_example(self):
         # degenerate signals, fair-coin noise with zero-mean f: the 3QS
         # estimate recovers Z1 exactly (lhs 0) while raw Y1 has MSE Var f
-        rep = verify_theorem1(fair_coin_joint())
+        j = fair_coin_joint()
+        rep = verify_theorem1(j, exact_tqs(j))
         assert rep.satisfied
         assert rep.lhs == pytest.approx(0.0, abs=TOL)
         assert rep.rhs == pytest.approx(0.25, abs=TOL)
 
     def test_hundred_random_joints(self, rng):
         for _ in range(100):
-            rep = verify_theorem1(random_joint(rng, zero_mean_f=True))
+            j = random_joint(rng, zero_mean_f=True)
+            rep = verify_theorem1(j, exact_tqs(j))
             assert rep.satisfied, f"slack {rep.slack}"
 
     def test_corrupted_estimate_violates(self, rng):
         # negative control: a biased estimate must not satisfy the bound
         j = fair_coin_joint()
-        z_hat = exact_tqs(j) + 1.0
-        lhs = j.expectation((z_hat - j.z1) ** 2)
-        rhs = j.expectation((j.y1 - j.z1) ** 2)
-        assert lhs > rhs + TOL
+        rep = verify_theorem1(j, exact_tqs(j) + 1.0)
+        assert not rep.satisfied
+        assert rep.lhs > rep.rhs + TOL
 
 
 class TestTheorem2:
     def test_exact_identity_random_joints(self, rng):
         for _ in range(100):
-            rep = verify_theorem2(random_joint(rng, zero_mean_f=True))
+            j = random_joint(rng, zero_mean_f=True)
+            rep = verify_theorem2(j, exact_tqs(j))
             assert rep.satisfied
             assert abs(rep.lhs - rep.rhs) <= TOL
 
     def test_holds_without_zero_mean_f(self, rng):
         # theorem 2 centers by E f itself, so biased f is fine
         for _ in range(50):
-            rep = verify_theorem2(random_joint(rng, zero_mean_f=False))
+            j = random_joint(rng, zero_mean_f=False)
+            rep = verify_theorem2(j, exact_tqs(j))
             assert rep.satisfied
 
     def test_nonadditive_rejected(self, rng):
         with pytest.raises(JointError, match="additive"):
-            verify_theorem2(random_joint(rng, additive=False))
+            j = random_joint(rng, additive=False)
+            verify_theorem2(j, exact_tqs(j))
 
     def test_observable_noise_gives_zero_error(self):
         # f(N) determined by (X, Y2) => conditional variance 0 => exact
         # recovery up to the constant E f
         j = fair_coin_joint(f=lambda n: n)  # z2 degenerate: y2 = f(n)
         assert noise_is_observable(j)
-        rep = verify_theorem2(j)
+        rep = verify_theorem2(j, exact_tqs(j))
         assert rep.lhs == pytest.approx(0.0, abs=TOL)
         assert rep.rhs == pytest.approx(0.0, abs=TOL)
         # and the estimate equals z1 + E f = 0.5 at every outcome
@@ -166,7 +172,7 @@ class TestTheorem2:
         )
         # y2 = z2 + n collides at 0, where f is ambiguous (+1 or -1)
         assert not noise_is_observable(j)
-        rep = verify_theorem2(j)
+        rep = verify_theorem2(j, exact_tqs(j))
         assert rep.satisfied
         assert rep.rhs > 0.1
 
@@ -188,6 +194,143 @@ class TestRandomJoint:
         t0 = time.perf_counter()
         for _ in range(100):
             j = random_joint(rng)
-            verify_theorem1(j)
-            verify_theorem2(j)
+            z_hat = exact_tqs(j)
+            verify_theorem1(j, z_hat)
+            verify_theorem2(j, z_hat)
         assert time.perf_counter() - t0 < 5.0
+
+
+# ---------------------------------------------------------------------------
+# reference oracle: the original outcome-by-outcome dict/lambda enumeration
+
+
+def _ref_build_joint(px, pz1_given_x, pz2_given_x, pn, f, additive=True,
+                     measure_y1=None, measure_y2=None):
+    if additive:
+        measure_y1 = lambda z, n: z + f(n)
+        measure_y2 = lambda z, n: z + f(n)
+    xs, pxs = oracle._normalized(px, "x")
+    ns, pns = oracle._normalized(pn, "n")
+    rows = {k: [] for k in ("x", "z1", "z2", "n", "y1", "y2", "fvals", "probs")}
+    for xv, pxv in zip(xs, pxs):
+        z1s, pz1s = oracle._normalized(pz1_given_x[xv], "z1")
+        z2s, pz2s = oracle._normalized(pz2_given_x[xv], "z2")
+        for z1v, p1 in zip(z1s, pz1s):
+            for z2v, p2 in zip(z2s, pz2s):
+                for nv, pnv in zip(ns, pns):
+                    for key, v in (("x", xv), ("z1", z1v), ("z2", z2v), ("n", nv),
+                                   ("y1", measure_y1(z1v, nv)),
+                                   ("y2", measure_y2(z2v, nv)), ("fvals", f(nv)),
+                                   ("probs", pxv * p1 * p2 * pnv)):
+                        rows[key].append(v)
+    return DiscreteJoint(**{k: np.array(v) for k, v in rows.items()},
+                         additive=bool(additive))
+
+
+def _ref_cond_expectation(joint, target, given_fns):
+    num, den = {}, {}
+    for o, p in zip(joint.outcomes(), joint.probs):
+        k = tuple(g(o) for g in given_fns)
+        num[k] = num.get(k, 0.0) + p * target(o)
+        den[k] = den.get(k, 0.0) + p
+    return {k: num[k] / den[k] for k in num}
+
+
+def _ref_exact_tqs(joint):
+    x, xy2 = [lambda o: o.x], [lambda o: o.x, lambda o: o.y2]
+    e_y1_x = _ref_cond_expectation(joint, lambda o: o.y1, x)
+    e_r = _ref_cond_expectation(joint, lambda o: o.y1 - e_y1_x[(o.x,)], xy2)
+    return np.array([o.y1 - e_r[(o.x, o.y2)] for o in joint.outcomes()])
+
+
+def _ref_theorem1(joint, z_hat):
+    e_y1 = _ref_cond_expectation(joint, lambda o: o.y1, [lambda o: o.x])
+    e_z1 = _ref_cond_expectation(joint, lambda o: o.z1, [lambda o: o.x])
+    if any(abs(e_y1[k] - e_z1[k]) > 1e-9 for k in e_y1):
+        return None
+    lhs = joint.expectation((z_hat - joint.z1) ** 2)
+    rhs = joint.expectation((joint.y1 - joint.z1) ** 2)
+    return lhs, rhs, rhs - lhs >= -TOL, rhs - lhs
+
+
+def _ref_theorem2_rhs(joint):
+    xy2 = [lambda o: o.x, lambda o: o.y2]
+    e_f = _ref_cond_expectation(joint, lambda o: o.y1 - o.z1, xy2)
+    e_f2 = _ref_cond_expectation(joint, lambda o: (o.y1 - o.z1) ** 2, xy2)
+    return joint.expectation(np.array(
+        [e_f2[(o.x, o.y2)] - e_f[(o.x, o.y2)] ** 2 for o in joint.outcomes()]))
+
+
+GRID = [v / 2 for v in range(-4, 5)]
+
+
+@st.composite
+def joint_specs(draw):
+    """build_joint arguments: supports of 1-4 grid values, integer
+    weights normalised by their sum, additive or not."""
+    def support():
+        return draw(st.lists(st.sampled_from(GRID), min_size=1, max_size=4,
+                             unique=True))
+
+    def dist(values):
+        w = np.array(draw(st.lists(st.integers(1, 9), min_size=len(values),
+                                   max_size=len(values))), dtype=float)
+        return dict(zip(values, w / w.sum()))
+
+    xs, ns = support(), support()
+    px, pn = dist(xs), dist(ns)
+    pz1 = {x: dist(support()) for x in xs}
+    pz2 = {x: dist(support()) for x in xs}
+    ftab = dict(zip(ns, draw(st.lists(st.sampled_from(GRID), min_size=len(ns),
+                                      max_size=len(ns)))))
+    zero_mean = draw(st.booleans())
+    if zero_mean:
+        ef = sum(pn[n] * v for n, v in ftab.items())
+        ftab = {n: v - ef for n, v in ftab.items()}
+    kwargs = {"additive": draw(st.booleans())}
+    if not kwargs["additive"]:
+        a, b, c = (draw(st.sampled_from(GRID)) for _ in range(3))
+        kwargs["measure_y1"] = lambda z, n: a * z + b * n * n
+        kwargs["measure_y2"] = lambda z, n: z - c * z * n
+    return (px, pz1, pz2, pn, ftab.__getitem__), kwargs, zero_mean
+
+
+def _bits(*values):
+    return np.array(values, dtype=float).tobytes()
+
+
+class TestAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(joint_specs())
+    def test_array_oracle_matches_enumeration(self, spec):
+        args, kwargs, zero_mean = spec
+        j, ref = build_joint(*args, **kwargs), _ref_build_joint(*args, **kwargs)
+        for name in DiscreteJoint.__dataclass_fields__:
+            a, b = getattr(j, name), getattr(ref, name)
+            assert np.asarray(a).dtype == np.asarray(b).dtype, name
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
+
+        z_hat = exact_tqs(j)
+        assert z_hat.tobytes() == _ref_exact_tqs(ref).tobytes()
+        xy2 = [lambda o: o.x, lambda o: o.y2]
+        e_new = exact_cond_expectation(j, lambda o: o.y1, xy2)
+        e_ref = _ref_cond_expectation(ref, lambda o: o.y1, xy2)
+        assert list(e_new) == list(e_ref)
+        assert _bits(*e_new.values()) == _bits(*e_ref.values())
+
+        ref1 = _ref_theorem1(ref, z_hat)
+        if ref1 is None:
+            with pytest.raises(JointError, match="E\\[Y1\\|X\\]"):
+                verify_theorem1(j, z_hat)
+        else:
+            rep1 = verify_theorem1(j, z_hat)
+            assert rep1.satisfied == ref1[2]
+            assert _bits(rep1.lhs, rep1.rhs, rep1.slack) == _bits(ref1[0], ref1[1], ref1[3])
+        if not j.additive:
+            return
+        rep2 = verify_theorem2(j, z_hat)
+        assert abs(rep2.rhs - _ref_theorem2_rhs(ref)) <= 1e-15
+        if zero_mean:
+            # the paper's identities themselves, not only agreement
+            assert rep1.slack >= -TOL
+            assert abs(rep2.lhs - rep2.rhs) <= TOL

@@ -41,7 +41,7 @@ class TestConfig:
         assert p["penalty"] == 1.0
         p = RegressorConfig("spline_gam").resolved()
         assert p["n_knots"] == 20
-        np.testing.assert_allclose(p["penalty_grid"], np.logspace(-3, 3, 13))
+        np.testing.assert_allclose(regress._PENALTY_GRID, np.logspace(-3, 3, 13))
 
     def test_invalid_values(self):
         cases = [
@@ -62,6 +62,19 @@ class TestConfig:
             ("boosted_trees", {"min_leaf": 1.0}),
             ("spline_gam", {"n_knots": 2.5}),
             ("spline_gam", {"n_knots": False}),
+            # real-valued knobs: strings and bools are not numbers, and the
+            # grid is fixed
+            ("boosted_trees", {"learning_rate": "fast"}),
+            ("boosted_trees", {"learning_rate": True}),
+            ("boosted_trees", {"subsample": True}),
+            ("boosted_trees", {"subsample": float("nan")}),
+            ("kernel_ridge", {"penalty": "none"}),
+            ("kernel_ridge", {"penalty": None}),
+            ("kernel_ridge", {"bandwidth": "auto"}),
+            ("kernel_ridge", {"bandwidth": float("inf")}),
+            ("spline_gam", {"penalty": "none"}),
+            ("spline_gam", {"penalty": False}),
+            ("spline_gam", {"penalty_grid": 1}),
         ]
         for kind, hyper in cases:
             with pytest.raises(RegressionError):
