@@ -132,13 +132,17 @@ def load_table(path, schema):
             header = next(reader)
         except StopIteration:
             raise TableError(f"{path}: empty file") from None
-        rows = [row for row in reader if row]
+        rows, lines = [], []  # lines[i]: the file line that ends rows[i]
+        for row in reader:
+            if row:
+                rows.append(row)
+                lines.append(reader.line_num)
     if len(set(header)) != len(header):
         raise TableError("duplicate column names in CSV header")
-    for i, row in enumerate(rows):
+    for row, line in zip(rows, lines):
         if len(row) != len(header):
             raise TableError(
-                f"row {i + 2} has {len(row)} cells, the header has {len(header)}")
+                f"row {line} has {len(row)} cells, the header has {len(header)}")
     missing = [c for c in header if c not in schema]
     if missing:
         raise TableError(f"columns missing from schema: {missing}")
@@ -167,10 +171,10 @@ def load_table(path, schema):
                     v = float(cell)
                 except ValueError:
                     raise TableError(
-                        f"non-numeric value {cell!r} in column {c!r}, row {i + 2}"
+                        f"non-numeric value {cell!r} in column {c!r}, row {lines[i]}"
                     ) from None
                 if not math.isfinite(v):
-                    raise TableError(f"non-finite value in column {c!r}, row {i + 2}")
+                    raise TableError(f"non-finite value in column {c!r}, row {lines[i]}")
                 out[i, j] = v
         return out
 

@@ -5,7 +5,9 @@ by the denoising estimators:
 
 * ``spline_gam``     - 1-D penalized cubic B-spline smoother with a
                        second-difference penalty, smoothness chosen by
-                       GCV over a fixed logarithmic grid.
+                       GCV over a fixed logarithmic grid; every penalty
+                       on the grid comes from one eigendecomposition
+                       per fit (Demmler-Reinsch).
 * ``boosted_trees``  - gradient boosted regression trees, squared-error
                        loss, exact greedy splits on features sorted once
                        per fit; tied values keep row order, so the trees
@@ -258,29 +260,34 @@ def _tree_predict(feature, threshold, left, right, value, x):
     return out
 
 
-def _grow_tree(rows, order, xs, r, max_depth, min_leaf):
+def _grow_tree(rows, order, xs, r, max_depth, min_leaf, fitted):
     """Depth-first CART growth on presorted features; returns flat node arrays.
 
     ``rows`` (ascending) are the rows to fit, ``order`` (d, n) the same
     rows sorted by each feature (ties in row order) and ``xs`` their
     values.  Children inherit both by a stable partition: no node sorts.
+    Each row of ``rows`` gets its leaf's value in ``fitted``, the value
+    ``_tree_predict`` would give it.
     """
     nodes = []  # [feature, threshold, left, right, value], depth-first
     d = order.shape[0]
 
-    def leaf(v):
-        nodes.append([-1, 0.0, -1, -1, float(v.sum() / v.size)])  # np.mean's bits
+    def leaf(rows):
+        v = r[rows]
+        value = float(v.sum() / v.size)  # np.mean's bits
+        fitted[rows] = value
+        nodes.append([-1, 0.0, -1, -1, value])
         return len(nodes) - 1
 
     def build(rows, order, xs, depth):
         sub = r[rows]
         n = rows.size
         if depth == 0 or n < 2 * min_leaf or n < 2:
-            return leaf(sub)
+            return leaf(rows)
         parent_sse = float(((sub - sub.sum() / n) ** 2).sum())
         sse, f, i = _best_split(xs, r[order], min_leaf)
         if not sse < parent_sse:
-            return leaf(sub)
+            return leaf(rows)
         thr = 0.5 * (xs[f, i] + xs[f, i + 1])
         if thr >= xs[f, i + 1]:
             # midpoint rounded up to the right value; split on the left one
@@ -291,7 +298,7 @@ def _grow_tree(rows, order, xs, r, max_depth, min_leaf):
         nodes.append([f, float(thr), -1, -1, 0.0])
         in_left = go_left[rows]
         if depth == 1:  # both children are leaves; skip the partition
-            nodes[node][2:4] = leaf(sub[in_left]), leaf(sub[~in_left])
+            nodes[node][2:4] = leaf(rows[in_left]), leaf(rows[~in_left])
             return node
         ml = go_left[order]
         for k, keep, sel in ((2, ml, in_left), (3, ~ml, ~in_left)):
@@ -313,6 +320,7 @@ def _fit_boosted_trees(params, x, y, seed):
     order = np.argsort(xt, axis=1, kind="stable")  # the only sort of the fit
     xs = np.take_along_axis(xt, order, axis=1)
     rows, o, v = np.arange(m), order, xs
+    step = np.empty(m)
     trees = []
     rng = None
     if params["subsample"] < 1.0:
@@ -326,12 +334,13 @@ def _fit_boosted_trees(params, x, y, seed):
             in_sample[rows] = True
             keep = in_sample[order]  # filtering a sorted order keeps it sorted
             o, v = order[keep].reshape(d, n_sub), xs[keep].reshape(d, n_sub)
-        tree = _grow_tree(rows, o, v, resid, params["max_depth"], params["min_leaf"])
+        tree = _grow_tree(rows, o, v, resid, params["max_depth"], params["min_leaf"],
+                          step)
         trees.append(tree)
-        feat, thr, left, right, value = tree
-        pred = pred + params["learning_rate"] * _tree_predict(
-            feat, thr, left, right, value, x
-        )
+        if rng is not None:  # growth set the sampled rows; walk the rest
+            out = np.flatnonzero(~in_sample)
+            step[out] = _tree_predict(*tree, x[out])
+        pred = pred + params["learning_rate"] * step
     return FittedBoostedTrees(x.shape[1], init, params["learning_rate"], trees)
 
 
@@ -342,13 +351,14 @@ def _fit_boosted_trees(params, x, y, seed):
 class FittedSplineGAM(FittedRegressor):
     kind = "spline_gam"
 
-    def __init__(self, knots, coef, lo, hi, penalty):
+    def __init__(self, knots, coef, lo, hi, penalty, edf):
         super().__init__(1)
         self.knots = knots
         self.coef = coef
         self.lo = lo
         self.hi = hi
         self.penalty = penalty
+        self.edf = edf  # effective degrees of freedom at the selected penalty
         self._spl = BSpline(knots, coef, 3, extrapolate=False)
         # representable span of the basis (can differ from lo/hi by
         # floating-point rounding of the knot grid)
@@ -398,33 +408,32 @@ def _fit_spline_gam(params, x, y):
     d2 = np.diff(np.eye(nb), n=2, axis=0)
     pen = d2.T @ d2
     btb = b.T @ b
-    bty = b.T @ y
-
-    def solve(lam):
-        a = btb + lam * pen
-        try:
-            coef = np.linalg.solve(a, bty)
-        except np.linalg.LinAlgError as e:
-            raise SingularModelError(f"spline system singular: {e}") from e
-        if not np.all(np.isfinite(coef)):
-            raise SingularModelError("spline system produced non-finite solution")
-        return a, coef
-
-    if params["penalty"] is not None:
-        lam = float(params["penalty"])
-        _, coef = solve(lam)
-    else:
-        best = (np.inf, None, None)
-        for lam in _PENALTY_GRID:
-            a, coef = solve(lam)
-            fitvals = b @ coef
-            rss = float(np.sum((y - fitvals) ** 2))
-            edf = float(np.trace(np.linalg.solve(a, btb)))
-            denom = m - edf
-            gcv = m * rss / (denom * denom) if denom > 1e-9 else np.inf
-            if gcv < best[0]:
-                best = (gcv, lam, coef)
-        if best[1] is None:
-            raise SingularModelError("GCV failed for every penalty on the grid")
-        lam, coef = best[1], best[2]
-    return FittedSplineGAM(knots, coef, lo, hi, lam)
+    fixed = params["penalty"] is not None
+    lams = np.array([float(params["penalty"])] if fixed else _PENALTY_GRID)
+    # Demmler-Reinsch: with btb + pen = L L' and L^-1 pen L^-T = W diag(mu) W',
+    # V = L^-T W gives btb + lam pen = V^-T diag(1 + (lam - 1) mu) V^-1.
+    # btb + pen is positive definite once x has 2 distinct values, even
+    # when b has fewer independent columns than nb.
+    try:
+        li = np.linalg.inv(np.linalg.cholesky(btb + pen))
+    except np.linalg.LinAlgError as e:
+        raise SingularModelError(f"spline system singular: {e}") from e
+    mu, w = np.linalg.eigh(li @ pen @ li.T)
+    v = li.T @ w
+    bv = b @ v
+    scale = 1.0 + np.outer(mu, lams - 1.0)  # (nb, n_lam)
+    z = (bv.T @ y)[:, None] / scale  # coefficients in the V basis, one column per lam
+    coefs = v @ z
+    if not np.all(np.isfinite(coefs)):
+        raise SingularModelError("spline system produced non-finite solution")
+    # |B v_j|^2 is 1 - mu_j without the cancellation where mu_j is near 1
+    edf = ((bv * bv).sum(axis=0)[:, None] / scale).sum(axis=0)
+    rss = ((y[:, None] - bv @ z) ** 2).sum(axis=0)
+    denom = m - edf
+    ok = (denom > 1e-9) & (rss < np.inf)  # an overflowed (inf or nan) rss never wins
+    gcv = np.full(lams.size, np.inf)
+    gcv[ok] = m * rss[ok] / (denom[ok] * denom[ok])
+    k = int(np.argmin(gcv))  # a tie goes to the first, smallest penalty
+    if not fixed and not gcv[k] < np.inf:
+        raise SingularModelError("GCV failed for every penalty on the grid")
+    return FittedSplineGAM(knots, coefs[:, k], lo, hi, float(lams[k]), float(edf[k]))

@@ -60,6 +60,22 @@ class TestLoadTable:
         with pytest.raises(TableError, match="row 3 has [0-9] cells, the header has 3"):
             load_table(p, BASIC_SCHEMA)
 
+    @pytest.mark.parametrize("cell, message", [
+        ("x", "non-numeric value 'x' in column 'speciesA', row 5$"),
+        ("inf", "non-finite value in column 'speciesA', row 5$"),
+    ])
+    def test_bad_cell_after_blank_lines_names_its_file_line(self, tmp_path, cell,
+                                                            message):
+        p = write_csv(tmp_path / "a.csv",
+                      f"day,speciesA,year\n\n\n1,3,2013\n2,{cell},2013\n")
+        with pytest.raises(TableError, match=message):
+            load_table(p, BASIC_SCHEMA)
+
+    def test_ragged_row_after_blank_lines_names_its_file_line(self, tmp_path):
+        p = write_csv(tmp_path / "a.csv", "day,speciesA,year\n1,3,2013\n\n2,4\n")
+        with pytest.raises(TableError, match="row 4 has 2 cells, the header has 3"):
+            load_table(p, BASIC_SCHEMA)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(TableError, match="cannot read"):
             load_table(str(tmp_path / "nope.csv"), BASIC_SCHEMA)

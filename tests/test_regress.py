@@ -498,3 +498,129 @@ class TestPresortedEngine:
             for a, b in zip(t_got, t_want):
                 assert a.dtype == b.dtype
                 assert np.array_equal(a, b)
+
+
+# Reference spline fit: the per-penalty solve loop that the one-factorization
+# fit replaced, two dense solves per penalty (coefficients and trace).
+
+
+def _ref_spline_system(x, n_knots):
+    knots, b, lo, hi = regress._spline_design(x, n_knots)
+    d2 = np.diff(np.eye(b.shape[1]), n=2, axis=0)
+    return b, b.T @ b, d2.T @ d2
+
+
+def _ref_spline_solve(system, y, lam):
+    """Coefficients, edf and GCV score of one penalty."""
+    b, btb, pen = system
+    a = btb + lam * pen
+    coef = np.linalg.solve(a, b.T @ y)
+    rss = float(np.sum((y - b @ coef) ** 2))
+    edf = float(np.trace(np.linalg.solve(a, btb)))
+    m = len(y)
+    denom = m - edf
+    gcv = m * rss / (denom * denom) if denom > 1e-9 else np.inf
+    return coef, edf, gcv
+
+
+def _ref_spline_penalty(system, y):
+    best = (np.inf, None)
+    for lam in regress._PENALTY_GRID:
+        gcv = _ref_spline_solve(system, y, lam)[2]
+        if gcv < best[0]:
+            best = (gcv, lam)
+    return best[1]
+
+
+def _assert_same_penalty_or_tie(system, y, got, want):
+    """A different penalty is allowed only where the reference GCV scores
+    of the two tie to rounding."""
+    if got != want:
+        g_got = _ref_spline_solve(system, y, got)[2]
+        g_want = _ref_spline_solve(system, y, want)[2]
+        assert g_got == pytest.approx(g_want, rel=1e-9), (got, want)
+
+
+@st.composite
+def spline_x(draw, m):
+    """Continuous x, or x on a coarse grid with ties (1 to 7 distinct values)."""
+    levels = draw(st.sampled_from([None, 1, 2, 3, 4, 7]))
+    if levels is None:
+        u = draw(st.lists(st.integers(0, 10**6), min_size=m, max_size=m))
+        x = np.array(u) / 10**6
+    else:
+        x = np.array(draw(st.lists(st.integers(0, levels - 1), min_size=m,
+                                   max_size=m)), dtype=float)
+    return draw(st.sampled_from([1e-3, 1.0, 250.0])) * x + draw(
+        st.sampled_from([0.0, -7.5, 2013.0]))
+
+
+@st.composite
+def spline_problems(draw):
+    m = draw(st.integers(8, 150))
+    x = draw(spline_x(m))
+    y = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=m)
+    if draw(st.booleans()):  # coarse targets, with ties
+        y = np.round(y)
+    y = y * 10.0 ** draw(st.integers(-100, 100)) + draw(st.sampled_from([0.0, 3.0]))
+    hyper = {"n_knots": draw(st.integers(3, 25)),
+             "penalty": draw(st.none() | st.sampled_from([1e-3, 0.37, 1.0, 4e3]))}
+    return x, y, hyper
+
+
+class TestSplineAgainstReference:
+    """One eigendecomposition per fit selects the penalty the per-penalty
+    solves select and gives their coefficients and edf."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(spline_problems())
+    def test_matches_per_penalty_solves(self, problem):
+        x, y, hyper = problem
+        cfg = RegressorConfig("spline_gam", hyper)
+        if np.unique(x).size < 2:
+            with pytest.raises(SingularModelError):
+                fit(cfg, x[:, None], y)
+            return
+        system = _ref_spline_system(x, hyper["n_knots"])
+        want = hyper["penalty"]
+        if want is None:
+            want = _ref_spline_penalty(system, y)
+        model = fit(cfg, x[:, None], y)
+        _assert_same_penalty_or_tie(system, y, model.penalty, want)
+        coef, edf, _ = _ref_spline_solve(system, y, model.penalty)
+        # relative to the largest coefficient or target: a coefficient near
+        # zero carries the rounding of the others
+        np.testing.assert_allclose(model.coef, coef, rtol=1e-8, atol=1e-8 * max(
+            np.abs(coef).max(), np.abs(y).max()))
+        assert abs(model.edf - edf) <= 1e-9
+
+
+class TestTranslationEquivariance:
+    """fit(x, y + c).predict(x) == fit(x, y).predict(x) + c up to rounding.
+
+    Targets are drawn from a continuous distribution: a tree whose best two
+    splits tie exactly may pick either once the shift rounds the residuals.
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(kind=st.sampled_from(["kernel_ridge", "spline_gam", "boosted_trees"]),
+           m=st.integers(8, 80), d=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-3, 1.0, 1e3]),
+           shift=st.floats(-1e4, 1e4, allow_nan=False), data=st.data())
+    def test_shift_moves_predictions(self, kind, m, d, seed, scale, shift, data):
+        if kind == "spline_gam":
+            d = 1
+        x = np.column_stack([data.draw(spline_x(m)) for _ in range(d)])
+        if kind == "spline_gam" and np.unique(x).size < 2:
+            return
+        y = scale * np.random.default_rng(seed).normal(size=m)
+        cfg = RegressorConfig(kind, {"n_stages": 20} if kind == "boosted_trees" else {})
+        base, moved = fit(cfg, x, y), fit(cfg, x, y + shift)
+        if kind == "spline_gam":
+            system = _ref_spline_system(x[:, 0], 20)
+            _assert_same_penalty_or_tie(system, y, moved.penalty, base.penalty)
+            if moved.penalty != base.penalty:
+                base = fit(RegressorConfig(kind, {"penalty": moved.penalty}), x, y)
+        atol = 1e-9 * (abs(shift) + np.abs(y).max())
+        np.testing.assert_allclose(moved.predict(x), base.predict(x) + shift,
+                                   rtol=0, atol=atol)
