@@ -1,0 +1,70 @@
+"""Scoped control of the BLAS thread count.
+
+The numpy and scipy wheels for Linux each bundle an OpenBLAS (in
+``numpy.libs`` and ``scipy.libs``) whose thread count follows the
+host's cores.  Threaded BLAS sums in an order that depends
+on that count, so the last digits of a solve do, too; and several
+processes that each start one thread per core oversubscribe the CPUs.
+The CLI and the synthetic sweeps therefore compute at one thread, set
+through the libraries' own ``*_set_num_threads`` entry points (ctypes;
+``CDLL`` on an already loaded library returns that library).  Where no
+setter is found (another platform, or numpy/scipy built against another
+BLAS), everything here is a no-op and BLAS runs unpinned.
+No environment variable is read or written.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import ctypes
+import functools
+import glob
+import importlib
+import os
+
+# (package, library file pattern next to it, symbol with %s for get/set)
+_OPENBLAS = (
+    ("numpy", "*openblas64_*", "scipy_openblas_%s_num_threads64_"),
+    ("scipy", "*openblas-*", "scipy_openblas_%s_num_threads"),
+)
+
+
+@functools.cache
+def _controls():
+    """(getter, setter) of each bundled OpenBLAS found; () when none."""
+    found = []
+    for package, pattern, symbol in _OPENBLAS:
+        root = os.path.dirname(importlib.import_module(package).__file__)
+        for path in sorted(glob.glob(os.path.join(root + ".libs", pattern))):
+            try:
+                lib = ctypes.CDLL(path)
+                get, set_ = getattr(lib, symbol % "get"), getattr(lib, symbol % "set")
+            except (OSError, AttributeError):
+                continue
+            get.restype, get.argtypes = ctypes.c_int, []
+            set_.restype, set_.argtypes = None, [ctypes.c_int]
+            found.append((get, set_))
+    return tuple(found)
+
+
+def get_num_threads():
+    """The thread count of each controllable BLAS library, as a tuple."""
+    return tuple(get() for get, _ in _controls())
+
+
+def set_num_threads(n):
+    """Set every controllable BLAS library to ``n`` threads."""
+    for _, set_ in _controls():
+        set_(int(n))
+
+
+@contextlib.contextmanager
+def num_threads(n):
+    """Run the block at ``n`` BLAS threads; restore each old count on exit."""
+    saved = [(get(), set_) for get, set_ in _controls()]
+    set_num_threads(n)
+    try:
+        yield
+    finally:
+        for old, set_ in saved:
+            set_(old)

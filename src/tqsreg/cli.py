@@ -8,6 +8,14 @@ format: result CSVs carry a '#' metadata preamble and JSON files a
 runs can be reproduced exactly; the simulated ``survey.csv`` is written
 by ``data_model.save_table``, the pair of ``load_table``.  Outputs are
 written to a temporary file and renamed on success.
+
+``main`` runs every command at one BLAS thread (``blas.num_threads``)
+and restores the caller's count on exit; the ``synth`` workers pin
+themselves too.  So identical configs and seeds give byte-identical
+files across reruns, across ``--jobs`` values and across hosts with the
+same numpy/OpenBLAS build and CPU type.  Where no OpenBLAS thread
+setter is found, commands run unpinned.  Regressor configs are resolved
+when read, so a bad ``regressor.*`` key fails before any input is loaded.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, data_model, estimators, evalharness, oracle, synthgen
+from . import __version__, blas, data_model, estimators, evalharness, oracle, synthgen
 from .regress import RegressorConfig
 
 EXIT_OK = 0
@@ -106,7 +114,19 @@ def regressor_from_config(cfg, prefix, default_kind):
         if key.startswith(pre) and key != pre + "kind":
             hyper[key[len(pre):]] = _coerce(value)
     seed = int(cfg.get("seed", 0))
-    return RegressorConfig(kind=kind, hyperparameters=hyper, seed=seed)
+    config = RegressorConfig(kind=kind, hyperparameters=hyper, seed=seed)
+    config.resolved()  # an unknown or ill-typed key fails here, before any fit
+    return config
+
+
+def _check_one_covariate(table, models):
+    """Refuse a spline model (``(prefix, config)`` pairs) on several covariates."""
+    k = table.covariates.shape[1]
+    for prefix, config in models:
+        if config.kind == "spline_gam" and k != 1:
+            raise UsageError(
+                f"regressor.{prefix}.kind = spline_gam needs exactly 1 covariate, "
+                f"but the table has {k} ({', '.join(table.covariate_names)})")
 
 
 def schema_from_config(cfg):
@@ -262,13 +282,14 @@ def cmd_simulate(args):
 def cmd_denoise(args):
     cfg = merged_config(args, [("input", args.input), ("method", args.method)])
     seed = int(cfg.get("seed", 0))
+    cfg_x = regressor_from_config(cfg, "x", "spline_gam")
+    cfg_res = regressor_from_config(cfg, "res", "boosted_trees")
     table = _load_input(cfg, "denoise")
     if table.n_species < 2:
         raise UsageError("need >= 2 species to denoise")
-    cfg_x = regressor_from_config(cfg, "x", "spline_gam")
-    cfg_res = regressor_from_config(cfg, "res", "boosted_trees")
     method = cfg.get("method", "3qs")
     if method == "3qs":
+        _check_one_covariate(table, [("x", cfg_x)])
         result = estimators.tqs_multi_species(table, cfg_x, cfg_res)
         z_hat = result.z_hat
         per_species = result.training_diagnostics(table)
@@ -367,12 +388,16 @@ def cmd_eval(args):
         ("eval.test_filter", args.test_filter),
     ])
     seed = int(cfg.get("seed", 0))
-    table = _load_input(cfg, "eval")
-    methods = [m.strip() for m in cfg.get("methods", ",".join(evalharness.METHODS)).split(",")
-               if m.strip()]
     cfg_x = regressor_from_config(cfg, "x", "spline_gam")
     cfg_res = regressor_from_config(cfg, "res", "boosted_trees")
     smooth_cfg = regressor_from_config(cfg, "smooth", "spline_gam")
+    table = _load_input(cfg, "eval")
+    methods = [m.strip() for m in cfg.get("methods", ",".join(evalharness.METHODS)).split(",")
+               if m.strip()]
+    models = [("smooth", smooth_cfg)]  # the smoother scores every cell
+    if "3qs" in methods or table.diagnostics:
+        models.append(("x", cfg_x))
+    _check_one_covariate(table, models)
     brightness_column = cfg.get("eval.brightness_column")
     filter_kind = cfg.get("eval.test_filter", "none")
     if filter_kind == "brightness-zero":
@@ -478,7 +503,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with blas.num_threads(1):
+            return args.func(args)
     except (ValueError, RuntimeError, OSError) as e:  # UsageError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

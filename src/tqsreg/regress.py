@@ -15,8 +15,12 @@ by the denoising estimators:
 * ``kernel_ridge``   - RBF kernel ridge regression with an unpenalized
                        intercept and median-distance bandwidth heuristic.
 
-All backends are deterministic given (config, data) and translation
-equivariant in the target.
+All backends are deterministic given (config, data).  Kernel ridge and
+the spline are translation equivariant in the target up to rounding (a
+spline's GCV choice may flip only where two scores tie); boosted trees
+are too, except where two candidate splits tie exactly: a shifted target
+rounds the residuals differently, and the first-minimum tie rule may
+then pick the other cut.
 """
 
 from __future__ import annotations

@@ -5,6 +5,8 @@ then builds species measurements Y_i = w_x[i] X + g_i(w_n[i] N) + eps
 with randomized sigmoids g_i.  The sweeps compare 3QS (alternate form,
 joint features (X, Y_-1)) against plain half-sibling regression on the
 reconstruction of species 1, with paired instances across methods.
+The sweeps compute at one BLAS thread, in the serial loop and in every
+worker process, so ``jobs=1`` and ``jobs>1`` give identical rows.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import blas
 from .estimators import center, hs_estimate, tqs_eq2
 
 DEFAULT_N_OBS = 500
@@ -162,10 +165,14 @@ def _run_sweep(kind, grid, trials, cfg, master_seed, n_obs, jobs):
     if jobs and jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # pin each worker itself: spawn and forkserver workers do not
+        # inherit the parent's thread count
+        with ProcessPoolExecutor(max_workers=jobs, initializer=blas.set_num_threads,
+                                 initargs=(1,)) as pool:
             results = list(pool.map(_run_cell, tasks))
     else:
-        results = [_run_cell(t) for t in tasks]
+        with blas.num_threads(1):
+            results = [_run_cell(t) for t in tasks]
     rows = []
     for gi, gv in enumerate(grid):
         cell = results[gi * trials:(gi + 1) * trials]

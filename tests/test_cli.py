@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -340,6 +342,105 @@ class TestEval:
         assert blobs[0] == blobs[1]
 
 
+@pytest.fixture
+def early_calls(monkeypatch):
+    """Count input loads and model fits (``fit`` through every module binding it)."""
+    from tqsreg import data_model, estimators, evalharness, regress
+
+    calls = {"load": 0, "fit": 0}
+    real_fit, real_load = regress.fit, data_model.load_table
+
+    def counting_fit(*a, **k):
+        calls["fit"] += 1
+        return real_fit(*a, **k)
+
+    def counting_load(*a, **k):
+        calls["load"] += 1
+        return real_load(*a, **k)
+
+    for mod in (regress, estimators, evalharness):
+        monkeypatch.setattr(mod, "fit", counting_fit)
+    monkeypatch.setattr(data_model, "load_table", counting_load)
+    return calls
+
+
+@pytest.fixture
+def two_covariate_csv(tmp_path):
+    """A survey with covariates day and temp, and its schema.* config lines."""
+    rng = np.random.default_rng(0)
+    lines = ["day,temp,sp1,sp2,sp3,year"]
+    for i in range(60):
+        counts = ",".join(f"{v:.6f}" for v in rng.normal(size=3))
+        lines.append(f"{i % 30},{rng.uniform():.6f},{counts},{2000 + i // 30}")
+    path = tmp_path / "two_cov.csv"
+    path.write_text("\n".join(lines) + "\n")
+    schema = ("schema.day = covariate\nschema.temp = covariate\n"
+              "schema.sp1 = count\nschema.sp2 = count\nschema.sp3 = count\n"
+              "schema.year = group\n")
+    return path, schema
+
+
+class TestConfigFailsEarly:
+    """Regressor configs are checked when read: exit 2 before loading or fitting."""
+
+    @pytest.mark.parametrize("command,line,message", [
+        ("denoise", "regressor.x.n_knots = 2.5", "n_knots must be an integer"),
+        ("denoise", "regressor.res.kind = forest", "unknown regressor kind"),
+        ("eval", "regressor.smooth.bogus = 1", "unknown hyperparameters for spline_gam"),
+        ("eval", "regressor.res.learning_rate = fast",
+         "learning_rate must be a finite real number"),
+    ])
+    def test_bad_regressor_key(self, sim_dir, tmp_path, capsys, early_calls,
+                               command, line, message):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(line + "\n")
+        assert run([command, "--input", str(sim_dir / "survey.csv"),
+                    "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert early_calls == {"load": 0, "fit": 0}
+
+    def test_bad_synth_key_starts_no_pool(self, tmp_path, capsys, monkeypatch,
+                                          early_calls):
+        import concurrent.futures
+
+        def no_pool(*a, **k):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("regressor.synth.penalty = -1\n")
+        assert run(["synth", "--config", str(cfg), "--trials", "1", "--jobs", "2",
+                    "--out", str(tmp_path / "o")]) == EXIT_USAGE
+        assert "kernel_ridge penalty must be > 0" in capsys.readouterr().err
+        assert early_calls["fit"] == 0
+
+    @pytest.mark.parametrize("command,line,prefix", [
+        ("denoise", "", "x"),
+        ("eval", "regressor.x.kind = kernel_ridge\n", "smooth"),
+        ("eval", "regressor.smooth.kind = kernel_ridge\n", "x"),
+    ])
+    def test_spline_on_two_covariates(self, tmp_path, capsys, early_calls,
+                                      two_covariate_csv, command, line, prefix):
+        path, schema = two_covariate_csv
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(schema + line)
+        assert run([command, "--input", str(path), "--config", str(cfg),
+                    "--out", str(tmp_path / "o")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"regressor.{prefix}.kind = spline_gam needs exactly 1 covariate" in err
+        assert "has 2 (day, temp)" in err
+        assert early_calls == {"load": 1, "fit": 0}
+
+    def test_hs_denoise_ignores_the_covariate_model(self, tmp_path, early_calls,
+                                                    two_covariate_csv):
+        path, schema = two_covariate_csv
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(schema + "regressor.res.kind = kernel_ridge\n")
+        assert run(["denoise", "--input", str(path), "--config", str(cfg),
+                    "--method", "hs", "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert early_calls == {"load": 1, "fit": 3}
+
+
 class TestExitCodes:
     def test_bad_config_key(self, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -351,3 +452,66 @@ class TestExitCodes:
         assert EXIT_OK == 0
         assert EXIT_VERIFY_FAIL == 1
         assert EXIT_USAGE == 2
+
+
+class TestBlasThreadIndependence:
+    """Output bytes do not depend on the host's BLAS thread count.
+
+    Each command runs in a child process with OPENBLAS_NUM_THREADS unset,
+    1 and 2 (and synth with --jobs 1 and 2); every run writes the same
+    bytes.  The sizes are large enough that OpenBLAS at 2 threads splits
+    its work and changes the last digits: kernel ridge at 500 rows in
+    synth, and kernel-ridge residual models on a 3-year x 150-day x
+    4-species survey.
+    """
+
+    THREADS = (None, "1", "2")
+
+    @staticmethod
+    def _child(argv, threads):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                            "OMP_NUM_THREADS")}
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-m", "tqsreg.cli", *argv],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == EXIT_OK, proc.stderr
+
+    @staticmethod
+    def _bytes(out, names):
+        return b"".join((out / name).read_bytes() for name in names)
+
+    def test_synth(self, tmp_path):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("synth.species_grid = 2,5\nsynth.sigma_grid = 0,0.2\n"
+                       "synth.n_obs = 500\n")
+        blobs = set()
+        for threads in self.THREADS:
+            for jobs in ("1", "2"):
+                out = tmp_path / f"s-{threads}-{jobs}"
+                self._child(["synth", "--config", str(cfg), "--trials", "1",
+                             "--jobs", jobs, "--out", str(out)], threads)
+                blobs.add(self._bytes(out, ("species_sweep.csv", "noise_sweep.csv")))
+        assert len(blobs) == 1
+
+    def test_denoise_and_eval(self, tmp_path):
+        sim = tmp_path / "sim"
+        assert run(["simulate", "--out", str(sim), "--seed", "3", "--years", "3",
+                    "--days-per-year", "150", "--n-species", "4"]) == EXIT_OK
+        cfg = tmp_path / "krr.cfg"
+        cfg.write_text("regressor.res.kind = kernel_ridge\n")
+        blobs = {"denoise": set(), "eval": set()}
+        for threads in self.THREADS:
+            out = tmp_path / f"dn-{threads}"
+            self._child(["denoise", "--input", str(sim / "survey.csv"),
+                         "--config", str(cfg), "--out", str(out)], threads)
+            blobs["denoise"].add(self._bytes(out, ("zhat.csv", "diagnostics.json")))
+            out = tmp_path / f"ev-{threads}"
+            self._child(["eval", "--input", str(sim / "survey.csv"),
+                         "--config", str(cfg), "--out", str(out)], threads)
+            blobs["eval"].add(self._bytes(out, ("eval_report.json", "eval_cells.csv")))
+        assert {k: len(v) for k, v in blobs.items()} == {"denoise": 1, "eval": 1}

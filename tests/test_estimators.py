@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tqsreg import cli
 from tqsreg.data_model import ObservationTable, save_table, table_schema
@@ -253,3 +255,36 @@ class TestMultiSpecies:
         table, _ = make_table(rng, s=4, m=60)
         with pytest.raises(EstimationError, match=rf"n_aux must be >= 1 \(got {n_aux}\)"):
             tqs_multi_species(table, spline_cfg, krr_cfg, n_aux=n_aux)
+
+
+class TestSpeciesPermutation:
+    """With kernel-ridge residual models, permuting the species columns of a
+    table permutes the 3QS estimate, up to rounding (the residual models see
+    their features in another order).  Trees are exempt: they break exact
+    split ties by feature index."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(m=st.integers(30, 120), s=st.integers(2, 5),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_permuted_columns_permute_zhat(self, m, s, seed, data):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0.0, 10.0, size=m)
+        shared = np.tanh(rng.normal(size=m))
+        counts = (np.sin(x)[:, None] * rng.uniform(-1, 1, size=s)
+                  + shared[:, None] * rng.uniform(0.5, 2.0, size=s)
+                  + 0.1 * rng.normal(size=(m, s)))
+        perm = data.draw(st.permutations(range(s)))
+        n_aux = data.draw(st.none() | st.integers(1, s - 1))
+        names = [f"sp{i}" for i in range(s)]
+        groups = ["g"] * m
+
+        def z_hat(cols):
+            table = ObservationTable(x[:, None], counts[:, cols],
+                                     [names[i] for i in cols], groups)
+            return tqs_multi_species(table, RegressorConfig("spline_gam"),
+                                     RegressorConfig("kernel_ridge"),
+                                     n_aux=n_aux).z_hat
+
+        base = z_hat(list(range(s)))
+        np.testing.assert_allclose(z_hat(list(perm)), base[:, perm],
+                                   rtol=0, atol=1e-9 * np.abs(counts).max())

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from tqsreg import cli
+from tqsreg import blas, cli
 from tqsreg import evalharness as ev
 from tqsreg.data_model import ObservationTable, save_table
 from tqsreg.estimators import EstimationError, tqs_multi_species
@@ -261,9 +261,11 @@ class TestLoyoProtocol:
 
     def test_report_serialization(self, small_sim, smooth_cfg, krr_cfg,
                                   spline_cfg, tmp_path):
-        # the eval subcommand is the one writer of an EvalReport
-        rep = loyo_evaluate(small_sim.table, ["raw", "global"], spline_cfg,
-                            krr_cfg, smooth_cfg, with_diagnostics=True)
+        # the eval subcommand is the one writer of an EvalReport; it computes
+        # at one BLAS thread, so the reference does too
+        with blas.num_threads(1):
+            rep = loyo_evaluate(small_sim.table, ["raw", "global"], spline_cfg,
+                                krr_cfg, smooth_cfg, with_diagnostics=True)
         survey = tmp_path / "survey.csv"
         save_table(small_sim.table, survey)
         cfg_p = tmp_path / "ev.cfg"

@@ -120,6 +120,22 @@ class TestSweeps:
         parallel = run_species_sweep([2, 3], trials=2, cfg=cfg, n_obs=100, jobs=2)
         assert serial == parallel
 
+    def test_spawned_workers_pin_their_blas(self, monkeypatch):
+        # spawned workers start a fresh OpenBLAS, here at 2 threads; they
+        # must pin themselves to match the serial sweep at 500 rows
+        import concurrent.futures
+        import multiprocessing
+
+        real = concurrent.futures.ProcessPoolExecutor
+        spawn = multiprocessing.get_context("spawn")
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            lambda *a, **k: real(*a, mp_context=spawn, **k))
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        cfg = RegressorConfig("kernel_ridge")
+        serial = run_noise_sweep([0.0, 0.2], trials=2, cfg=cfg, n_obs=500, jobs=1)
+        parallel = run_noise_sweep([0.0, 0.2], trials=2, cfg=cfg, n_obs=500, jobs=2)
+        assert serial == parallel
+
     def test_invalid_trials(self):
         with pytest.raises(ValueError):
             run_species_sweep([2], trials=0, cfg=RegressorConfig("kernel_ridge"))
