@@ -129,6 +129,19 @@ def _check_one_covariate(table, models):
                 f"but the table has {k} ({', '.join(table.covariate_names)})")
 
 
+def _check_residual_width(config, widths):
+    """Refuse a spline residual model that a fit would give several features.
+
+    ``widths`` maps each use of the residual model to its feature count.
+    """
+    wide = {use: k for use, k in widths.items() if k > 1}
+    if config.kind == "spline_gam" and wide:
+        uses = ", ".join(f"{k} for {use}" for use, k in wide.items())
+        raise UsageError(
+            f"regressor.res.kind = spline_gam needs exactly 1 feature, but the "
+            f"residual model would get {uses}")
+
+
 def schema_from_config(cfg):
     schema = {
         key[len("schema."):]: value
@@ -288,6 +301,7 @@ def cmd_denoise(args):
     if table.n_species < 2:
         raise UsageError("need >= 2 species to denoise")
     method = cfg.get("method", "3qs")
+    _check_residual_width(cfg_res, {"the other species": table.n_species - 1})
     if method == "3qs":
         _check_one_covariate(table, [("x", cfg_x)])
         result = estimators.tqs_multi_species(table, cfg_x, cfg_res)
@@ -328,10 +342,11 @@ def cmd_synth(args):
     backend = regressor_from_config(cfg, "synth", "kernel_ridge")
     ns = _grid(cfg, "synth.species_grid", synthgen.SPECIES_GRID)
     sigmas = _grid(cfg, "synth.sigma_grid", synthgen.SIGMA_GRID)
-    species_rows = synthgen.run_species_sweep(
-        ns, trials, backend, master_seed=seed, n_obs=n_obs, jobs=jobs)
-    noise_rows = synthgen.run_noise_sweep(
-        sigmas, trials, backend, master_seed=seed + 1, n_obs=n_obs, jobs=jobs)
+    with synthgen.worker_pool(jobs) as pool:  # one start-up for both sweeps
+        species_rows = synthgen.run_species_sweep(
+            ns, trials, backend, master_seed=seed, n_obs=n_obs, pool=pool)
+        noise_rows = synthgen.run_noise_sweep(
+            sigmas, trials, backend, master_seed=seed + 1, n_obs=n_obs, pool=pool)
     out = _out_dir(args)
     header = ("sweep_value", "method", "mean_mse", "stderr_mse", "trials")
     for name, rows in (("species_sweep.csv", species_rows),
@@ -398,6 +413,17 @@ def cmd_eval(args):
     if "3qs" in methods or table.diagnostics:
         models.append(("x", cfg_x))
     _check_one_covariate(table, models)
+    n_aux = cfg.get("eval.n_aux")
+    n_aux = int(n_aux) if n_aux is not None else None
+    others = table.n_species - 1
+    widths = {}
+    if "3qs" in methods or "hs" in methods:
+        widths["the auxiliary species"] = others if n_aux is None else min(n_aux, others)
+    if "mb" in methods:
+        widths["mb (covariate and brightness)"] = 2
+    if table.diagnostics:
+        widths["the diagnostics (all other species)"] = others
+    _check_residual_width(cfg_res, widths)
     brightness_column = cfg.get("eval.brightness_column")
     filter_kind = cfg.get("eval.test_filter", "none")
     if filter_kind == "brightness-zero":
@@ -409,12 +435,11 @@ def cmd_eval(args):
         test_filter = None
     else:
         raise UsageError(f"unknown test filter {filter_kind!r}")
-    n_aux = cfg.get("eval.n_aux")
     report = evalharness.loyo_evaluate(
         table, methods, cfg_x, cfg_res, smooth_cfg,
         test_filter=test_filter,
         brightness_column=brightness_column,
-        n_aux=int(n_aux) if n_aux is not None else None,
+        n_aux=n_aux,
         with_diagnostics=bool(table.diagnostics),
     )
     out = _out_dir(args)

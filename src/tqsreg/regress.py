@@ -7,7 +7,9 @@ by the denoising estimators:
                        second-difference penalty, smoothness chosen by
                        GCV over a fixed logarithmic grid; every penalty
                        on the grid comes from one eigendecomposition
-                       per fit (Demmler-Reinsch).
+                       per design (Demmler-Reinsch), and the last few
+                       designs stay cached, so a fit on a seen x only
+                       projects its target.
 * ``boosted_trees``  - gradient boosted regression trees, squared-error
                        loss, exact greedy splits on features sorted once
                        per fit; tied values keep row order, so the trees
@@ -28,10 +30,11 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, replace
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.interpolate import BSpline
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist
 
 
 class RegressionError(ValueError):
@@ -179,9 +182,7 @@ class FittedKernelRidge(FittedRegressor):
 
 
 def _median_bandwidth(x):
-    d = cdist(x, x)
-    iu = np.triu_indices(d.shape[0], k=1)
-    med = float(np.median(d[iu])) if iu[0].size else 0.0
+    med = float(np.median(pdist(x)))  # fit() guarantees 2 rows, so 1 pair
     return med if med > 0 else 1.0
 
 
@@ -363,27 +364,32 @@ class FittedSplineGAM(FittedRegressor):
         self.hi = hi
         self.penalty = penalty
         self.edf = edf  # effective degrees of freedom at the selected penalty
-        self._spl = BSpline(knots, coef, 3, extrapolate=False)
+        # the knots passed BSpline.design_matrix's checks when the design was built
+        self._spl = BSpline.construct_fast(knots, coef, 3, extrapolate=False)
         # representable span of the basis (can differ from lo/hi by
         # floating-point rounding of the knot grid)
         self._span_lo = float(knots[3])
         self._span_hi = float(knots[-4])
+
+    @cached_property
+    def _extension(self):
+        """Boundary values and slopes (v_lo, d_lo, v_hi, d_hi) of the fit."""
         der = self._spl.derivative()
-        self._v_lo = float(self._spl(self._span_lo))
-        self._v_hi = float(self._spl(self._span_hi))
-        self._d_lo = float(der(self._span_lo))
-        self._d_hi = float(der(self._span_hi))
+        return (float(self._spl(self._span_lo)), float(der(self._span_lo)),
+                float(self._spl(self._span_hi)), float(der(self._span_hi)))
 
     def _predict(self, x):
         t = x[:, 0]
         out = np.empty_like(t)
         inside = (t >= self.lo) & (t <= self.hi)
         out[inside] = self._spl(np.clip(t[inside], self._span_lo, self._span_hi))
-        # linear extension of the boundary polynomial outside the span
         lo_side = t < self.lo
         hi_side = t > self.hi
-        out[lo_side] = self._v_lo + self._d_lo * (t[lo_side] - self.lo)
-        out[hi_side] = self._v_hi + self._d_hi * (t[hi_side] - self.hi)
+        if lo_side.any() or hi_side.any():
+            # linear extension of the boundary polynomial outside the span
+            v_lo, d_lo, v_hi, d_hi = self._extension
+            out[lo_side] = v_lo + d_lo * (t[lo_side] - self.lo)
+            out[hi_side] = v_hi + d_hi * (t[hi_side] - self.hi)
         return out
 
 
@@ -394,6 +400,11 @@ def _spline_design(x, n_knots):
         raise SingularModelError("spline_gam needs at least 2 distinct x values")
     h = (hi - lo) / (n_knots + 1)
     knots = lo + h * np.arange(-3, n_knots + 5)
+    if not np.all(knots[4:-1] > knots[1:-4]):
+        # four equal knots in a row leave the fit without a slope at the
+        # boundary, which the linear extension needs
+        raise SingularModelError(
+            f"spline_gam: x spans too little of its magnitude for {n_knots} knots")
     # rounding can leave the last base-interval knot a hair below hi;
     # clip to the actual representable span of the basis
     b = BSpline.design_matrix(
@@ -402,18 +413,30 @@ def _spline_design(x, n_knots):
     return knots, b, lo, hi
 
 
-def _fit_spline_gam(params, x, y):
-    if x.shape[1] != 1:
-        raise RegressionError("spline_gam supports exactly 1 feature")
-    xv = x[:, 0]
-    m = len(xv)
-    knots, b, lo, hi = _spline_design(xv, params["n_knots"])
+@dataclass(frozen=True)
+class _SplineBasis:
+    """The target-free part of a spline fit on one design (read-only arrays)."""
+
+    knots: np.ndarray
+    lo: float
+    hi: float
+    mu: np.ndarray  # Demmler-Reinsch eigenvalues
+    v: np.ndarray  # coefficients of the Demmler-Reinsch basis, (nb, nb)
+    bv: np.ndarray  # the design in that basis, B V
+    bv_norms: np.ndarray  # |B v_j|^2
+
+
+@lru_cache(maxsize=8)  # LOYO fits cycle through a few designs per training set
+def _spline_basis(n_knots, x_bytes):
+    """Factor the design of x (float64 bytes) once; every target reuses it.
+
+    A failure raises on every call: ``lru_cache`` stores no exceptions.
+    """
+    knots, b, lo, hi = _spline_design(np.frombuffer(x_bytes), n_knots)
     nb = b.shape[1]
     d2 = np.diff(np.eye(nb), n=2, axis=0)
     pen = d2.T @ d2
     btb = b.T @ b
-    fixed = params["penalty"] is not None
-    lams = np.array([float(params["penalty"])] if fixed else _PENALTY_GRID)
     # Demmler-Reinsch: with btb + pen = L L' and L^-1 pen L^-T = W diag(mu) W',
     # V = L^-T W gives btb + lam pen = V^-T diag(1 + (lam - 1) mu) V^-1.
     # btb + pen is positive definite once x has 2 distinct values, even
@@ -425,14 +448,27 @@ def _fit_spline_gam(params, x, y):
     mu, w = np.linalg.eigh(li @ pen @ li.T)
     v = li.T @ w
     bv = b @ v
-    scale = 1.0 + np.outer(mu, lams - 1.0)  # (nb, n_lam)
-    z = (bv.T @ y)[:, None] / scale  # coefficients in the V basis, one column per lam
-    coefs = v @ z
+    # |B v_j|^2 is 1 - mu_j without the cancellation where mu_j is near 1
+    basis = _SplineBasis(knots, lo, hi, mu, v, bv, (bv * bv).sum(axis=0))
+    for a in (knots, mu, v, bv, basis.bv_norms):
+        a.setflags(write=False)
+    return basis
+
+
+def _fit_spline_gam(params, x, y):
+    if x.shape[1] != 1:
+        raise RegressionError("spline_gam supports exactly 1 feature")
+    m = x.shape[0]
+    basis = _spline_basis(params["n_knots"], x[:, 0].tobytes())
+    fixed = params["penalty"] is not None
+    lams = np.array([float(params["penalty"])] if fixed else _PENALTY_GRID)
+    scale = 1.0 + np.outer(basis.mu, lams - 1.0)  # (nb, n_lam)
+    z = (basis.bv.T @ y)[:, None] / scale  # V-basis coefficients, one column per lam
+    coefs = basis.v @ z
     if not np.all(np.isfinite(coefs)):
         raise SingularModelError("spline system produced non-finite solution")
-    # |B v_j|^2 is 1 - mu_j without the cancellation where mu_j is near 1
-    edf = ((bv * bv).sum(axis=0)[:, None] / scale).sum(axis=0)
-    rss = ((y[:, None] - bv @ z) ** 2).sum(axis=0)
+    edf = (basis.bv_norms[:, None] / scale).sum(axis=0)
+    rss = ((y[:, None] - basis.bv @ z) ** 2).sum(axis=0)
     denom = m - edf
     ok = (denom > 1e-9) & (rss < np.inf)  # an overflowed (inf or nan) rss never wins
     gcv = np.full(lams.size, np.inf)
@@ -440,4 +476,5 @@ def _fit_spline_gam(params, x, y):
     k = int(np.argmin(gcv))  # a tie goes to the first, smallest penalty
     if not fixed and not gcv[k] < np.inf:
         raise SingularModelError("GCV failed for every penalty on the grid")
-    return FittedSplineGAM(knots, coefs[:, k], lo, hi, float(lams[k]), float(edf[k]))
+    return FittedSplineGAM(basis.knots, np.ascontiguousarray(coefs[:, k]), basis.lo,
+                           basis.hi, float(lams[k]), float(edf[k]))

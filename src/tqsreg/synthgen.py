@@ -6,11 +6,13 @@ with randomized sigmoids g_i.  The sweeps compare 3QS (alternate form,
 joint features (X, Y_-1)) against plain half-sibling regression on the
 reconstruction of species 1, with paired instances across methods.
 The sweeps compute at one BLAS thread, in the serial loop and in every
-worker process, so ``jobs=1`` and ``jobs>1`` give identical rows.
+worker process, so ``jobs=1`` and ``jobs>1`` give identical rows; both
+sweeps of one command share one ``worker_pool``.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,23 +158,38 @@ def _run_cell(args):
     return _trial_mses(generate(sc), cfg)
 
 
-def _run_sweep(kind, grid, trials, cfg, master_seed, n_obs, jobs):
+@contextmanager
+def worker_pool(jobs):
+    """A pool of ``jobs`` sweep workers that several sweeps can share.
+
+    Yields None for ``jobs <= 1``: the sweeps then run serially.
+    """
+    if not jobs or jobs <= 1:
+        yield None
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    # pin each worker itself: spawn and forkserver workers do not
+    # inherit the parent's thread count
+    with ProcessPoolExecutor(max_workers=jobs, initializer=blas.set_num_threads,
+                             initargs=(1,)) as pool:
+        yield pool
+
+
+def _run_sweep(kind, grid, trials, cfg, master_seed, n_obs, jobs, pool):
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     tasks = [
         (kind, gi, gv, t, cfg, master_seed, n_obs)
         for gi, gv in enumerate(grid)
         for t in range(trials)
     ]
-    if jobs and jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # pin each worker itself: spawn and forkserver workers do not
-        # inherit the parent's thread count
-        with ProcessPoolExecutor(max_workers=jobs, initializer=blas.set_num_threads,
-                                 initargs=(1,)) as pool:
+    with nullcontext(pool) if pool is not None else worker_pool(jobs) as pool:
+        if pool is not None:
             results = list(pool.map(_run_cell, tasks))
-    else:
-        with blas.num_threads(1):
-            results = [_run_cell(t) for t in tasks]
+        else:
+            with blas.num_threads(1):
+                results = [_run_cell(t) for t in tasks]
     rows = []
     for gi, gv in enumerate(grid):
         cell = results[gi * trials:(gi + 1) * trials]
@@ -182,15 +199,19 @@ def _run_sweep(kind, grid, trials, cfg, master_seed, n_obs, jobs):
     return rows
 
 
-def run_species_sweep(ns, trials, cfg, master_seed=0, n_obs=DEFAULT_N_OBS, jobs=1):
-    """Reconstruction MSE vs number of species, sigma_eps fixed at 0."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    return _run_sweep("species", list(ns), trials, cfg, master_seed, n_obs, jobs)
+def run_species_sweep(ns, trials, cfg, master_seed=0, n_obs=DEFAULT_N_OBS, jobs=1,
+                      pool=None):
+    """Reconstruction MSE vs number of species, sigma_eps fixed at 0.
+
+    ``pool``, an open ``worker_pool``, runs the trials in place of ``jobs``.
+    """
+    return _run_sweep("species", list(ns), trials, cfg, master_seed, n_obs, jobs, pool)
 
 
-def run_noise_sweep(sigmas, trials, cfg, master_seed=0, n_obs=DEFAULT_N_OBS, jobs=1):
-    """Reconstruction MSE vs sigma_eps, n = 2 with tied noise functions."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    return _run_sweep("noise", list(sigmas), trials, cfg, master_seed, n_obs, jobs)
+def run_noise_sweep(sigmas, trials, cfg, master_seed=0, n_obs=DEFAULT_N_OBS, jobs=1,
+                    pool=None):
+    """Reconstruction MSE vs sigma_eps, n = 2 with tied noise functions.
+
+    ``pool``, an open ``worker_pool``, runs the trials in place of ``jobs``.
+    """
+    return _run_sweep("noise", list(sigmas), trials, cfg, master_seed, n_obs, jobs, pool)

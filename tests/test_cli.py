@@ -290,6 +290,30 @@ class TestSynth:
             blobs.append((out / "species_sweep.csv").read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_one_pool_serves_both_sweeps(self, tmp_path, monkeypatch):
+        import concurrent.futures
+
+        real = concurrent.futures.ProcessPoolExecutor
+        pools = []
+
+        def counting_pool(*a, **k):
+            pools.append(k.get("max_workers"))
+            return real(*a, **k)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting_pool)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("synth.species_grid = 2,3\nsynth.sigma_grid = 0,0.1\n"
+                       "synth.n_obs = 100\n")
+        blobs = []
+        for name, jobs in (("a", "1"), ("b", "2")):
+            out = tmp_path / name
+            assert run(["synth", "--out", str(out), "--seed", "4", "--trials", "2",
+                        "--jobs", jobs, "--config", str(cfg)]) == EXIT_OK
+            blobs.append([(out / f).read_bytes()
+                          for f in ("species_sweep.csv", "noise_sweep.csv")])
+        assert pools == [2]  # none for --jobs 1, one for both sweeps of --jobs 2
+        assert blobs[0] == blobs[1]
+
 
 class TestEval:
     def test_small_eval(self, sim_dir, tmp_path):
@@ -430,6 +454,48 @@ class TestConfigFailsEarly:
         assert f"regressor.{prefix}.kind = spline_gam needs exactly 1 covariate" in err
         assert "has 2 (day, temp)" in err
         assert early_calls == {"load": 1, "fit": 0}
+
+    @pytest.mark.parametrize("command,extra,config,uses", [
+        ("denoise", [], "", "2 for the other species"),
+        ("denoise", ["--method", "hs"], "", "2 for the other species"),
+        ("eval", ["--methods", "raw,3qs"], "", "2 for the auxiliary species"),
+        ("eval", ["--methods", "raw,mb"], "eval.n_aux = 1\n",
+         "2 for mb (covariate and brightness)"),
+        ("eval", ["--methods", "raw,hs"], "eval.n_aux = 1\n",
+         "2 for the diagnostics (all other species)"),
+    ])
+    def test_spline_residual_on_several_features(self, sim_dir, tmp_path, capsys,
+                                                 early_calls, command, extra, config,
+                                                 uses):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("regressor.res.kind = spline_gam\n" + config)
+        assert run([command, "--input", str(sim_dir / "survey.csv"), "--config", str(cfg),
+                    "--out", str(tmp_path / "o")] + extra) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "regressor.res.kind = spline_gam needs exactly 1 feature" in err
+        assert uses in err
+        assert early_calls == {"load": 1, "fit": 0}
+
+    @pytest.mark.parametrize("command,extra,n_species,config", [
+        ("denoise", [], 2, ""),
+        ("denoise", ["--method", "hs"], 2, ""),
+        ("eval", ["--methods", "raw,hs,3qs,global"], 2, ""),
+        # without the diagnostic column nothing fits on all other species
+        ("eval", ["--methods", "raw,hs,3qs"], 3,
+         "eval.n_aux = 1\nschema.day_of_year = covariate\nschema.year = group\n"
+         "schema.moon_brightness = ignore\nschema.species_00 = count\n"
+         "schema.species_01 = count\nschema.species_02 = count\n"),
+    ])
+    def test_spline_residual_on_one_feature_runs(self, tmp_path, early_calls, command,
+                                                 extra, n_species, config):
+        sim = tmp_path / "sim"
+        assert run(["simulate", "--out", str(sim), "--years", "3", "--days-per-year",
+                    "30", "--n-species", str(n_species)]) == EXIT_OK
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("regressor.res.kind = spline_gam\n" + config)
+        assert run([command, "--input", str(sim / "survey.csv"), "--config", str(cfg),
+                    "--out", str(tmp_path / "o")] + extra) == EXIT_OK
+        assert early_calls["fit"] > 0
 
     def test_hs_denoise_ignores_the_covariate_model(self, tmp_path, early_calls,
                                                     two_covariate_csv):

@@ -657,3 +657,93 @@ class TestRowPermutationEquivariance:
                 base = fit(RegressorConfig(kind, {"penalty": moved.penalty}), x, y)
         np.testing.assert_allclose(moved.predict(x), base.predict(x),
                                    rtol=0, atol=1e-9 * np.abs(y).max())
+
+
+class TestDesignReuse:
+    """Spline fits on one design share its factorization, bit for bit."""
+
+    @staticmethod
+    def _facts(model, xq):
+        return (model.coef, model.penalty, model.edf, model.predict(xq[:, None]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=st.integers(4, 120), seed=st.integers(0, 2**32 - 1),
+           n_knots=st.integers(3, 25), penalty=st.none() | st.sampled_from([1e-3, 2.5]),
+           data=st.data())
+    def test_warm_fit_equals_cold_fit(self, m, seed, n_knots, penalty, data):
+        x = data.draw(spline_x(m))
+        if np.unique(x).size < 2:
+            return
+        rng = np.random.default_rng(seed)
+        y = rng.normal(size=m) * 10.0 ** rng.integers(-3, 4)
+        cfg = RegressorConfig("spline_gam", {"n_knots": n_knots, "penalty": penalty})
+        span = x.max() - x.min()
+        # inside the span, at both ends and outside it on either side
+        xq = np.concatenate([x, [x.min(), x.max(), x.min() - 0.3 * span - 1.0,
+                                 x.max() + 2.0 * span + 1.0]])
+        fit(cfg, x[:, None], rng.normal(size=m))  # another target on the same design
+        warm = fit(cfg, x[:, None], y)
+        regress._spline_basis.cache_clear()
+        cold = fit(cfg, x[:, None], y)
+        for a, b in zip(self._facts(warm, xq), self._facts(cold, xq)):
+            assert np.array_equal(a, b)
+        # the lazy boundary extension keeps the eager formula
+        der = cold._spl.derivative()
+        lo, hi = cold._span_lo, cold._span_hi
+        want = [float(cold._spl(lo)) + float(der(lo)) * (xq[-2] - cold.lo),
+                float(cold._spl(hi)) + float(der(hi)) * (xq[-1] - cold.hi)]
+        assert cold.predict(xq[-2:, None]).tolist() == want
+
+    def test_refit_on_a_seen_design_is_a_cache_hit(self, spline_cfg, rng):
+        regress._spline_basis.cache_clear()
+        x = rng.uniform(0, 10, size=(50, 1))
+        for _ in range(3):
+            fit(spline_cfg, x, rng.normal(size=50))
+        info = regress._spline_basis.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
+
+    def test_constant_x_raises_every_time(self, spline_cfg):
+        regress._spline_basis.cache_clear()
+        x = np.full((6, 1), 3.0)
+        for _ in range(3):
+            with pytest.raises(SingularModelError, match="2 distinct x values"):
+                fit(spline_cfg, x, np.arange(6.0))
+        assert regress._spline_basis.cache_info().currsize == 0
+
+    def test_collapsed_knot_grid_raises_every_time(self, spline_cfg):
+        # a span of 4 at 1e16 rounds the 20-knot grid onto repeated knots
+        x = np.array([[1e16], [1e16 + 2.0], [1e16 + 4.0]])
+        for _ in range(2):
+            with pytest.raises(SingularModelError, match="spans too little"):
+                fit(spline_cfg, x, np.arange(3.0))
+
+    def test_cached_arrays_are_read_only(self, spline_cfg, rng):
+        x = rng.uniform(0, 10, size=(30, 1))
+        model = fit(spline_cfg, x, rng.normal(size=30))
+        basis = regress._spline_basis(20, x[:, 0].tobytes())
+        for a in (model.knots, basis.knots, basis.mu, basis.v, basis.bv,
+                  basis.bv_norms):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+
+    def test_cache_stays_bounded(self, spline_cfg, rng):
+        maxsize = regress._spline_basis.cache_info().maxsize
+        assert 1 <= maxsize <= 8
+        for _ in range(3 * maxsize):
+            fit(spline_cfg, rng.uniform(0, 10, size=(20, 1)), rng.normal(size=20))
+            assert regress._spline_basis.cache_info().currsize <= maxsize
+
+
+class TestMedianBandwidth:
+    """The condensed-distance median is the full-matrix median, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(2, 120), d=st.integers(1, 11), seed=st.integers(0, 2**32 - 1),
+           ties=st.booleans())
+    def test_matches_full_matrix_formula(self, m, d, seed, ties):
+        x = np.random.default_rng(seed).normal(size=(m, d))
+        if ties:
+            x = np.round(x)
+        full = cdist(x, x)
+        med = float(np.median(full[np.triu_indices(m, k=1)]))
+        assert regress._median_bandwidth(x) == (med if med > 0 else 1.0)
