@@ -8,7 +8,6 @@ from .data_model import (  # noqa: F401
     load_table,
     log_transform_counts,
     save_table,
-    select_top_species,
     split_by_group,
 )
 from .estimators import (  # noqa: F401

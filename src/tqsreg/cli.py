@@ -15,12 +15,15 @@ themselves too.  So identical configs and seeds give byte-identical
 files across reruns, across ``--jobs`` values and across hosts with the
 same numpy/OpenBLAS build and CPU type.  Where no OpenBLAS thread
 setter is found, commands run unpinned.  Regressor configs are resolved
-when read, so a bad ``regressor.*`` key fails before any input is loaded.
+when read, so a bad ``regressor.*`` key fails before any input is loaded;
+a kernel ridge model whose largest training set is over its row limit
+fails right after loading (``synth``: before any worker starts).
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import dataclasses
 import hashlib
@@ -31,7 +34,7 @@ import sys
 import numpy as np
 
 from . import __version__, blas, data_model, estimators, evalharness, oracle, synthgen
-from .regress import RegressorConfig
+from .regress import RegressionError, RegressorConfig, check_kernel_ridge_rows
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -140,6 +143,19 @@ def _check_residual_width(config, widths):
         raise UsageError(
             f"regressor.res.kind = spline_gam needs exactly 1 feature, but the "
             f"residual model would get {uses}")
+
+
+def _check_kernel_rows(rows, models):
+    """Refuse a kernel ridge model (``(prefix, config)`` pairs) over its row limit.
+
+    ``rows`` is the largest training set the command will fit.
+    """
+    for prefix, config in models:
+        if config.kind == "kernel_ridge":
+            try:
+                check_kernel_ridge_rows(rows)
+            except RegressionError as e:
+                raise UsageError(f"regressor.{prefix}.kind = {e}") from e
 
 
 def schema_from_config(cfg):
@@ -302,6 +318,8 @@ def cmd_denoise(args):
         raise UsageError("need >= 2 species to denoise")
     method = cfg.get("method", "3qs")
     _check_residual_width(cfg_res, {"the other species": table.n_species - 1})
+    _check_kernel_rows(table.n_rows,
+                       [("res", cfg_res)] + ([("x", cfg_x)] if method == "3qs" else []))
     if method == "3qs":
         _check_one_covariate(table, [("x", cfg_x)])
         result = estimators.tqs_multi_species(table, cfg_x, cfg_res)
@@ -340,6 +358,7 @@ def cmd_synth(args):
     trials = int(cfg.get("trials", 20))
     n_obs = int(cfg.get("synth.n_obs", synthgen.DEFAULT_N_OBS))
     backend = regressor_from_config(cfg, "synth", "kernel_ridge")
+    _check_kernel_rows(n_obs, [("synth", backend)])
     ns = _grid(cfg, "synth.species_grid", synthgen.SPECIES_GRID)
     sigmas = _grid(cfg, "synth.sigma_grid", synthgen.SIGMA_GRID)
     with synthgen.worker_pool(jobs) as pool:  # one start-up for both sweeps
@@ -416,14 +435,21 @@ def cmd_eval(args):
     n_aux = cfg.get("eval.n_aux")
     n_aux = int(n_aux) if n_aux is not None else None
     others = table.n_species - 1
+    aux = others if n_aux is None else min(n_aux, others)
     widths = {}
     if "3qs" in methods or "hs" in methods:
-        widths["the auxiliary species"] = others if n_aux is None else min(n_aux, others)
+        widths["the auxiliary species"] = aux
     if "mb" in methods:
         widths["mb (covariate and brightness)"] = 2
     if table.diagnostics:
-        widths["the diagnostics (all other species)"] = others
+        widths["the diagnostics"] = aux
     _check_residual_width(cfg_res, widths)
+    if {"hs", "3qs", "mb"} & set(methods) or table.diagnostics:
+        models.append(("res", cfg_res))
+    # the diagnostics fit on the whole table, the folds on all but one group
+    groups = collections.Counter(table.group_labels).values()
+    _check_kernel_rows(table.n_rows if table.diagnostics else
+                       table.n_rows - min(groups, default=0), models)
     brightness_column = cfg.get("eval.brightness_column")
     filter_kind = cfg.get("eval.test_filter", "none")
     if filter_kind == "brightness-zero":

@@ -88,11 +88,11 @@ class ObservationTable:
     def n_species(self):
         return self.counts.shape[1]
 
-    def replace_counts(self, counts, species_names=None):
+    def replace_counts(self, counts):
         return ObservationTable(
             covariates=self.covariates,
             counts=counts,
-            species_names=species_names if species_names is not None else self.species_names,
+            species_names=self.species_names,
             group_labels=self.group_labels,
             diagnostics=self.diagnostics,
             covariate_names=self.covariate_names,
@@ -233,22 +233,6 @@ def log_transform_counts(table):
     if np.any(table.counts < 0):
         raise TableError("negative count present; cannot log-transform")
     return table.replace_counts(np.log1p(table.counts))
-
-
-def select_top_species(table, k):
-    """Keep the k species with highest total count, ties by name.
-
-    Output column order is descending total count.
-    """
-    s = table.n_species
-    if not 1 <= k <= s:
-        raise TableError(f"k={k} out of range for {s} species")
-    totals = table.counts.sum(axis=0)
-    order = sorted(range(s), key=lambda j: (-totals[j], table.species_names[j]))
-    keep = order[:k]
-    return table.replace_counts(
-        table.counts[:, keep], [table.species_names[j] for j in keep]
-    )
 
 
 def split_by_group(table, held_out):

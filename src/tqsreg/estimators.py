@@ -3,7 +3,9 @@
 ``hs_estimate`` removes the component of a measurement predictable from
 measurements that share only a noise cause.  The 3QS variants first
 condition on observed process covariates so that intrinsic dependence
-between the latent quantities is preserved.
+between the latent quantities is preserved.  Every estimator subtracts
+a model's predictions on its own training rows, which it reads from the
+fitted model (``FittedRegressor.fitted``), not from a second ``predict``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import regress
-from .regress import fit, predict
+from .regress import fit
 
 
 class EstimationError(RuntimeError):
@@ -43,8 +45,7 @@ def hs_estimate(y1, y2, config):
     """Half-sibling estimate: y1 minus its prediction from y2."""
     y1 = np.asarray(y1, dtype=float).ravel()
     y2 = _as_2d(y2)
-    model = fit(config, y2, y1)
-    return y1 - predict(model, y2)
+    return y1 - fit(config, y2, y1).fitted
 
 
 def tqs_eq1(y1, x, y2, cfg_x, cfg_joint):
@@ -52,11 +53,8 @@ def tqs_eq1(y1, x, y2, cfg_x, cfg_joint):
     y1 = np.asarray(y1, dtype=float).ravel()
     x = _as_2d(x)
     y2 = _as_2d(y2)
-    model_x = fit(cfg_x, x, y1)
-    r = y1 - predict(model_x, x)
-    joint = np.hstack([x, y2])
-    model_joint = fit(cfg_joint, joint, r)
-    return y1 - predict(model_joint, joint)
+    r = y1 - fit(cfg_x, x, y1).fitted
+    return y1 - fit(cfg_joint, np.hstack([x, y2]), r).fitted
 
 
 def tqs_eq2(y1, x, y2, cfg_x, cfg_joint):
@@ -64,10 +62,9 @@ def tqs_eq2(y1, x, y2, cfg_x, cfg_joint):
     y1 = np.asarray(y1, dtype=float).ravel()
     x = _as_2d(x)
     y2 = _as_2d(y2)
-    joint = np.hstack([x, y2])
-    model_joint = fit(cfg_joint, joint, y1)
+    model_joint = fit(cfg_joint, np.hstack([x, y2]), y1)
     model_x = fit(cfg_x, x, y1)
-    return y1 - predict(model_joint, joint) + predict(model_x, x)
+    return y1 - model_joint.fitted + model_x.fitted
 
 
 @dataclass(frozen=True)
@@ -82,22 +79,21 @@ class DenoiseResult:
     method: str
 
     def training_diagnostics(self, table):
-        """Training MSE of each internal regression, per species."""
+        """Training MSE of each internal regression, per species.
+
+        ``table`` is the table the result was fit on; only its species
+        names are read.  The covariate residuals are the covariate models'
+        training errors.
+        """
         out = []
-        x = table.covariates
         for i, name in enumerate(table.species_names):
-            entry = {"species": name}
-            if self.covariate_models[i] is not None:
-                pred = predict(self.covariate_models[i], x)
-                entry["covariate_model_mse"] = float(
-                    np.mean((table.counts[:, i] - pred) ** 2)
-                )
-            aux = list(self.aux_columns[i])
-            pred_r = predict(self.residual_models[i], self.residuals[:, aux])
-            entry["residual_model_mse"] = float(
-                np.mean((self.residuals[:, i] - pred_r) ** 2)
-            )
-            out.append(entry)
+            r = self.residuals[:, i]
+            out.append({
+                "species": name,
+                "covariate_model_mse": float(np.mean(r ** 2)),
+                "residual_model_mse": float(
+                    np.mean((r - self.residual_models[i].fitted) ** 2)),
+            })
         return out
 
 
@@ -142,7 +138,7 @@ def tqs_multi_species(table, cfg_x, cfg_res, n_aux=None):
         except regress.RegressionError as e:
             raise EstimationError(f"covariate model failed for species {i}: {e}") from e
         cov_models.append(model)
-        residuals[:, i] = y[:, i] - predict(model, x)
+        residuals[:, i] = y[:, i] - model.fitted
 
     res_models = []
     z_hat = np.empty((m, s))
@@ -153,7 +149,7 @@ def tqs_multi_species(table, cfg_x, cfg_res, n_aux=None):
         except regress.RegressionError as e:
             raise EstimationError(f"residual model failed for species {i}: {e}") from e
         res_models.append(model)
-        z_hat[:, i] = y[:, i] - predict(model, residuals[:, aux])
+        z_hat[:, i] = y[:, i] - model.fitted
 
     return DenoiseResult(
         z_hat=z_hat,

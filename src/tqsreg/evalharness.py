@@ -144,12 +144,15 @@ def _unique_groups(table):
     return seen
 
 
-def compute_diagnostics(table, cfg_x, cfg_res, column):
-    """Table-1-style diagnostics from a full-table denoise per method."""
+def compute_diagnostics(table, cfg_x, cfg_res, column, n_aux=None):
+    """Table-1-style diagnostics from a full-table denoise per method.
+
+    ``n_aux`` caps the auxiliary species as in ``loyo_evaluate``.
+    """
     out = {}
     for method, z_hat in (
-        ("3qs", tqs_multi_species(table, cfg_x, cfg_res).z_hat),
-        ("hs", denoise_hs(table, cfg_res)),
+        ("3qs", tqs_multi_species(table, cfg_x, cfg_res, n_aux=n_aux).z_hat),
+        ("hs", denoise_hs(table, cfg_res, n_aux=n_aux)),
     ):
         corr = external_correlation(table, z_hat, column)
         retained = retained_std_fraction(table.counts, z_hat)
@@ -169,7 +172,8 @@ def loyo_evaluate(table, methods, cfg_x, cfg_res, smooth_cfg, test_filter=None,
     ``methods`` is a subset of ``METHODS``.  ``test_filter``, if
     given, maps the test-year table to a boolean row mask (e.g. a
     brightness-zero rule).  ``n_aux`` caps the auxiliary species used
-    by hs/3qs.  Test rows never touch any fitted model.
+    by hs/3qs, in the folds and in the diagnostics.  Test rows never touch
+    any fitted model.
     """
     methods = list(methods)
     unknown = set(methods) - set(METHODS)
@@ -247,7 +251,8 @@ def loyo_evaluate(table, methods, cfg_x, cfg_res, smooth_cfg, test_filter=None,
 
     diagnostics = {}
     if with_diagnostics:
-        diagnostics = compute_diagnostics(table, cfg_x, cfg_res, brightness_column)
+        diagnostics = compute_diagnostics(table, cfg_x, cfg_res, brightness_column,
+                                          n_aux=n_aux)
 
     return EvalReport(
         cells=tuple(c for c in cells if c.method in methods),

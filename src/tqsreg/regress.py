@@ -15,7 +15,18 @@ by the denoising estimators:
                        per fit; tied values keep row order, so the trees
                        do not depend on numpy's sort implementation.
 * ``kernel_ridge``   - RBF kernel ridge regression with an unpenalized
-                       intercept and median-distance bandwidth heuristic.
+                       intercept and median-distance bandwidth heuristic;
+                       K + lam I is solved by one Cholesky factorization
+                       (LAPACK ``dposv``, in place), and a fit refuses
+                       more than ``kernel_ridge_max_rows()`` rows before
+                       it allocates any m x m array.
+
+Every fitted model carries ``fitted``, its predictions on the training
+rows, taken from what the fit already holds: ``K alpha + b`` for kernel
+ridge (its products, like its solve, on scipy's BLAS) and the boosting loop's running prediction for trees, both equal
+to ``predict(x_train)`` bit for bit; for the spline, the GCV step's
+``(B V) z``, which differs from ``predict(x_train)``'s ``B (V z)`` only
+by rounding (about 1e-15 relative).
 
 All backends are deterministic given (config, data).  Kernel ridge and
 the spline are translation equivariant in the target up to rounding (a
@@ -34,6 +45,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.interpolate import BSpline
+from scipy.linalg.blas import dgemv
+from scipy.linalg.lapack import dposv
 from scipy.spatial.distance import cdist, pdist
 
 
@@ -60,6 +73,11 @@ _DEFAULTS = {
     },
 }
 _PENALTY_GRID = tuple(np.logspace(-3.0, 3.0, 13))
+
+# byte budget for the m x m float64 arrays of one kernel ridge fit; no
+# step holds more than two (the kernel and the system factored in place)
+KERNEL_RIDGE_BYTES = 1 << 30
+_KERNEL_RIDGE_ARRAYS = 2
 
 
 @dataclass(frozen=True)
@@ -116,8 +134,17 @@ class FittedRegressor:
 
     kind = None
 
-    def __init__(self, n_features):
+    def __init__(self, n_features, fitted):
         self.n_features = n_features
+        fitted.setflags(write=False)
+        self._fitted = fitted
+
+    @property
+    def fitted(self):
+        """Predictions on the training rows, with ``predict``'s finiteness check."""
+        if not np.all(np.isfinite(self._fitted)):
+            raise RegressionError("model produced non-finite prediction")
+        return self._fitted
 
     def predict(self, x):
         x = np.asarray(x, dtype=float)
@@ -169,8 +196,8 @@ def predict(model, features):
 class FittedKernelRidge(FittedRegressor):
     kind = "kernel_ridge"
 
-    def __init__(self, x_train, alpha, intercept, gamma):
-        super().__init__(x_train.shape[1])
+    def __init__(self, x_train, alpha, intercept, gamma, fitted):
+        super().__init__(x_train.shape[1], fitted)
         self.x_train = x_train
         self.alpha = alpha
         self.intercept = intercept
@@ -178,7 +205,34 @@ class FittedKernelRidge(FittedRegressor):
 
     def _predict(self, x):
         k = np.exp(-self.gamma * cdist(x, self.x_train, "sqeuclidean"))
-        return k @ self.alpha + self.intercept
+        return _kernel_dot(k, self.alpha) + self.intercept
+
+
+def _kernel_dot(k, alpha):
+    """``k @ alpha`` on scipy's BLAS, the library that factors the system.
+
+    Unpinned, numpy's and scipy's OpenBLAS each keep their own spinning
+    threads, and a fit that alternates between the two ran about twice
+    as slow on 2 cores.  Fewer than 2 rows go through numpy: dgemv
+    refuses an empty result, and numpy takes one row as a dot product.
+    """
+    if k.shape[0] < 2:
+        return k @ alpha
+    return dgemv(1.0, k.T, alpha, trans=1)  # k.T is k's Fortran-ordered view
+
+
+def kernel_ridge_max_rows():
+    """The most training rows a kernel ridge fit accepts, from the byte budget."""
+    return math.isqrt(KERNEL_RIDGE_BYTES // (_KERNEL_RIDGE_ARRAYS * 8))
+
+
+def check_kernel_ridge_rows(m):
+    """Refuse a kernel ridge fit on ``m`` rows whose arrays exceed the budget."""
+    limit = kernel_ridge_max_rows()
+    if m > limit:
+        raise RegressionError(
+            f"kernel_ridge fits at most {limit} training rows (its m x m arrays "
+            f"get {KERNEL_RIDGE_BYTES} bytes), but would get {m}")
 
 
 def _median_bandwidth(x):
@@ -187,20 +241,25 @@ def _median_bandwidth(x):
 
 
 def _fit_kernel_ridge(params, x, y):
+    m = x.shape[0]
+    check_kernel_ridge_rows(m)
     bw = params["bandwidth"]
     if bw is None:
         bw = _median_bandwidth(x)
     gamma = 1.0 / (2.0 * bw * bw)
     k = np.exp(-gamma * cdist(x, x, "sqeuclidean"))
     intercept = float(np.mean(y))
-    a = k + params["penalty"] * np.eye(len(y))
-    try:
-        alpha = np.linalg.solve(a, y - intercept)
-    except np.linalg.LinAlgError as e:
-        raise SingularModelError(f"kernel system singular: {e}") from e
+    a = k.copy()
+    a.flat[::m + 1] += params["penalty"]
+    # a is symmetric, so its transpose is the Fortran-ordered array that
+    # dposv factors in place, without a copy
+    _, alpha, info = dposv(a.T, y - intercept, overwrite_a=True, overwrite_b=True)
+    if info != 0:
+        raise SingularModelError(f"kernel system not positive definite (info={info})")
     if not np.all(np.isfinite(alpha)):
         raise SingularModelError("kernel system produced non-finite solution")
-    return FittedKernelRidge(x.copy(), alpha, intercept, gamma)
+    return FittedKernelRidge(x.copy(), alpha, intercept, gamma,
+                             _kernel_dot(k, alpha) + intercept)
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +269,8 @@ def _fit_kernel_ridge(params, x, y):
 class FittedBoostedTrees(FittedRegressor):
     kind = "boosted_trees"
 
-    def __init__(self, n_features, init, learning_rate, trees):
-        super().__init__(n_features)
+    def __init__(self, n_features, init, learning_rate, trees, fitted):
+        super().__init__(n_features, fitted)
         self.init = init
         self.learning_rate = learning_rate
         self.trees = trees
@@ -346,7 +405,7 @@ def _fit_boosted_trees(params, x, y, seed):
             out = np.flatnonzero(~in_sample)
             step[out] = _tree_predict(*tree, x[out])
         pred = pred + params["learning_rate"] * step
-    return FittedBoostedTrees(x.shape[1], init, params["learning_rate"], trees)
+    return FittedBoostedTrees(x.shape[1], init, params["learning_rate"], trees, pred)
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +415,8 @@ def _fit_boosted_trees(params, x, y, seed):
 class FittedSplineGAM(FittedRegressor):
     kind = "spline_gam"
 
-    def __init__(self, knots, coef, lo, hi, penalty, edf):
-        super().__init__(1)
+    def __init__(self, knots, coef, lo, hi, penalty, edf, fitted):
+        super().__init__(1, fitted)
         self.knots = knots
         self.coef = coef
         self.lo = lo
@@ -468,7 +527,8 @@ def _fit_spline_gam(params, x, y):
     if not np.all(np.isfinite(coefs)):
         raise SingularModelError("spline system produced non-finite solution")
     edf = (basis.bv_norms[:, None] / scale).sum(axis=0)
-    rss = ((y[:, None] - basis.bv @ z) ** 2).sum(axis=0)
+    fits = basis.bv @ z  # in-sample predictions, one column per lam
+    rss = ((y[:, None] - fits) ** 2).sum(axis=0)
     denom = m - edf
     ok = (denom > 1e-9) & (rss < np.inf)  # an overflowed (inf or nan) rss never wins
     gcv = np.full(lams.size, np.inf)
@@ -477,4 +537,5 @@ def _fit_spline_gam(params, x, y):
     if not fixed and not gcv[k] < np.inf:
         raise SingularModelError("GCV failed for every penalty on the grid")
     return FittedSplineGAM(basis.knots, np.ascontiguousarray(coefs[:, k]), basis.lo,
-                           basis.hi, float(lams[k]), float(edf[k]))
+                           basis.hi, float(lams[k]), float(edf[k]),
+                           np.ascontiguousarray(fits[:, k]))

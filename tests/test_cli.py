@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from tqsreg import __version__, cli
+from tqsreg import __version__, cli, regress
 from tqsreg.cli import (
     EXIT_OK,
     EXIT_USAGE,
@@ -461,8 +461,7 @@ class TestConfigFailsEarly:
         ("eval", ["--methods", "raw,3qs"], "", "2 for the auxiliary species"),
         ("eval", ["--methods", "raw,mb"], "eval.n_aux = 1\n",
          "2 for mb (covariate and brightness)"),
-        ("eval", ["--methods", "raw,hs"], "eval.n_aux = 1\n",
-         "2 for the diagnostics (all other species)"),
+        ("eval", ["--methods", "raw"], "", "2 for the diagnostics"),
     ])
     def test_spline_residual_on_several_features(self, sim_dir, tmp_path, capsys,
                                                  early_calls, command, extra, config,
@@ -485,6 +484,8 @@ class TestConfigFailsEarly:
          "eval.n_aux = 1\nschema.day_of_year = covariate\nschema.year = group\n"
          "schema.moon_brightness = ignore\nschema.species_00 = count\n"
          "schema.species_01 = count\nschema.species_02 = count\n"),
+        # the diagnostics cap their auxiliary species at eval.n_aux too
+        ("eval", ["--methods", "raw,hs"], 3, "eval.n_aux = 1\n"),
     ])
     def test_spline_residual_on_one_feature_runs(self, tmp_path, early_calls, command,
                                                  extra, n_species, config):
@@ -505,6 +506,71 @@ class TestConfigFailsEarly:
         assert run(["denoise", "--input", str(path), "--config", str(cfg),
                     "--method", "hs", "--out", str(tmp_path / "o")]) == EXIT_OK
         assert early_calls == {"load": 1, "fit": 3}
+
+
+class TestKernelRidgeRowLimit:
+    """A kernel ridge model over its row limit exits 2 before any fit.
+
+    The byte budget is patched low: sim_dir has 3 groups of 40 rows.
+    """
+
+    @staticmethod
+    def _limit(monkeypatch, rows):
+        monkeypatch.setattr(regress, "KERNEL_RIDGE_BYTES", 2 * 8 * rows * rows)
+
+    @pytest.mark.parametrize("command,extra,config,prefix,rows", [
+        ("denoise", [], "regressor.res.kind = kernel_ridge\n", "res", 120),
+        ("denoise", [], "regressor.x.kind = kernel_ridge\n", "x", 120),
+        ("denoise", ["--method", "hs"], "regressor.res.kind = kernel_ridge\n", "res",
+         120),
+        # the diagnostics fit on the whole table
+        ("eval", ["--methods", "raw"], "regressor.smooth.kind = kernel_ridge\n",
+         "smooth", 120),
+        # without them the largest training set leaves one group out
+        ("eval", ["--methods", "raw,hs"],
+         "regressor.res.kind = kernel_ridge\nschema.day_of_year = covariate\n"
+         "schema.year = group\nschema.moon_brightness = ignore\n"
+         "schema.species_00 = count\nschema.species_01 = count\n"
+         "schema.species_02 = count\n", "res", 80),
+    ])
+    def test_refused_after_loading(self, sim_dir, tmp_path, capsys, early_calls,
+                                   monkeypatch, command, extra, config, prefix, rows):
+        self._limit(monkeypatch, rows - 1)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(config)
+        assert run([command, "--input", str(sim_dir / "survey.csv"), "--config", str(cfg),
+                    "--out", str(tmp_path / "o")] + extra) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert (f"regressor.{prefix}.kind = kernel_ridge fits at most {rows - 1} "
+                f"training rows") in err
+        assert f"would get {rows}" in err
+        assert early_calls == {"load": 1, "fit": 0}
+
+    def test_denoise_runs_at_the_limit(self, sim_dir, tmp_path, early_calls,
+                                       monkeypatch):
+        self._limit(monkeypatch, 120)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("regressor.res.kind = kernel_ridge\n")
+        assert run(["denoise", "--input", str(sim_dir / "survey.csv"), "--config",
+                    str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert early_calls["fit"] == 6
+
+    def test_synth_refused_before_any_worker(self, tmp_path, capsys, early_calls,
+                                             monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*a, **k):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        self._limit(monkeypatch, 59)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("synth.n_obs = 60\n")
+        assert run(["synth", "--config", str(cfg), "--trials", "1", "--jobs", "2",
+                    "--out", str(tmp_path / "o")]) == EXIT_USAGE
+        assert ("regressor.synth.kind = kernel_ridge fits at most 59 training rows"
+                in capsys.readouterr().err)
+        assert early_calls["fit"] == 0
 
 
 class TestExitCodes:

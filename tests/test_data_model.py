@@ -13,7 +13,6 @@ from tqsreg.data_model import (
     load_table,
     log_transform_counts,
     save_table,
-    select_top_species,
     split_by_group,
     table_schema,
 )
@@ -248,39 +247,6 @@ class TestLogTransform:
         t = make_table()
         t2 = t.replace_counts(t.counts + rng.uniform(0.1, 1.0, size=t.counts.shape))
         assert np.all(log_transform_counts(t2).counts > log_transform_counts(t).counts)
-
-
-class TestSelectTopSpecies:
-    def test_k_equals_s_identity_up_to_order(self):
-        t = make_table()
-        t2 = select_top_species(t, t.n_species)
-        assert set(t2.species_names) == set(t.species_names)
-        for j, name in enumerate(t2.species_names):
-            np.testing.assert_array_equal(
-                t2.counts[:, j], t.counts[:, t.species_names.index(name)]
-            )
-
-    def test_forced_ordering(self):
-        t = make_table(m=1, s=3).replace_counts(
-            np.array([[5.0, 9.0, 1.0]]), ["A", "B", "C"]
-        )
-        t2 = select_top_species(t, 2)
-        assert t2.species_names == ("B", "A")
-
-    def test_tie_break_lexicographic(self):
-        t = make_table(m=1, s=2).replace_counts(np.array([[5.0, 5.0]]), ["B", "A"])
-        assert select_top_species(t, 1).species_names == ("A",)
-
-    def test_k_too_large(self):
-        with pytest.raises(TableError):
-            select_top_species(make_table(), 4)
-
-    def test_deterministic(self):
-        t = make_table(seed=3)
-        a = select_top_species(t, 2)
-        b = select_top_species(t, 2)
-        assert a.species_names == b.species_names
-        assert np.array_equal(a.counts, b.counts)
 
 
 class TestSplitByGroup:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tqsreg import cli
+from tqsreg import cli, regress
 from tqsreg.data_model import ObservationTable, save_table, table_schema
 from tqsreg.estimators import (
     EstimationError,
@@ -16,6 +16,7 @@ from tqsreg.estimators import (
     tqs_eq2,
     tqs_multi_species,
 )
+from tqsreg.evalharness import denoise_hs
 from tqsreg.regress import RegressorConfig
 
 
@@ -255,6 +256,34 @@ class TestMultiSpecies:
         table, _ = make_table(rng, s=4, m=60)
         with pytest.raises(EstimationError, match=rf"n_aux must be >= 1 \(got {n_aux}\)"):
             tqs_multi_species(table, spline_cfg, krr_cfg, n_aux=n_aux)
+
+
+class TestNoSecondPredict:
+    """The estimators take each model's predictions on its own training rows
+    from the fit (``fitted``); no model predicts a second time."""
+
+    def test_no_predict_calls(self, spline_cfg, krr_cfg, rng, monkeypatch):
+        calls = []
+        real_predict = regress.FittedRegressor.predict
+
+        def counting_predict(self, x):
+            calls.append(self.kind)
+            return real_predict(self, x)
+
+        monkeypatch.setattr(regress.FittedRegressor, "predict", counting_predict)
+        table, _ = make_table(rng, s=3, m=60)
+        trees = RegressorConfig("boosted_trees", {"n_stages": 5, "subsample": 0.7})
+        for cfg_res in (krr_cfg, trees):
+            res = tqs_multi_species(table, spline_cfg, cfg_res, n_aux=1)
+            res.training_diagnostics(table)
+            denoise_hs(table, cfg_res)
+        y = table.counts
+        hs_estimate(y[:, 0], y[:, 1:], krr_cfg)
+        tqs_eq1(y[:, 0], table.covariates, y[:, 1:], spline_cfg, krr_cfg)
+        tqs_eq2(y[:, 0], table.covariates, y[:, 1:], spline_cfg, krr_cfg)
+        assert calls == []
+        res.residual_models[0].predict(res.residuals[:, list(res.aux_columns[0])])
+        assert calls == ["boosted_trees"]  # the spy sees a real predict
 
 
 class TestSpeciesPermutation:

@@ -159,6 +159,29 @@ class TestKernelRidge:
         assert model.gamma == pytest.approx(0.5)
         np.testing.assert_allclose(model.predict(x), 1.5, atol=1e-9)
 
+    def test_singular_system_raises(self):
+        # two equal rows make K singular; a penalty of 1e-300 does not lift it
+        cfg = RegressorConfig("kernel_ridge", {"penalty": 1e-300})
+        with pytest.raises(SingularModelError):
+            fit(cfg, np.array([[0.0], [0.0], [1.0]]), np.array([1.0, 2.0, 3.0]))
+
+    def test_row_limit_from_byte_budget(self, monkeypatch, krr_cfg, rng):
+        # 2 arrays of 10 x 10 float64 fit in 1600 bytes, 2 of 11 x 11 do not
+        monkeypatch.setattr(regress, "KERNEL_RIDGE_BYTES", 1600)
+        assert regress.kernel_ridge_max_rows() == 10
+        fit(krr_cfg, rng.normal(size=(10, 2)), rng.normal(size=10))
+
+        def no_distances(*a, **k):
+            raise AssertionError("an m x m array was allocated")
+
+        monkeypatch.setattr(regress, "pdist", no_distances)
+        monkeypatch.setattr(regress, "cdist", no_distances)
+        with pytest.raises(RegressionError, match="at most 10 training rows.*get 11"):
+            fit(krr_cfg, rng.normal(size=(11, 2)), rng.normal(size=11))
+
+    def test_default_budget_allows_the_default_simulation(self):
+        assert regress.kernel_ridge_max_rows() >= 5 * 180
+
 
 class TestSplineGAM:
     def test_knot_layout(self, spline_cfg, rng):
@@ -732,6 +755,52 @@ class TestDesignReuse:
         for _ in range(3 * maxsize):
             fit(spline_cfg, rng.uniform(0, 10, size=(20, 1)), rng.normal(size=20))
             assert regress._spline_basis.cache_info().currsize <= maxsize
+
+
+class TestInSampleFit:
+    """``fitted`` is ``predict`` on the training rows: bit for bit for kernel
+    ridge and trees, and up to rounding for the spline, which takes it from
+    the GCV step's (B V) z rather than B (V z)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=st.integers(2, 80), d=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+           ties=st.booleans(), penalty=st.sampled_from([1e-6, 1.0, 50.0]))
+    def test_kernel_ridge_bit_for_bit(self, m, d, seed, ties, penalty):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(m, d))
+        if ties:
+            x = np.round(x)
+        y = rng.normal(size=m) * 10.0 ** rng.integers(-3, 4)
+        model = fit(RegressorConfig("kernel_ridge", {"penalty": penalty}), x, y)
+        assert np.array_equal(model.fitted, model.predict(x))
+
+    @settings(max_examples=150, deadline=None)
+    @given(tied_problems())
+    def test_trees_bit_for_bit(self, problem):
+        x, y, hyper, seed = problem
+        model = fit(RegressorConfig("boosted_trees", hyper, seed=seed), x, y)
+        assert np.array_equal(model.fitted, model.predict(x))
+
+    @settings(max_examples=150, deadline=None)
+    @given(spline_problems())
+    def test_spline_within_rounding(self, problem):
+        x, y, hyper = problem
+        if np.unique(x).size < 2:
+            return
+        try:
+            model = fit(RegressorConfig("spline_gam", hyper), x[:, None], y)
+        except SingularModelError:
+            return
+        np.testing.assert_allclose(model.fitted, model.predict(x[:, None]),
+                                   rtol=0, atol=1e-12 * np.abs(y).max())
+
+    def test_read_only_and_checked(self, krr_cfg, rng):
+        model = fit(krr_cfg, rng.normal(size=(5, 1)), rng.normal(size=5))
+        with pytest.raises(ValueError, match="read-only"):
+            model.fitted[0] = 1.0
+        bad = regress.FittedRegressor(1, np.array([0.0, np.inf]))
+        with pytest.raises(RegressionError, match="non-finite prediction"):
+            bad.fitted
 
 
 class TestMedianBandwidth:
