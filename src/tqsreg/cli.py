@@ -17,7 +17,9 @@ same numpy/OpenBLAS build and CPU type.  Where no OpenBLAS thread
 setter is found, commands run unpinned.  Regressor configs are resolved
 when read, so a bad ``regressor.*`` key fails before any input is loaded;
 a kernel ridge model whose largest training set is over its row limit
-fails right after loading (``synth``: before any worker starts).
+fails right after loading (``synth``: before any worker starts).  Usage,
+config and table errors exit 2; a fit that fails on well-formed input
+(``EstimationError``, ``SingularModelError``) exits 3.
 """
 
 from __future__ import annotations
@@ -34,11 +36,13 @@ import sys
 import numpy as np
 
 from . import __version__, blas, data_model, estimators, evalharness, oracle, synthgen
-from .regress import RegressionError, RegressorConfig, check_kernel_ridge_rows
+from .regress import (RegressionError, RegressorConfig, SingularModelError,
+                      check_kernel_ridge_rows)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
+EXIT_MODEL = 3  # a fit failed on well-formed input
 
 
 class UsageError(ValueError):
@@ -123,13 +127,17 @@ def regressor_from_config(cfg, prefix, default_kind):
 
 
 def _check_one_covariate(table, models):
-    """Refuse a spline model (``(prefix, config)`` pairs) on several covariates."""
+    """Refuse a spline model (``(prefix, config)`` pairs) on several
+    covariates, and any of these covariate models on a table without one."""
     k = table.covariates.shape[1]
     for prefix, config in models:
         if config.kind == "spline_gam" and k != 1:
             raise UsageError(
                 f"regressor.{prefix}.kind = spline_gam needs exactly 1 covariate, "
                 f"but the table has {k} ({', '.join(table.covariate_names)})")
+        if k == 0:
+            raise UsageError(f"regressor.{prefix}.kind = {config.kind} needs a "
+                             "covariate, but the table has none")
 
 
 def _check_residual_width(config, widths):
@@ -434,6 +442,8 @@ def cmd_eval(args):
     _check_one_covariate(table, models)
     n_aux = cfg.get("eval.n_aux")
     n_aux = int(n_aux) if n_aux is not None else None
+    if n_aux is not None and n_aux < 1:
+        raise UsageError(f"eval.n_aux must be >= 1 (got {n_aux})")
     others = table.n_species - 1
     aux = others if n_aux is None else min(n_aux, others)
     widths = {}
@@ -556,6 +566,9 @@ def main(argv=None):
     try:
         with blas.num_threads(1):
             return args.func(args)
+    except (estimators.EstimationError, SingularModelError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_MODEL
     except (ValueError, RuntimeError, OSError) as e:  # UsageError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -3,7 +3,11 @@
 Everything here enumerates the full support, so conditional
 expectations are exact up to floating-point rounding; all checks use a
 1e-12 tolerance and nothing looser.  Every conditional expectation is
-one group mean over the support (``_cond_mean``).  These joints back the
+one group mean over the support (``_cond_mean``), and a joint groups
+its support once per conditioning set: ``by_x`` and ``by_x_y2`` label
+each outcome by its X and its (X, Y2) value on first use and are kept
+on the joint.  ``build_joint`` (from maps) and ``random_joint`` (from
+arrays of draws) share one array assembler.  These joints back the
 equivalence, error-bound and exact-recovery checks for the estimators:
 ``tqsreg verify`` computes one exact 3QS estimate per joint with
 ``exact_tqs``, and the theorem checks take the estimate they check.
@@ -13,6 +17,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +55,16 @@ class DiscreteJoint:
         if abs(self.probs.sum() - 1.0) > TOL:
             raise JointError("probabilities must sum to 1")
 
+    @cached_property
+    def by_x(self):
+        """Group id of each outcome's X value (see ``_group_ids``)."""
+        return _group_ids(self.x)
+
+    @cached_property
+    def by_x_y2(self):
+        """Group id of each outcome's (X, Y2) value."""
+        return _group_ids(self.x, self.y2)
+
     @property
     def size(self):
         return len(self.probs)
@@ -72,13 +87,49 @@ class TheoremReport:
     slack: float
 
 
+def _checked(ps, what):
+    if (ps < 0).any() or abs(ps.sum() - 1.0) > 1e-9:
+        raise JointError(f"{what} distribution is not normalized")
+
+
 def _normalized(dist, what):
+    """Sorted values and probabilities of a value -> probability map,
+    checked and without its zero-probability values."""
     vals = np.array(sorted(dist), dtype=float)
     ps = np.array([dist[v] for v in sorted(dist)], dtype=float)
-    if np.any(ps < 0) or abs(ps.sum() - 1.0) > 1e-9:
-        raise JointError(f"{what} distribution is not normalized")
+    _checked(ps, what)
     keep = ps > 0
     return vals[keep], ps[keep]
+
+
+def _kernel(rows):
+    """One sorted support and the matrix P[i, j] = P(support[j] | x_i)
+    from per-x (values, probabilities) pairs."""
+    vals = np.unique(np.concatenate([v for v, _ in rows]))
+    p = np.zeros((len(rows), len(vals)))
+    for i, (v, ps) in enumerate(rows):
+        p[i, np.searchsorted(vals, v)] = ps
+    return vals, p
+
+
+def _assemble(xs, px, z1s, pz1, z2s, pz2, ns, pn, fn, m1=None, m2=None):
+    """The joint p(x) p(z1|x) p(z2|x) p(n) on sorted supports.
+
+    ``pz1[i, j]`` is P(Z1 = z1s[j] | X = xs[i]), ``pz2`` likewise, and
+    ``fn[k]`` is f(ns[k]).  The measurements are y_i = z_i + f(n) unless
+    ``m1``/``m2`` give them per (z, n) pair: y1 = m1[j, k] at
+    (z1s[j], ns[k]).  The outcomes are the cells of positive probability
+    of the (x, z1, z2, n) grid, in that lexicographic order.
+    """
+    keep = ((px > 0)[:, None, None, None] & (pz1 > 0)[:, :, None, None]
+            & (pz2 > 0)[:, None, :, None] & (pn > 0))
+    ix, i1, i2, i3 = np.nonzero(keep)
+    z1, z2, fvals = z1s[i1], z2s[i2], fn[i3]
+    additive = m1 is None
+    y1, y2 = (z1 + fvals, z2 + fvals) if additive else (m1[i1, i3], m2[i2, i3])
+    return DiscreteJoint(x=xs[ix], z1=z1, z2=z2, n=ns[i3], y1=y1, y2=y2, fvals=fvals,
+                         probs=px[ix] * pz1[ix, i1] * pz2[ix, i2] * pn[i3],
+                         additive=additive)
 
 
 def build_joint(px, pz1_given_x, pz2_given_x, pn, f, additive=True,
@@ -89,40 +140,50 @@ def build_joint(px, pz1_given_x, pz2_given_x, pn, f, additive=True,
     value to such a distribution; ``f`` maps n to the error term.  With
     ``additive=True`` the measurements are y_i = z_i + f(n); otherwise
     explicit ``measure_y1(z1, n)`` / ``measure_y2(z2, n)`` maps are
-    required.  The support is ordered by x, then z1, z2 and n.
+    required.  ``f`` is called once per value of N and each measurement
+    map once per (z, n) pair.  The support is ordered by x, then z1, z2
+    and n.
     """
     if not additive and (measure_y1 is None or measure_y2 is None):
         raise JointError("non-additive joints need explicit measurement maps")
     xs, pxs = _normalized(px, "x")
     ns, pns = _normalized(pn, "n")
-    blocks = []
-    for xv, pxv in zip(xs, pxs):
-        z1s, pz1s = _normalized(pz1_given_x[xv], f"z1|x={xv}")
-        z2s, pz2s = _normalized(pz2_given_x[xv], f"z2|x={xv}")
-        i1, i2, i3 = np.indices((len(z1s), len(z2s), len(ns))).reshape(3, -1)
-        blocks.append((np.full(i1.size, xv), z1s[i1], z2s[i2], ns[i3],
-                       pxv * pz1s[i1] * pz2s[i2] * pns[i3]))
-    x, z1, z2, n, probs = (np.concatenate(col) for col in zip(*blocks))
-    fvals = np.array([f(v) for v in n])
+    rows = [(_normalized(pz1_given_x[xv], f"z1|x={xv}"),
+             _normalized(pz2_given_x[xv], f"z2|x={xv}")) for xv in xs]
+    z1s, pz1 = _kernel([r1 for r1, _ in rows])
+    z2s, pz2 = _kernel([r2 for _, r2 in rows])
+    fn = np.array([f(v) for v in ns])
     if additive:
-        y1, y2 = z1 + fvals, z2 + fvals
-    else:
-        y1 = np.array([measure_y1(z, v) for z, v in zip(z1, n)])
-        y2 = np.array([measure_y2(z, v) for z, v in zip(z2, n)])
-    return DiscreteJoint(x=x, z1=z1, z2=z2, n=n, y1=y1, y2=y2, fvals=fvals,
-                         probs=probs, additive=bool(additive))
+        return _assemble(xs, pxs, z1s, pz1, z2s, pz2, ns, pns, fn)
+    m1 = np.array([[measure_y1(z, v) for v in ns] for z in z1s])
+    m2 = np.array([[measure_y2(z, v) for v in ns] for z in z2s])
+    return _assemble(xs, pxs, z1s, pz1, z2s, pz2, ns, pns, fn, m1, m2)
 
 
-def _cond_mean(joint, values, *given):
-    """Exact E[values | given] at every outcome, in support order.
+def _group_ids(*cols):
+    """Label each outcome by its row of ``cols``: 0, 1, ... over the
+    distinct rows in lexicographic order, as ``np.unique(axis=0)`` does.
 
-    Outcomes are grouped by their row of ``given`` values; ``bincount``
-    sums each group in support order.
+    One 1-D ``np.unique`` per column; the labels so far and the column's
+    combine into one integer, relabelled to stay below the support size.
     """
-    _, inv = np.unique(np.column_stack(given), axis=0, return_inverse=True)
-    num = np.bincount(inv, weights=joint.probs * values)
-    den = np.bincount(inv, weights=joint.probs)
-    return (num / den)[inv]
+    _, ids = np.unique(cols[0], return_inverse=True)
+    for col in cols[1:]:
+        vals, inv = np.unique(col, return_inverse=True)
+        _, ids = np.unique(ids * len(vals) + inv, return_inverse=True)
+    return ids
+
+
+def _cond_mean(joint, values, ids):
+    """Exact E[values | group] at every outcome, in support order.
+
+    ``ids`` labels each outcome's conditioning group; ``bincount`` sums
+    each group in support order, so any labelling of the same partition
+    gives the same bits.
+    """
+    num = np.bincount(ids, weights=joint.probs * values)
+    den = np.bincount(ids, weights=joint.probs)
+    return (num / den)[ids]
 
 
 def exact_cond_expectation(joint, target, given):
@@ -135,7 +196,7 @@ def exact_cond_expectation(joint, target, given):
     outs = joint.outcomes()
     tvals = np.array([target(o) for o in outs], dtype=float)
     keys = [tuple(g(o) for g in given) for o in outs]
-    means = _cond_mean(joint, tvals, *np.array(keys, dtype=float).T)
+    means = _cond_mean(joint, tvals, _group_ids(*np.array(keys, dtype=float).T))
     return dict(zip(keys, means))
 
 
@@ -146,9 +207,9 @@ def exact_tqs(joint):
     conditional expectations, asserts they agree within 1e-12 and
     returns the residual-form values (aligned with the support order).
     """
-    e_y1_x = _cond_mean(joint, joint.y1, joint.x)
-    eq1 = joint.y1 - _cond_mean(joint, joint.y1 - e_y1_x, joint.x, joint.y2)
-    eq2 = joint.y1 - _cond_mean(joint, joint.y1, joint.x, joint.y2) + e_y1_x
+    e_y1_x = _cond_mean(joint, joint.y1, joint.by_x)
+    eq1 = joint.y1 - _cond_mean(joint, joint.y1 - e_y1_x, joint.by_x_y2)
+    eq2 = joint.y1 - _cond_mean(joint, joint.y1, joint.by_x_y2) + e_y1_x
     if np.max(np.abs(eq1 - eq2)) > TOL:
         raise AssertionError("3QS forms disagree: estimator implementation bug")
     return eq1
@@ -156,7 +217,7 @@ def exact_tqs(joint):
 
 def check_mean_match(joint):
     """Verify E[Y1|X=x] = E[Z1|X=x] for every x; raise naming offenders."""
-    gap = _cond_mean(joint, joint.y1, joint.x) - _cond_mean(joint, joint.z1, joint.x)
+    gap = _cond_mean(joint, joint.y1, joint.by_x) - _cond_mean(joint, joint.z1, joint.by_x)
     bad = np.unique(joint.x[np.abs(gap) > 1e-9]).tolist()
     if bad:
         raise JointError(f"E[Y1|X] != E[Z1|X] at X={bad}")
@@ -179,8 +240,8 @@ def verify_theorem2(joint, z_hat):
     ef = joint.expectation(joint.fvals)
     lhs = joint.expectation((z_hat - (joint.z1 + ef)) ** 2)
     noise = joint.y1 - joint.z1
-    e_f = _cond_mean(joint, noise, joint.x, joint.y2)
-    e_f2 = _cond_mean(joint, noise ** 2, joint.x, joint.y2)
+    e_f = _cond_mean(joint, noise, joint.by_x_y2)
+    e_f2 = _cond_mean(joint, noise ** 2, joint.by_x_y2)
     rhs = joint.expectation(e_f2 - e_f ** 2)
     slack = -abs(lhs - rhs)
     return TheoremReport(lhs=lhs, rhs=rhs, satisfied=slack >= -TOL, slack=slack)
@@ -188,45 +249,48 @@ def verify_theorem2(joint, z_hat):
 
 def noise_is_observable(joint):
     """True when f(N) is constant on every attained (x, y2) group."""
-    groups = {}
-    for o, fv in zip(joint.outcomes(), joint.fvals):
-        groups.setdefault((o.x, o.y2), []).append(fv)
-    return all(max(v) - min(v) <= TOL for v in groups.values())
+    ids = joint.by_x_y2
+    hi = np.full(ids.max() + 1, -np.inf)
+    lo = np.full(hi.size, np.inf)
+    np.maximum.at(hi, ids, joint.fvals)
+    np.minimum.at(lo, ids, joint.fvals)
+    return bool(np.all(hi - lo <= TOL))
 
 
 def random_joint(rng, additive=True, zero_mean_f=True):
     """Small random joint for the randomized theorem suites.
 
     Supports of size 2-4 per variable, values from {-2..2},
-    probabilities from a symmetric Dirichlet(1).
+    probabilities from a symmetric Dirichlet(1).  Every support is then
+    sorted and checked as ``build_joint`` does with its maps.
     """
     def support(size):
         return rng.choice(np.arange(-2.0, 3.0), size=size, replace=False)
 
-    def dirichlet(k):
-        return rng.dirichlet(np.ones(k))
-
     kx, kz1, kz2, kn = rng.integers(2, 5, size=4)
-    xs = support(kx)
-    z1s = support(kz1)
-    z2s = support(kz2)
-    ns = support(kn)
-    px = dict(zip(xs, dirichlet(kx)))
-    pz1 = {x: dict(zip(z1s, dirichlet(kz1))) for x in xs}
-    pz2 = {x: dict(zip(z2s, dirichlet(kz2))) for x in xs}
-    pn_probs = dirichlet(kn)
-    pn = dict(zip(ns, pn_probs))
-    fv = rng.uniform(-2.0, 2.0, size=kn)
+    xs, z1s, z2s, ns = support(kx), support(kz1), support(kz2), support(kn)
+    px = rng.dirichlet(np.ones(kx))
+    pz1 = rng.dirichlet(np.ones(kz1), size=kx)  # row i: Z1 given X = xs[i]
+    pz2 = rng.dirichlet(np.ones(kz2), size=kx)
+    pn = rng.dirichlet(np.ones(kn))
+    fn = rng.uniform(-2.0, 2.0, size=kn)
     if zero_mean_f:
-        fv = fv - np.dot(pn_probs, fv)
-    ftab = dict(zip(ns, fv))
-    f = lambda n: ftab[n]
-    if additive:
-        return build_joint(px, pz1, pz2, pn, f, additive=True)
-    m1 = {(z, n): rng.uniform(-2.0, 2.0) for z in z1s for n in ns}
-    m2 = {(z, n): rng.uniform(-2.0, 2.0) for z in z2s for n in ns}
-    return build_joint(
-        px, pz1, pz2, pn, f, additive=False,
-        measure_y1=lambda z, n: m1[(z, n)],
-        measure_y2=lambda z, n: m2[(z, n)],
-    )
+        fn = fn - np.dot(pn, fn)
+    m1 = m2 = None
+    if not additive:
+        m1 = rng.uniform(-2.0, 2.0, size=(kz1, kn))
+        m2 = rng.uniform(-2.0, 2.0, size=(kz2, kn))
+
+    ox, o1, o2, on = (np.argsort(v) for v in (xs, z1s, z2s, ns))
+    xs, z1s, z2s, ns = xs[ox], z1s[o1], z2s[o2], ns[on]
+    px, pn, fn = px[ox], pn[on], fn[on]
+    pz1, pz2 = pz1[ox][:, o1], pz2[ox][:, o2]
+    _checked(px, "x")
+    _checked(pn, "n")
+    for xv, p, r1, r2 in zip(xs, px, pz1, pz2):
+        if p > 0:
+            _checked(r1, f"z1|x={xv}")
+            _checked(r2, f"z2|x={xv}")
+    if not additive:
+        m1, m2 = m1[o1][:, on], m2[o2][:, on]
+    return _assemble(xs, px, z1s, pz1, z2s, pz2, ns, pn, fn, m1, m2)

@@ -15,7 +15,9 @@ by the denoising estimators:
                        per fit; tied values keep row order, so the trees
                        do not depend on numpy's sort implementation.
 * ``kernel_ridge``   - RBF kernel ridge regression with an unpenalized
-                       intercept and median-distance bandwidth heuristic;
+                       intercept and median-distance bandwidth heuristic
+                       (the median from one partition of the pairwise
+                       distances, the bits of ``np.median``);
                        K + lam I is solved by one Cholesky factorization
                        (LAPACK ``dposv``, in place), and a fit refuses
                        more than ``kernel_ridge_max_rows()`` rows before
@@ -236,7 +238,12 @@ def check_kernel_ridge_rows(m):
 
 
 def _median_bandwidth(x):
-    med = float(np.median(pdist(x)))  # fit() guarantees 2 rows, so 1 pair
+    """``np.median(pdist(x))`` from one partition: the middle distance, or
+    the mean of the two middle ones when the pair count is even."""
+    d = pdist(x)  # fit() guarantees 2 rows, so 1 pair
+    k = d.size // 2
+    d.partition(k)
+    med = float(d[k] if d.size % 2 else (d[:k].max() + d[k]) / 2.0)
     return med if med > 0 else 1.0
 
 

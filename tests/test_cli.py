@@ -585,6 +585,48 @@ class TestExitCodes:
         assert EXIT_VERIFY_FAIL == 1
         assert EXIT_USAGE == 2
 
+    @staticmethod
+    def _constant_covariate_survey(tmp_path):
+        """A well-formed 3-year x 20-day x 3-species survey whose one
+        covariate never changes, so a spline fit on it is singular."""
+        rng = np.random.default_rng(0)
+        lines = ["day_of_year,species_a,species_b,species_c,year"]
+        for year in (2013, 2014, 2015):
+            for _ in range(20):
+                a, b, c = rng.poisson(5.0, size=3)
+                lines.append(f"100,{a},{b},{c},{year}")
+        path = tmp_path / "constant.csv"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize("argv", [["denoise"], ["eval", "--methods", "raw"]])
+    def test_singular_model_exits_3(self, tmp_path, capsys, argv):
+        survey = self._constant_covariate_survey(tmp_path)
+        out = tmp_path / "o"
+        assert run(argv + ["--input", str(survey), "--out", str(out)]) == cli.EXIT_MODEL
+        assert cli.EXIT_MODEL == 3
+        assert "spline_gam needs at least 2 distinct x values" in capsys.readouterr().err
+        assert not out.exists() or not os.listdir(out)
+
+    @pytest.mark.parametrize("argv", [["denoise"], ["eval", "--methods", "raw,3qs"]])
+    def test_table_without_covariate_is_usage_error(self, tmp_path, capsys, argv):
+        survey = tmp_path / "nocov.csv"
+        survey.write_text("species_a,species_b,year\n1,2,2013\n3,4,2013\n"
+                          "2,2,2014\n5,1,2014\n")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("regressor.x.kind = boosted_trees\n"
+                       "regressor.smooth.kind = boosted_trees\n")
+        assert run(argv + ["--input", str(survey), "--config", str(cfg),
+                           "--out", str(tmp_path / "o")]) == EXIT_USAGE
+        assert "needs a covariate, but the table has none" in capsys.readouterr().err
+
+    def test_nonpositive_n_aux_is_usage_error(self, sim_dir, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("eval.n_aux = 0\n")
+        assert run(["eval", "--input", str(sim_dir / "survey.csv"), "--config", str(cfg),
+                    "--methods", "raw,3qs", "--out", str(tmp_path / "o")]) == EXIT_USAGE
+        assert "eval.n_aux must be >= 1 (got 0)" in capsys.readouterr().err
+
 
 class TestBlasThreadIndependence:
     """Output bytes do not depend on the host's BLAS thread count.

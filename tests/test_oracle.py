@@ -334,3 +334,116 @@ class TestAgainstReference:
             # the paper's identities themselves, not only agreement
             assert rep1.slack >= -TOL
             assert abs(rep2.lhs - rep2.rhs) <= TOL
+
+
+# ---------------------------------------------------------------------------
+# reference random joints and grouping: draws through maps, rows grouped
+# by the structured np.unique
+
+
+def _ref_random_joint(rng, additive=True, zero_mean_f=True):
+    def support(size):
+        return rng.choice(np.arange(-2.0, 3.0), size=size, replace=False)
+
+    def dirichlet(k):
+        return rng.dirichlet(np.ones(k))
+
+    kx, kz1, kz2, kn = rng.integers(2, 5, size=4)
+    xs = support(kx)
+    z1s = support(kz1)
+    z2s = support(kz2)
+    ns = support(kn)
+    px = dict(zip(xs, dirichlet(kx)))
+    pz1 = {x: dict(zip(z1s, dirichlet(kz1))) for x in xs}
+    pz2 = {x: dict(zip(z2s, dirichlet(kz2))) for x in xs}
+    pn_probs = dirichlet(kn)
+    pn = dict(zip(ns, pn_probs))
+    fv = rng.uniform(-2.0, 2.0, size=kn)
+    if zero_mean_f:
+        fv = fv - np.dot(pn_probs, fv)
+    ftab = dict(zip(ns, fv))
+    f = lambda n: ftab[n]
+    if additive:
+        return _ref_build_joint(px, pz1, pz2, pn, f, additive=True)
+    m1 = {(z, n): rng.uniform(-2.0, 2.0) for z in z1s for n in ns}
+    m2 = {(z, n): rng.uniform(-2.0, 2.0) for z in z2s for n in ns}
+    return _ref_build_joint(
+        px, pz1, pz2, pn, f, additive=False,
+        measure_y1=lambda z, n: m1[(z, n)],
+        measure_y2=lambda z, n: m2[(z, n)],
+    )
+
+
+def _ref_cond_mean(joint, values, *given):
+    _, inv = np.unique(np.column_stack(given), axis=0, return_inverse=True)
+    inv = inv.ravel()
+    num = np.bincount(inv, weights=joint.probs * values)
+    den = np.bincount(inv, weights=joint.probs)
+    return (num / den)[inv]
+
+
+def _ref_noise_is_observable(joint):
+    groups = {}
+    for o, fv in zip(joint.outcomes(), joint.fvals):
+        groups.setdefault((o.x, o.y2), []).append(fv)
+    return all(max(v) - min(v) <= TOL for v in groups.values())
+
+
+def _assert_same_fields(a, b):
+    for name in DiscreteJoint.__dataclass_fields__:
+        u, v = np.asarray(getattr(a, name)), np.asarray(getattr(b, name))
+        assert u.dtype == v.dtype, name
+        assert u.tobytes() == v.tobytes(), name
+
+
+class TestRandomJointReference:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+    def test_same_joints_and_stream_as_maps(self, seed, additive, zero_mean_f):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            _assert_same_fields(random_joint(rng, additive, zero_mean_f),
+                                _ref_random_joint(ref_rng, additive, zero_mean_f))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert rng.random() == ref_rng.random()
+
+
+class TestGroupIdsReference:
+    @staticmethod
+    def _check(j):
+        for ids, given in ((j.by_x, (j.x,)), (j.by_x_y2, (j.x, j.y2))):
+            _, ref_ids = np.unique(np.column_stack(given), axis=0, return_inverse=True)
+            assert np.array_equal(ids, ref_ids.ravel())
+            for values in (j.y1, j.z1, j.y1 - j.z1, (j.y1 - j.z1) ** 2):
+                got = oracle._cond_mean(j, values, ids)
+                assert got.tobytes() == _ref_cond_mean(j, values, *given).tobytes()
+        # the arbitrary-column path of exact_cond_expectation
+        given = [lambda o: o.z1, lambda o: o.n, lambda o: o.y2]
+        e = exact_cond_expectation(j, lambda o: o.y1, given)
+        keys = [(o.z1, o.n, o.y2) for o in j.outcomes()]
+        ref = _ref_cond_mean(j, j.y1, *np.array(keys).T)
+        assert _bits(*(e[k] for k in keys)) == ref.tobytes()
+        assert noise_is_observable(j) == _ref_noise_is_observable(j)
+
+    @settings(max_examples=100, deadline=None)
+    @given(joint_specs())
+    def test_built_joints(self, spec):
+        args, kwargs, _ = spec
+        self._check(build_joint(*args, **kwargs))
+
+    def test_random_joints(self, rng):
+        for additive in (True, False):
+            for _ in range(50):
+                self._check(random_joint(rng, additive=additive))
+
+    def test_ids_cached_on_the_joint_only(self):
+        import gc
+        import weakref
+
+        j = fair_coin_joint()
+        assert j.by_x_y2 is j.by_x_y2
+        assert "by_x" not in DiscreteJoint.__dataclass_fields__
+        ref = weakref.ref(j)
+        del j
+        gc.collect()
+        assert ref() is None
