@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .data_model import (  # noqa: F401
     ObservationTable,
     load_table,
-    log_transform_counts,
     save_table,
     split_by_group,
 )

@@ -9,17 +9,25 @@ runs can be reproduced exactly; the simulated ``survey.csv`` is written
 by ``data_model.save_table``, the pair of ``load_table``.  Outputs are
 written to a temporary file and renamed on success.
 
+``synth`` and ``eval`` run their independent tasks (sweep trials; LOYO
+folds and diagnostics halves) on ``--jobs`` processes, the command's own
+and ``--jobs - 1`` workers of one ``synthgen.worker_pool``.  ``jobs``
+defaults to the usable CPU count and is capped at the task count, and
+at the count whose largest kernel ridge fits stay within
+``regress.KERNEL_RIDGE_BYTES`` together (with a note on stderr).
 ``main`` runs every command at one BLAS thread (``blas.num_threads``)
-and restores the caller's count on exit; the ``synth`` workers pin
-themselves too.  So identical configs and seeds give byte-identical
-files across reruns, across ``--jobs`` values and across hosts with the
-same numpy/OpenBLAS build and CPU type.  Where no OpenBLAS thread
-setter is found, commands run unpinned.  Regressor configs are resolved
-when read, so a bad ``regressor.*`` key fails before any input is loaded;
-a kernel ridge model whose largest training set is over its row limit
-fails right after loading (``synth``: before any worker starts).  Usage,
-config and table errors exit 2; a fit that fails on well-formed input
-(``EstimationError``, ``SingularModelError``) exits 3.
+and restores the caller's count on exit; the workers pin themselves too.
+So identical configs and seeds give byte-identical files across reruns,
+across ``--jobs`` values and across hosts with the same numpy/OpenBLAS
+build and CPU type.  Where no OpenBLAS thread setter is found, commands
+run unpinned.  Regressor configs and ``jobs`` are checked when read, so a
+bad ``regressor.*`` key or a ``jobs`` below 1 fails before any input is
+loaded; a kernel ridge model whose largest training set is over its row
+limit fails right after loading (``synth``: before any worker starts),
+and an ``eval`` test filter that empties a year fails before any fit.
+Usage, config and table errors exit 2; a fit that fails on well-formed
+input (``EstimationError``, ``SingularModelError``) exits 3, also when
+it fails in a worker.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ import numpy as np
 
 from . import __version__, blas, data_model, estimators, evalharness, oracle, synthgen
 from .regress import (RegressionError, RegressorConfig, SingularModelError,
-                      check_kernel_ridge_rows)
+                      check_kernel_ridge_rows, kernel_ridge_processes)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -166,6 +174,36 @@ def _check_kernel_rows(rows, models):
                 raise UsageError(f"regressor.{prefix}.kind = {e}") from e
 
 
+def _parse_jobs(value):
+    try:
+        jobs = int(value)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise UsageError(f"jobs must be an integer >= 1 (got {value!r})")
+    return jobs
+
+
+def _processes(cfg, tasks, rows, models):
+    """How many processes run ``tasks`` independent tasks.
+
+    ``jobs`` (default: the usable CPUs), at most one per task, and no more
+    than keep the kernel ridge fits of all processes on ``rows`` rows (the
+    largest training set) within the byte budget together.
+    """
+    usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)
+    jobs = max(1, min(_parse_jobs(cfg.get("jobs", usable)), tasks))
+    if any(config.kind == "kernel_ridge" for _, config in models):
+        cap = kernel_ridge_processes(rows)
+        if jobs > cap:
+            print(f"note: running {cap} processes, not {jobs}: kernel ridge fits on "
+                  f"{rows} rows in {jobs} processes would exceed the byte budget",
+                  file=sys.stderr)
+            jobs = cap
+    return jobs
+
+
 def schema_from_config(cfg):
     schema = {
         key[len("schema."):]: value
@@ -277,7 +315,7 @@ def merged_config(args, extra=()):
     cfg = read_config(args.config) if args.config else {}
     if args.seed is not None:
         cfg["seed"] = str(args.seed)
-    if getattr(args, "jobs", None):
+    if args.jobs is not None:
         cfg["jobs"] = str(args.jobs)
     if args.out:
         cfg["out"] = args.out
@@ -285,6 +323,8 @@ def merged_config(args, extra=()):
         if value is not None:
             cfg[key] = str(value)
     validate_keys(cfg)
+    if "jobs" in cfg:
+        _parse_jobs(cfg["jobs"])
     return cfg
 
 
@@ -362,13 +402,14 @@ def _sweep_cells(rows):
 def cmd_synth(args):
     cfg = merged_config(args, [("trials", args.trials)])
     seed = int(cfg.get("seed", 0))
-    jobs = int(cfg.get("jobs", 1))
     trials = int(cfg.get("trials", 20))
     n_obs = int(cfg.get("synth.n_obs", synthgen.DEFAULT_N_OBS))
     backend = regressor_from_config(cfg, "synth", "kernel_ridge")
     _check_kernel_rows(n_obs, [("synth", backend)])
     ns = _grid(cfg, "synth.species_grid", synthgen.SPECIES_GRID)
     sigmas = _grid(cfg, "synth.sigma_grid", synthgen.SIGMA_GRID)
+    jobs = _processes(cfg, max(len(ns), len(sigmas)) * trials, n_obs,
+                      [("synth", backend)])
     with synthgen.worker_pool(jobs) as pool:  # one start-up for both sweeps
         species_rows = synthgen.run_species_sweep(
             ns, trials, backend, master_seed=seed, n_obs=n_obs, pool=pool)
@@ -458,8 +499,10 @@ def cmd_eval(args):
         models.append(("res", cfg_res))
     # the diagnostics fit on the whole table, the folds on all but one group
     groups = collections.Counter(table.group_labels).values()
-    _check_kernel_rows(table.n_rows if table.diagnostics else
-                       table.n_rows - min(groups, default=0), models)
+    rows = table.n_rows if table.diagnostics else table.n_rows - min(groups, default=0)
+    _check_kernel_rows(rows, models)
+    # one task per fold, and the 3QS and HS halves of the diagnostics
+    jobs = _processes(cfg, len(groups) + 2 * bool(table.diagnostics), rows, models)
     brightness_column = cfg.get("eval.brightness_column")
     filter_kind = cfg.get("eval.test_filter", "none")
     if filter_kind == "brightness-zero":
@@ -477,6 +520,7 @@ def cmd_eval(args):
         brightness_column=brightness_column,
         n_aux=n_aux,
         with_diagnostics=bool(table.diagnostics),
+        jobs=jobs,
     )
     out = _out_dir(args)
     _write_json(os.path.join(out, "eval_report.json"), {
@@ -514,8 +558,9 @@ def build_parser():
         p.add_argument("--seed", type=int, default=None,
                        help="master random seed (default 0)")
         p.add_argument("--out", help="output directory (default '.')")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="parallel workers for independent trials (default 1)")
+        p.add_argument("--jobs", type=int, default=None,
+                       help="processes for independent tasks of synth and eval "
+                            "(default: the usable CPUs)")
 
     p = sub.add_parser("denoise", help="denoise a counts CSV")
     common(p)

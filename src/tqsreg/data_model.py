@@ -88,17 +88,6 @@ class ObservationTable:
     def n_species(self):
         return self.counts.shape[1]
 
-    def replace_counts(self, counts):
-        return ObservationTable(
-            covariates=self.covariates,
-            counts=counts,
-            species_names=self.species_names,
-            group_labels=self.group_labels,
-            diagnostics=self.diagnostics,
-            covariate_names=self.covariate_names,
-            group_name=self.group_name,
-        )
-
     def take_rows(self, idx):
         return ObservationTable(
             covariates=self.covariates[idx],
@@ -226,13 +215,6 @@ def table_schema(table):
     schema[table.group_name] = "group"
     schema.update({c: "diagnostic" for c in table.diagnostics})
     return schema
-
-
-def log_transform_counts(table):
-    """Replace every count y by ln(1 + y)."""
-    if np.any(table.counts < 0):
-        raise TableError("negative count present; cannot log-transform")
-    return table.replace_counts(np.log1p(table.counts))
 
 
 def split_by_group(table, held_out):

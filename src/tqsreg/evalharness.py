@@ -6,10 +6,17 @@ denoised counts of each single training year and scored on the raw
 test-year counts.  Also provides the moon-driven survey simulation
 used in place of the (non-redistributable) field data, and the
 correlation / retained-variability diagnostics.
+
+``loyo_evaluate`` first builds every fold's training table and filtered
+test rows in the calling process (a test filter need not pickle), then
+runs independent tasks: one per held-out year, and the 3QS and HS halves
+of the diagnostics.  Given ``jobs`` it runs them on a
+``synthgen.worker_pool``; the report is the same for every ``jobs``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,10 +24,13 @@ import numpy as np
 from .data_model import ObservationTable, split_by_group
 from .estimators import _aux_species, hs_estimate, species_seed, tqs_multi_species
 from .regress import fit, predict
+from .synthgen import worker_pool
 
 # raw smoother, HS, 3QS, brightness-feature model, and the pooled-years
 # oracle smoother
 METHODS = ("raw", "hs", "3qs", "mb", "global")
+# the denoising methods, each diagnosed on the whole table
+DIAGNOSED = ("3qs", "hs")
 
 LUNAR_PERIOD = 29.5
 BRIGHTNESS_ZERO_DEFAULT = 0.05
@@ -144,36 +154,96 @@ def _unique_groups(table):
     return seen
 
 
+def _denoised(method, table, cfg_x, cfg_res, n_aux):
+    """The z-hat matrix of method "3qs" or "hs" on ``table``."""
+    if method == "3qs":
+        return tqs_multi_species(table, cfg_x, cfg_res, n_aux=n_aux).z_hat
+    return denoise_hs(table, cfg_res, n_aux=n_aux)
+
+
+def _method_diagnostics(method, table, column, cfg_x, cfg_res, n_aux):
+    """One method's entry of ``compute_diagnostics``."""
+    z_hat = _denoised(method, table, cfg_x, cfg_res, n_aux)
+    corr = external_correlation(table, z_hat, column)
+    return {
+        "correlation_before": [c[0] for c in corr],
+        "correlation_after": [c[1] for c in corr],
+        "retained_std": retained_std_fraction(table.counts, z_hat),
+    }
+
+
 def compute_diagnostics(table, cfg_x, cfg_res, column, n_aux=None):
     """Table-1-style diagnostics from a full-table denoise per method.
 
     ``n_aux`` caps the auxiliary species as in ``loyo_evaluate``.
     """
-    out = {}
-    for method, z_hat in (
-        ("3qs", tqs_multi_species(table, cfg_x, cfg_res, n_aux=n_aux).z_hat),
-        ("hs", denoise_hs(table, cfg_res, n_aux=n_aux)),
-    ):
-        corr = external_correlation(table, z_hat, column)
-        retained = retained_std_fraction(table.counts, z_hat)
-        out[method] = {
-            "correlation_before": [c[0] for c in corr],
-            "correlation_after": [c[1] for c in corr],
-            "retained_std": retained,
-        }
+    out = {m: _method_diagnostics(m, table, column, cfg_x, cfg_res, n_aux)
+           for m in DIAGNOSED}
     out["species"] = list(table.species_names)
     return out
 
 
+def _fold_cells(train, train_groups, test_g, test_x, test_y, test_bright,
+                score_methods, cfg_x, cfg_res, smooth_cfg, brightness_column, n_aux):
+    """The cells of held-out group ``test_g``: models fit on ``train`` (the
+    other groups), scored on the test rows (``test_*``, already filtered)."""
+    denoised = {"raw": train.counts}
+    for method in DIAGNOSED:
+        if method in score_methods:
+            denoised[method] = _denoised(method, train, cfg_x, cfg_res, n_aux)
+    train_labels = np.array(train.group_labels)
+    species = train.species_names
+
+    global_mse = {}
+    if "global" in score_methods:
+        for i, sp in enumerate(species):
+            model = fit(smooth_cfg, train.covariates, train.counts[:, i])
+            pred = predict(model, test_x)
+            global_mse[sp] = float(np.mean((test_y[:, i] - pred) ** 2))
+
+    cells = []
+    for train_g in train_groups:
+        rows = train_labels == train_g
+        year_x = train.covariates[rows]
+        for i, sp in enumerate(species):
+            for method in score_methods:
+                if method == "global":
+                    mse = global_mse[sp]
+                elif method == "mb":
+                    bright = train.diagnostics[brightness_column][rows]
+                    feats = np.column_stack([year_x[:, 0], bright])
+                    model = fit(cfg_res.with_seed(species_seed(cfg_res.seed, i)),
+                                feats, train.counts[rows, i])
+                    pred = predict(
+                        model, np.column_stack([test_x[:, 0], test_bright])
+                    )
+                    mse = float(np.mean((test_y[:, i] - pred) ** 2))
+                else:
+                    model = fit(smooth_cfg, year_x, denoised[method][rows, i])
+                    pred = predict(model, test_x)
+                    mse = float(np.mean((test_y[:, i] - pred) ** 2))
+                cells.append(EvalCell(sp, train_g, test_g, method, mse))
+    return cells
+
+
+def _call(task):
+    return task()
+
+
 def loyo_evaluate(table, methods, cfg_x, cfg_res, smooth_cfg, test_filter=None,
-                  brightness_column=None, n_aux=None, with_diagnostics=False):
+                  brightness_column=None, n_aux=None, with_diagnostics=False,
+                  jobs=None):
     """Leave-one-group-out predictive evaluation of denoising methods.
 
     ``methods`` is a subset of ``METHODS``.  ``test_filter``, if
     given, maps the test-year table to a boolean row mask (e.g. a
     brightness-zero rule).  ``n_aux`` caps the auxiliary species used
     by hs/3qs, in the folds and in the diagnostics.  Test rows never touch
-    any fitted model.
+    any fitted model.  Every test subset is built, and checked non-empty,
+    before any model is fit.  ``jobs`` runs the folds and the two halves of
+    the diagnostics on that many processes (``synthgen.worker_pool``, at
+    one BLAS thread); None runs them here, one after another, at the
+    caller's thread count.
     """
     methods = list(methods)
     unknown = set(methods) - set(METHODS)
@@ -189,56 +259,31 @@ def loyo_evaluate(table, methods, cfg_x, cfg_res, smooth_cfg, test_filter=None,
         brightness_column = resolve_brightness_column(table, brightness_column)
 
     score_methods = list(dict.fromkeys(["raw"] + methods))
-    cells = []
+    denoise_args = {"cfg_x": cfg_x, "cfg_res": cfg_res, "n_aux": n_aux}
+    tasks = []
     for test_g in groups:
         train, test = split_by_group(table, test_g)
         mask = np.asarray(test_filter(test), dtype=bool) if test_filter is not None \
             else np.ones(test.n_rows, dtype=bool)
         if not mask.any():
             raise EvalError(f"empty test subset for group {test_g!r}")
-        test_x = test.covariates[mask]
-        test_y = test.counts[mask]
         test_bright = (
             test.diagnostics[brightness_column][mask] if needs_brightness else None
         )
+        tasks.append(functools.partial(
+            _fold_cells, train, [g for g in groups if g != test_g], test_g,
+            test.covariates[mask], test.counts[mask], test_bright, score_methods,
+            smooth_cfg=smooth_cfg, brightness_column=brightness_column, **denoise_args))
+    if with_diagnostics:
+        tasks += [functools.partial(_method_diagnostics, m, table, brightness_column,
+                                    **denoise_args) for m in DIAGNOSED]
 
-        denoised = {"raw": train.counts}
-        if "3qs" in score_methods:
-            denoised["3qs"] = tqs_multi_species(train, cfg_x, cfg_res,
-                                                n_aux=n_aux).z_hat
-        if "hs" in score_methods:
-            denoised["hs"] = denoise_hs(train, cfg_res, n_aux=n_aux)
-        train_groups = [g for g in groups if g != test_g]
-        train_labels = np.array(train.group_labels)
-
-        global_mse = {}
-        if "global" in score_methods:
-            for i, sp in enumerate(table.species_names):
-                model = fit(smooth_cfg, train.covariates, train.counts[:, i])
-                pred = predict(model, test_x)
-                global_mse[sp] = float(np.mean((test_y[:, i] - pred) ** 2))
-
-        for train_g in train_groups:
-            rows = train_labels == train_g
-            year_x = train.covariates[rows]
-            for i, sp in enumerate(table.species_names):
-                for method in score_methods:
-                    if method == "global":
-                        mse = global_mse[sp]
-                    elif method == "mb":
-                        bright = train.diagnostics[brightness_column][rows]
-                        feats = np.column_stack([year_x[:, 0], bright])
-                        model = fit(cfg_res.with_seed(species_seed(cfg_res.seed, i)),
-                                    feats, train.counts[rows, i])
-                        pred = predict(
-                            model, np.column_stack([test_x[:, 0], test_bright])
-                        )
-                        mse = float(np.mean((test_y[:, i] - pred) ** 2))
-                    else:
-                        model = fit(smooth_cfg, year_x, denoised[method][rows, i])
-                        pred = predict(model, test_x)
-                        mse = float(np.mean((test_y[:, i] - pred) ** 2))
-                    cells.append(EvalCell(sp, train_g, test_g, method, mse))
+    if jobs is None:
+        results = [task() for task in tasks]
+    else:
+        with worker_pool(min(jobs, len(tasks))) as run:
+            results = run(_call, tasks)
+    cells = [c for fold in results[:len(groups)] for c in fold]
 
     # aggregate as improvement of the mean MSE over all cells; a mean of
     # per-cell ratios is dominated by cells where the baseline happens
@@ -251,8 +296,8 @@ def loyo_evaluate(table, methods, cfg_x, cfg_res, smooth_cfg, test_filter=None,
 
     diagnostics = {}
     if with_diagnostics:
-        diagnostics = compute_diagnostics(table, cfg_x, cfg_res, brightness_column,
-                                          n_aux=n_aux)
+        diagnostics = dict(zip(DIAGNOSED, results[len(groups):]))
+        diagnostics["species"] = list(table.species_names)
 
     return EvalReport(
         cells=tuple(c for c in cells if c.method in methods),

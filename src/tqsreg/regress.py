@@ -77,7 +77,8 @@ _DEFAULTS = {
 _PENALTY_GRID = tuple(np.logspace(-3.0, 3.0, 13))
 
 # byte budget for the m x m float64 arrays of one kernel ridge fit; no
-# step holds more than two (the kernel and the system factored in place)
+# step holds more than two (the kernel and the system factored in place).
+# The CLI keeps the fits of all its processes within it together.
 KERNEL_RIDGE_BYTES = 1 << 30
 _KERNEL_RIDGE_ARRAYS = 2
 
@@ -226,6 +227,12 @@ def _kernel_dot(k, alpha):
 def kernel_ridge_max_rows():
     """The most training rows a kernel ridge fit accepts, from the byte budget."""
     return math.isqrt(KERNEL_RIDGE_BYTES // (_KERNEL_RIDGE_ARRAYS * 8))
+
+
+def kernel_ridge_processes(m):
+    """How many processes (at least 1) can each hold a kernel ridge fit on
+    ``m`` rows within the byte budget together."""
+    return max(1, KERNEL_RIDGE_BYTES // (_KERNEL_RIDGE_ARRAYS * 8 * max(m, 1) ** 2))
 
 
 def check_kernel_ridge_rows(m):

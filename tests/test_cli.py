@@ -311,8 +311,93 @@ class TestSynth:
                         "--jobs", jobs, "--config", str(cfg)]) == EXIT_OK
             blobs.append([(out / f).read_bytes()
                           for f in ("species_sweep.csv", "noise_sweep.csv")])
-        assert pools == [2]  # none for --jobs 1, one for both sweeps of --jobs 2
+        # none for --jobs 1; for --jobs 2 one worker, as this process computes
+        # too, serving both sweeps
+        assert pools == [1]
         assert blobs[0] == blobs[1]
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """``max_workers`` of every worker pool started (``ProcessPoolExecutor``)."""
+    import concurrent.futures
+
+    real = concurrent.futures.ProcessPoolExecutor
+    started = []
+
+    def counting_pool(*a, **k):
+        started.append(k.get("max_workers"))
+        return real(*a, **k)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting_pool)
+    return started
+
+
+SMALL_SYNTH = "synth.species_grid = 2,3\nsynth.sigma_grid = 0,0.1\nsynth.n_obs = 100\n"
+
+
+class TestJobs:
+    """``--jobs`` and the ``jobs`` key: a flag beats its key, bad values exit 2."""
+
+    def test_config_key_starts_pool(self, tmp_path, pools):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(SMALL_SYNTH + "jobs = 2\n")
+        assert run(["synth", "--config", str(cfg), "--trials", "2",
+                    "--out", str(tmp_path / "key")]) == EXIT_OK
+        assert pools == [1]
+        # the flag beats the key
+        assert run(["synth", "--config", str(cfg), "--trials", "2", "--jobs", "1",
+                    "--out", str(tmp_path / "flag")]) == EXIT_OK
+        assert pools == [1]
+        for name in ("species_sweep.csv", "noise_sweep.csv"):
+            assert ((tmp_path / "key" / name).read_bytes()
+                    == (tmp_path / "flag" / name).read_bytes())
+
+    @pytest.mark.parametrize("flag,line", [
+        (["--jobs", "0"], ""), (["--jobs", "-3"], ""), ([], "jobs = 0\n"),
+        ([], "jobs = 2.5\n"), ([], "jobs = two\n"), (["--jobs", "0"], "jobs = 2\n"),
+    ])
+    @pytest.mark.parametrize("command", ["eval", "denoise"])
+    def test_bad_jobs_is_usage_error(self, sim_dir, tmp_path, capsys, early_calls,
+                                     command, flag, line):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(line)
+        assert run([command, "--input", str(sim_dir / "survey.csv"), "--config",
+                    str(cfg), "--out", str(tmp_path / "o")] + flag) == EXIT_USAGE
+        assert "jobs must be an integer >= 1" in capsys.readouterr().err
+        assert early_calls == {"load": 0, "fit": 0}
+
+    def test_bad_synth_jobs_starts_no_pool(self, tmp_path, pools, early_calls):
+        assert run(["synth", "--trials", "1", "--jobs", "-3",
+                    "--out", str(tmp_path / "o")]) == EXIT_USAGE
+        assert pools == [] and early_calls["fit"] == 0
+
+    def test_one_job_or_one_task_starts_no_pool(self, sim_dir, tmp_path, pools):
+        assert run(["eval", "--input", str(sim_dir / "survey.csv"), "--jobs", "1",
+                    "--methods", "raw,global", "--out", str(tmp_path / "e")]) == EXIT_OK
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("synth.species_grid = 2\nsynth.sigma_grid = 0\n"
+                       "synth.n_obs = 100\n")
+        assert run(["synth", "--config", str(cfg), "--trials", "1", "--jobs", "4",
+                    "--out", str(tmp_path / "s")]) == EXIT_OK
+        assert pools == []
+
+    def test_no_worker_outlives_a_command(self, sim_dir, tmp_path, pools):
+        import multiprocessing
+
+        assert run(["eval", "--input", str(sim_dir / "survey.csv"), "--jobs", "2",
+                    "--methods", "raw,global", "--out", str(tmp_path / "e")]) == EXIT_OK
+        assert multiprocessing.active_children() == []
+        survey = TestExitCodes._constant_covariate_survey(tmp_path)
+        assert run(["eval", "--input", str(survey), "--jobs", "2", "--methods", "raw",
+                    "--out", str(tmp_path / "f")]) == cli.EXIT_MODEL
+        assert multiprocessing.active_children() == []
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(SMALL_SYNTH)
+        assert run(["synth", "--config", str(cfg), "--trials", "2", "--jobs", "2",
+                    "--out", str(tmp_path / "s")]) == EXIT_OK
+        assert multiprocessing.active_children() == []
+        assert pools == [1, 1, 1]
 
 
 class TestEval:
@@ -354,6 +439,28 @@ class TestEval:
     def test_unknown_method_is_usage_error(self, sim_dir, tmp_path):
         assert run(["eval", "--input", str(sim_dir / "survey.csv"),
                     "--out", str(tmp_path), "--methods", "bogus"]) == EXIT_USAGE
+
+    def test_empty_test_subset_fails_before_any_fit(self, sim_dir, tmp_path, capsys,
+                                                    early_calls):
+        # only the last year has no dark night
+        lines = (sim_dir / "survey.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        year, bright = header.index("year"), header.index("moon_brightness")
+        last = lines[-1].split(",")[year]
+        rows = []
+        for ln in lines[1:]:
+            cells = ln.split(",")
+            cells[bright] = "1.0" if cells[year] == last else "0.0"
+            rows.append(",".join(cells))
+        survey = tmp_path / "survey.csv"
+        survey.write_text("\n".join([lines[0]] + rows) + "\n")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("eval.threshold = 0.5\n")
+        assert run(["eval", "--input", str(survey), "--config", str(cfg),
+                    "--test-filter", "brightness-zero", "--jobs", "1",
+                    "--out", str(tmp_path / "e")]) == EXIT_USAGE
+        assert f"empty test subset for group {last!r}" in capsys.readouterr().err
+        assert early_calls == {"load": 1, "fit": 0}
 
     def test_byte_identical_reruns(self, sim_dir, tmp_path):
         blobs = []
@@ -555,6 +662,32 @@ class TestKernelRidgeRowLimit:
                     str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
         assert early_calls["fit"] == 6
 
+    @pytest.mark.parametrize("command,extra,config,rows", [
+        ("synth", ["--trials", "2"], SMALL_SYNTH, 100),
+        # the diagnostics fit on the whole table
+        ("eval", ["--input", None, "--methods", "raw,hs"],
+         "regressor.res.kind = kernel_ridge\n", 120),
+    ])
+    def test_processes_share_the_budget(self, sim_dir, tmp_path, capsys, monkeypatch,
+                                        pools, command, extra, config, rows):
+        # room for the fits of two processes, not three
+        monkeypatch.setattr(regress, "KERNEL_RIDGE_BYTES", 2 * 2 * 8 * rows * rows)
+        extra = [str(sim_dir / "survey.csv") if a is None else a for a in extra]
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(config)
+        blobs = []
+        for jobs in ("1", "3"):
+            out = tmp_path / jobs
+            assert run([command, "--config", str(cfg), "--jobs", jobs,
+                        "--out", str(out)] + extra) == EXIT_OK
+            blobs.append([(out / f).read_bytes() for f in sorted(os.listdir(out))])
+        err = [ln for ln in capsys.readouterr().err.splitlines()
+               if ln.startswith("note: running")]
+        assert err == [f"note: running 2 processes, not 3: kernel ridge fits on {rows} "
+                       "rows in 3 processes would exceed the byte budget"]
+        assert pools == [1]
+        assert blobs[0] == blobs[1]
+
     def test_synth_refused_before_any_worker(self, tmp_path, capsys, early_calls,
                                              monkeypatch):
         import concurrent.futures
@@ -607,6 +740,17 @@ class TestExitCodes:
         assert cli.EXIT_MODEL == 3
         assert "spline_gam needs at least 2 distinct x values" in capsys.readouterr().err
         assert not out.exists() or not os.listdir(out)
+
+    def test_singular_model_in_a_worker_exits_3(self, tmp_path, capsys):
+        # the first task goes to the worker, and every fold is singular
+        survey = self._constant_covariate_survey(tmp_path)
+        errors = []
+        for jobs in ("1", "2"):
+            assert run(["eval", "--input", str(survey), "--methods", "raw", "--jobs",
+                        jobs, "--out", str(tmp_path / jobs)]) == cli.EXIT_MODEL
+            errors.append(capsys.readouterr().err)
+        assert "spline_gam needs at least 2 distinct x values" in errors[0]
+        assert errors[0] == errors[1]
 
     @pytest.mark.parametrize("argv", [["denoise"], ["eval", "--methods", "raw,3qs"]])
     def test_table_without_covariate_is_usage_error(self, tmp_path, capsys, argv):
@@ -689,3 +833,21 @@ class TestBlasThreadIndependence:
                          "--config", str(cfg), "--out", str(out)], threads)
             blobs["eval"].add(self._bytes(out, ("eval_report.json", "eval_cells.csv")))
         assert {k: len(v) for k, v in blobs.items()} == {"denoise": 1, "eval": 1}
+
+    def test_eval_across_jobs(self, tmp_path):
+        """``eval`` writes the same bytes at ``--jobs`` 1, 2 and the default
+        (the usable CPUs), and with 2 BLAS threads in the environment."""
+        sim = tmp_path / "sim"
+        assert run(["simulate", "--out", str(sim), "--seed", "3", "--years", "3",
+                    "--days-per-year", "150", "--n-species", "4"]) == EXIT_OK
+        cfg = tmp_path / "krr.cfg"
+        cfg.write_text("regressor.res.kind = kernel_ridge\n")
+        blobs = set()
+        for threads, jobs in ((None, ["--jobs", "1"]), (None, ["--jobs", "2"]),
+                              (None, []), ("2", ["--jobs", "2"])):
+            out = tmp_path / f"ev-{threads}-{len(jobs) and jobs[1]}"
+            self._child(["eval", "--input", str(sim / "survey.csv"), "--config",
+                         str(cfg), "--test-filter", "brightness-zero",
+                         "--out", str(out)] + jobs, threads)
+            blobs.add(self._bytes(out, ("eval_report.json", "eval_cells.csv")))
+        assert len(blobs) == 1

@@ -11,7 +11,6 @@ from tqsreg.data_model import (
     ObservationTable,
     TableError,
     load_table,
-    log_transform_counts,
     save_table,
     split_by_group,
     table_schema,
@@ -219,34 +218,6 @@ class TestTableInvariants:
         t = make_table()
         with pytest.raises(ValueError):
             t.counts[0, 0] = 99.0
-
-
-class TestLogTransform:
-    def test_zero_maps_to_zero(self):
-        t = make_table().replace_counts(np.zeros((6, 3)))
-        assert np.all(log_transform_counts(t).counts == 0.0)
-
-    def test_e_minus_one(self):
-        t = make_table(s=1).replace_counts(np.full((6, 1), np.e - 1.0))
-        np.testing.assert_allclose(log_transform_counts(t).counts, 1.0, rtol=1e-15)
-
-    def test_matrix_elementwise(self):
-        t = make_table(m=2, s=2).replace_counts(np.array([[0.0, 1.0], [3.0, 7.0]]))
-        # independent scalar computation per cell
-        expected = np.array(
-            [[np.log(1.0), np.log(2.0)], [np.log(4.0), np.log(8.0)]]
-        )
-        np.testing.assert_allclose(log_transform_counts(t).counts, expected, atol=1e-15)
-
-    def test_negative_count_rejected(self):
-        t = make_table(s=1).replace_counts(np.full((6, 1), -1.0))
-        with pytest.raises(TableError, match="negative count"):
-            log_transform_counts(t)
-
-    def test_monotone_per_cell(self, rng):
-        t = make_table()
-        t2 = t.replace_counts(t.counts + rng.uniform(0.1, 1.0, size=t.counts.shape))
-        assert np.all(log_transform_counts(t2).counts > log_transform_counts(t).counts)
 
 
 class TestSplitByGroup:

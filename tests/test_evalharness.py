@@ -297,3 +297,15 @@ class TestLoyoProtocol:
 
     def test_methods(self):
         assert ev.METHODS == ("raw", "hs", "3qs", "mb", "global")
+
+    def test_parallel_equals_serial(self, small_sim, smooth_cfg, krr_cfg, spline_cfg):
+        # the test filter is a lambda: it runs in this process only
+        reports = [loyo_evaluate(small_sim.table, list(ev.METHODS), spline_cfg, krr_cfg,
+                                 smooth_cfg, with_diagnostics=True, jobs=jobs,
+                                 test_filter=lambda t: brightness_zero_subset(
+                                     t, "moon_brightness"))
+                   for jobs in (1, 2)]
+        assert reports[0].cells == reports[1].cells
+        assert reports[0].improvements == reports[1].improvements
+        assert reports[0].diagnostics == reports[1].diagnostics
+        assert set(reports[0].diagnostics) == {"3qs", "hs", "species"}

@@ -1,3 +1,6 @@
+import os
+import time
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,39 @@ from tqsreg.synthgen import (
     run_species_sweep,
     trial_seed,
 )
+
+
+def _task(args):
+    """Task ``(i, fail, parent_pid)`` of the worker-pool tests: (i, where it ran)
+    after 20 ms, or a ValueError naming i when i is in ``fail``."""
+    i, fail, parent_pid = args
+    if i in fail:
+        raise ValueError(f"task {i} failed")
+    time.sleep(0.02)
+    return i, "here" if os.getpid() == parent_pid else "worker"
+
+
+class TestWorkerPool:
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_results_in_task_order(self, jobs):
+        tasks = [(i, (), os.getpid()) for i in range(7)]
+        with synthgen.worker_pool(jobs) as run:
+            results = run(_task, tasks)
+        assert [r[0] for r in results] == list(range(7))
+        # this process computes too
+        assert {r[1] for r in results} == ({"here"} if jobs == 1 else {"here", "worker"})
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_first_failing_task_raises(self, jobs):
+        # a worker takes task 0; with jobs=2 this process takes task 1, whose
+        # error is known first
+        tasks = [(i, (0, 1, 5), os.getpid()) for i in range(7)]
+        with synthgen.worker_pool(jobs) as run:
+            with pytest.raises(ValueError, match="task 0 failed"):
+                run(_task, tasks)
+            # the pool serves the next run
+            assert [r[0] for r in run(_task, [(i, (), os.getpid()) for i in range(3)])] \
+                == [0, 1, 2]
 
 
 class TestSynthConfig:
