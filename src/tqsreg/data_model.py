@@ -1,4 +1,4 @@
-"""Observation tables: CSV ingestion, count preprocessing, group splits.
+"""Observation tables: CSV ingestion and validation, group splits.
 
 All tables are immutable; every operation returns a new table.
 """
@@ -29,8 +29,7 @@ class ObservationTable:
     """Per-observation covariates, per-species counts and metadata.
 
     covariates : (m, p) array of process covariates (e.g. day-of-year)
-    counts     : (m, s) array of per-species counts (real-valued; may be
-                 log-transformed)
+    counts     : (m, s) array of per-species counts (real-valued)
     species_names : s column labels for ``counts``
     group_labels  : m opaque string labels (e.g. survey year)
     diagnostics   : named external per-observation columns (e.g. moon
@@ -206,15 +205,6 @@ def save_table(table, path):
             row.append(table.group_labels[i])
             row += [repr(float(table.diagnostics[d][i])) for d in diag_names]
             w.writerow(row)
-
-
-def table_schema(table):
-    """Schema mapping that reproduces ``table`` through load_table."""
-    schema = {c: "covariate" for c in table.covariate_names}
-    schema.update({c: "count" for c in table.species_names})
-    schema[table.group_name] = "group"
-    schema.update({c: "diagnostic" for c in table.diagnostics})
-    return schema
 
 
 def split_by_group(table, held_out):

@@ -19,7 +19,7 @@ from .regress import fit
 
 
 class EstimationError(RuntimeError):
-    pass
+    """A model fit failed; bad arguments raise ValueError instead."""
 
 
 def species_seed(master_seed, species_index):
@@ -104,7 +104,7 @@ def _aux_species(counts, i, n_aux):
     if n_aux is None:
         return others
     if n_aux < 1:
-        raise EstimationError(f"n_aux must be >= 1 (got {n_aux})")
+        raise ValueError(f"n_aux must be >= 1 (got {n_aux})")
     totals = counts.sum(axis=0)
     others.sort(key=lambda j: (-totals[j], j))
     return others[:n_aux]
@@ -121,9 +121,9 @@ def tqs_multi_species(table, cfg_x, cfg_res, n_aux=None):
     """
     s = table.n_species
     if s < 2:
-        raise EstimationError("need >= 2 species for multi-species denoising")
+        raise ValueError("need >= 2 species for multi-species denoising")
     if table.covariates.shape[1] < 1:
-        raise EstimationError("need >= 1 process covariate")
+        raise ValueError("need >= 1 process covariate")
     y = table.counts
     x = table.covariates
     m = table.n_rows

@@ -9,7 +9,9 @@ by the denoising estimators:
                        on the grid comes from one eigendecomposition
                        per design (Demmler-Reinsch), and the last few
                        designs stay cached, so a fit on a seen x only
-                       projects its target.
+                       projects its target.  The basis comes from de
+                       Boor's recursion in numpy, in the operation order
+                       of scipy's ``BSpline``, so with its bits.
 * ``boosted_trees``  - gradient boosted regression trees, squared-error
                        loss, exact greedy splits on features sorted once
                        per fit; tied values keep row order, so the trees
@@ -25,8 +27,9 @@ by the denoising estimators:
 
 Every fitted model carries ``fitted``, its predictions on the training
 rows, taken from what the fit already holds: ``K alpha + b`` for kernel
-ridge (its products, like its solve, on scipy's BLAS) and the boosting loop's running prediction for trees, both equal
-to ``predict(x_train)`` bit for bit; for the spline, the GCV step's
+ridge (its products, like its solve, on scipy's BLAS) and the boosting
+loop's running prediction for trees, both equal to ``predict(x_train)``
+bit for bit; for the spline, the GCV step's
 ``(B V) z``, which differs from ``predict(x_train)``'s ``B (V z)`` only
 by rounding (about 1e-15 relative).
 
@@ -46,7 +49,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.interpolate import BSpline
 from scipy.linalg.blas import dgemv
 from scipy.linalg.lapack import dposv
 from scipy.spatial.distance import cdist, pdist
@@ -437,8 +439,6 @@ class FittedSplineGAM(FittedRegressor):
         self.hi = hi
         self.penalty = penalty
         self.edf = edf  # effective degrees of freedom at the selected penalty
-        # the knots passed BSpline.design_matrix's checks when the design was built
-        self._spl = BSpline.construct_fast(knots, coef, 3, extrapolate=False)
         # representable span of the basis (can differ from lo/hi by
         # floating-point rounding of the knot grid)
         self._span_lo = float(knots[3])
@@ -447,15 +447,21 @@ class FittedSplineGAM(FittedRegressor):
     @cached_property
     def _extension(self):
         """Boundary values and slopes (v_lo, d_lo, v_hi, d_hi) of the fit."""
-        der = self._spl.derivative()
-        return (float(self._spl(self._span_lo)), float(der(self._span_lo)),
-                float(self._spl(self._span_hi)), float(der(self._span_hi)))
+        t, c = self.knots, self.coef
+        ends = np.array([self._span_lo, self._span_hi])
+        v = _bspline_sum(c, *_bspline_basis(t, ends, 3))
+        # the slope is the degree-2 spline with scipy's ``splder`` coefficients
+        dc = np.diff(c) * 3 / (t[4:-1] - t[1:-4])
+        d = _bspline_sum(dc, *_bspline_basis(t[1:-1], ends, 2))
+        return float(v[0]), float(d[0]), float(v[1]), float(d[1])
 
     def _predict(self, x):
         t = x[:, 0]
         out = np.empty_like(t)
         inside = (t >= self.lo) & (t <= self.hi)
-        out[inside] = self._spl(np.clip(t[inside], self._span_lo, self._span_hi))
+        xs = np.clip(t[inside], self._span_lo, self._span_hi)
+        out[inside] = _bspline_sum(self.coef, *_span_basis(self.knots.tobytes(),
+                                                           xs.tobytes()))
         lo_side = t < self.lo
         hi_side = t > self.hi
         if lo_side.any() or hi_side.any():
@@ -464,6 +470,43 @@ class FittedSplineGAM(FittedRegressor):
             out[lo_side] = v_lo + d_lo * (t[lo_side] - self.lo)
             out[hi_side] = v_hi + d_hi * (t[hi_side] - self.hi)
         return out
+
+
+def _bspline_basis(t, x, k):
+    """de Boor's recursion for the degree-k B-splines on knots ``t`` that
+    are nonzero at each x in [t[k], t[n_basis]], in the operation order of
+    scipy's ``_deBoor_D`` (so with its bits).  Returns (k + 1, n) ``cols``
+    and ``vals``: basis ``cols[a]`` is ``vals[a]`` at x, and ``cols[k]`` is
+    the interval ell, t[ell] <= x < t[ell + 1], clipped to [k, n_basis - 1]
+    as scipy's ``find_interval`` clips it."""
+    ell = np.clip(np.searchsorted(t, x, "right") - 1, k, t.size - k - 2)
+    h = np.zeros((k + 1, x.size))
+    h[0] = 1.0
+    for j in range(1, k + 1):
+        hh = h[:j].copy()
+        h[0] = 0.0
+        for n in range(1, j + 1):
+            xb, xa = t[ell + n], t[ell + n - j]
+            # a zero-length support adds nothing: w = 0 where xb == xa
+            w = np.divide(hh[n - 1], xb - xa, out=np.zeros(x.size), where=xb != xa)
+            h[n - 1] += w * (xb - x)
+            h[n] = w * (x - xa)
+    return ell + np.arange(-k, 1)[:, None], h
+
+
+def _bspline_sum(c, cols, vals):
+    """sum_a c[cols[a]] vals[a], summed from 0.0 in order, as scipy sums it
+    (so a sum of negative zeros is +0.0)."""
+    return np.add.reduce(c[cols] * vals, axis=0, initial=0.0)
+
+
+@lru_cache(maxsize=8)  # LOYO predicts every smoother of a fold on the same rows
+def _span_basis(knots_bytes, x_bytes):
+    """``_bspline_basis`` of in-span x (float64 bytes) on the cubic knots."""
+    basis = _bspline_basis(np.frombuffer(knots_bytes), np.frombuffer(x_bytes), 3)
+    for a in basis:
+        a.setflags(write=False)
+    return basis
 
 
 def _spline_design(x, n_knots):
@@ -480,9 +523,9 @@ def _spline_design(x, n_knots):
             f"spline_gam: x spans too little of its magnitude for {n_knots} knots")
     # rounding can leave the last base-interval knot a hair below hi;
     # clip to the actual representable span of the basis
-    b = BSpline.design_matrix(
-        np.clip(x, knots[3], knots[n_knots + 4]), knots, 3
-    ).toarray()
+    cols, vals = _bspline_basis(knots, np.clip(x, knots[3], knots[n_knots + 4]), 3)
+    b = np.zeros((x.size, n_knots + 4))
+    b[np.arange(x.size), cols] = vals
     return knots, b, lo, hi
 
 

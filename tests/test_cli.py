@@ -851,3 +851,17 @@ class TestBlasThreadIndependence:
                          "--out", str(out)] + jobs, threads)
             blobs.add(self._bytes(out, ("eval_report.json", "eval_cells.csv")))
         assert len(blobs) == 1
+
+
+class TestImportFootprint:
+    def test_cli_does_not_import_scipy_interpolate(self):
+        # scipy.interpolate pulls in scipy.optimize; the spline basis is numpy's
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        code = ("import sys, tqsreg.cli; print(sorted(m for m in sys.modules "
+                "if m.startswith('scipy.interpolate')))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -13,7 +13,6 @@ from tqsreg.data_model import (
     load_table,
     save_table,
     split_by_group,
-    table_schema,
 )
 
 
@@ -117,7 +116,9 @@ class TestLoadTable:
         t = make_table()
         p = tmp_path / "out.csv"
         save_table(t, p)
-        t2 = load_table(str(p), table_schema(t))
+        schema = {"day": "covariate", "sp0": "count", "sp1": "count", "sp2": "count",
+                  "year": "group", "bright": "diagnostic"}
+        t2 = load_table(str(p), schema)
         assert np.array_equal(t.covariates, t2.covariates)
         assert np.array_equal(t.counts, t2.counts)
         assert t.group_labels == t2.group_labels
@@ -164,7 +165,10 @@ class TestRoundTripProperty:
         with tempfile.TemporaryDirectory() as tmp:
             p = os.path.join(tmp, "t.csv")
             save_table(t, p)
-            t2 = load_table(p, table_schema(t))
+            t2 = load_table(p, {**dict.fromkeys(t.covariate_names, "covariate"),
+                                **dict.fromkeys(t.species_names, "count"),
+                                t.group_name: "group",
+                                **dict.fromkeys(t.diagnostics, "diagnostic")})
         assert t2.covariate_names == t.covariate_names
         assert t2.species_names == t.species_names
         assert t2.group_name == t.group_name

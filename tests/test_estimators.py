@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tqsreg import cli, regress
-from tqsreg.data_model import ObservationTable, save_table, table_schema
+from tqsreg.data_model import ObservationTable, save_table
 from tqsreg.estimators import (
     EstimationError,
     center,
@@ -186,8 +186,16 @@ class TestMultiSpecies:
 
     def test_single_species_rejected(self, spline_cfg, krr_cfg, rng):
         table, _ = make_table(rng, s=1)
-        with pytest.raises(EstimationError, match=">= 2 species"):
+        with pytest.raises(ValueError, match=">= 2 species"):
             tqs_multi_species(table, spline_cfg, krr_cfg)
+
+    def test_no_covariate_rejected(self, spline_cfg, krr_cfg, rng):
+        table, _ = make_table(rng, s=2, m=20)
+        bare = ObservationTable(covariates=np.zeros((20, 0)), counts=table.counts,
+                                species_names=table.species_names,
+                                group_labels=list(table.group_labels))
+        with pytest.raises(ValueError, match=">= 1 process covariate"):
+            tqs_multi_species(bare, spline_cfg, krr_cfg)
 
     def test_error_names_failing_species(self, krr_cfg, rng):
         # spline on constant x fails; the error must identify the species
@@ -218,8 +226,8 @@ class TestMultiSpecies:
         save_table(table, csv_p)
         cfg_p = tmp_path / "dn.cfg"
         cfg_p.write_text(
-            "".join(f"schema.{c} = {r}\n" for c, r in table_schema(table).items())
-            + "regressor.res.kind = kernel_ridge\n")
+            "schema.x0 = covariate\nschema.sp0 = count\nschema.sp1 = count\n"
+            "schema.group = group\nregressor.res.kind = kernel_ridge\n")
         out = tmp_path / "dn"
         assert cli.main(["denoise", "--input", str(csv_p), "--config", str(cfg_p),
                          "--out", str(out)]) == cli.EXIT_OK
@@ -254,7 +262,7 @@ class TestMultiSpecies:
     @pytest.mark.parametrize("n_aux", [0, -1])
     def test_n_aux_below_one_rejected(self, spline_cfg, krr_cfg, rng, n_aux):
         table, _ = make_table(rng, s=4, m=60)
-        with pytest.raises(EstimationError, match=rf"n_aux must be >= 1 \(got {n_aux}\)"):
+        with pytest.raises(ValueError, match=rf"n_aux must be >= 1 \(got {n_aux}\)"):
             tqs_multi_species(table, spline_cfg, krr_cfg, n_aux=n_aux)
 
 

@@ -6,7 +6,7 @@ import pytest
 from tqsreg import blas, cli
 from tqsreg import evalharness as ev
 from tqsreg.data_model import ObservationTable, save_table
-from tqsreg.estimators import EstimationError, tqs_multi_species
+from tqsreg.estimators import tqs_multi_species
 from tqsreg.evalharness import (
     EvalError,
     brightness_zero_subset,
@@ -149,7 +149,7 @@ class TestDenoisers:
 
     @pytest.mark.parametrize("n_aux", [0, -1])
     def test_hs_n_aux_below_one_rejected(self, small_sim, krr_cfg, n_aux):
-        with pytest.raises(EstimationError, match=rf"n_aux must be >= 1 \(got {n_aux}\)"):
+        with pytest.raises(ValueError, match=rf"n_aux must be >= 1 \(got {n_aux}\)"):
             denoise_hs(small_sim.table, krr_cfg, n_aux=n_aux)
 
     def test_hs_preserves_mean(self, small_sim, krr_cfg):

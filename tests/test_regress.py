@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import BSpline
 from scipy.spatial.distance import cdist
 
 from tqsreg import regress
@@ -711,10 +712,11 @@ class TestDesignReuse:
         for a, b in zip(self._facts(warm, xq), self._facts(cold, xq)):
             assert np.array_equal(a, b)
         # the lazy boundary extension keeps the eager formula
-        der = cold._spl.derivative()
+        spl = BSpline.construct_fast(cold.knots, cold.coef, 3, extrapolate=False)
+        der = spl.derivative()
         lo, hi = cold._span_lo, cold._span_hi
-        want = [float(cold._spl(lo)) + float(der(lo)) * (xq[-2] - cold.lo),
-                float(cold._spl(hi)) + float(der(hi)) * (xq[-1] - cold.hi)]
+        want = [float(spl(lo)) + float(der(lo)) * (xq[-2] - cold.lo),
+                float(spl(hi)) + float(der(hi)) * (xq[-1] - cold.hi)]
         assert cold.predict(xq[-2:, None]).tolist() == want
 
     def test_refit_on_a_seen_design_is_a_cache_hit(self, spline_cfg, rng):
@@ -755,6 +757,64 @@ class TestDesignReuse:
         for _ in range(3 * maxsize):
             fit(spline_cfg, rng.uniform(0, 10, size=(20, 1)), rng.normal(size=20))
             assert regress._spline_basis.cache_info().currsize <= maxsize
+
+
+@st.composite
+def spline_designs(draw):
+    """x (ties, and every knot of the span added) with its design, or None
+    when the x cannot carry a spline.  At 2**52 the knot grid of a short
+    span rounds onto repeated knots."""
+    m = draw(st.integers(2, 120))
+    n_knots = draw(st.integers(1, 25))
+    x = draw(spline_x(m)) + draw(st.sampled_from([0.0, 2.0**52]))
+    try:
+        knots, _, lo, hi = regress._spline_design(x, n_knots)
+    except SingularModelError:
+        return None
+    # knots inside [lo, hi] leave lo, hi and so the knots unchanged
+    on_knots = knots[(knots >= lo) & (knots <= hi)]
+    x = np.concatenate([x, draw(st.permutations(on_knots))])
+    return x, n_knots, regress._spline_design(x, n_knots)
+
+
+class TestBasisAgainstScipy:
+    """The numpy de Boor basis gives scipy's ``BSpline`` bits: the design,
+    in-span values (signs of zero included) and the boundary slopes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(spline_designs())
+    def test_design_matrix(self, drawn):
+        if drawn is None:
+            return
+        x, n_knots, (knots, b, _, _) = drawn
+        want = BSpline.design_matrix(np.clip(x, knots[3], knots[n_knots + 4]),
+                                     knots, 3).toarray()
+        assert b.shape == want.shape and b.tobytes() == want.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(spline_designs(), st.integers(0, 2**32 - 1),
+           st.sampled_from(["normal", "signed zeros", "tiny"]))
+    def test_values_and_boundary_slopes(self, drawn, seed, coef_kind):
+        if drawn is None:
+            return
+        x, _, (knots, b, lo, hi) = drawn
+        rng = np.random.default_rng(seed)
+        coef = rng.normal(size=b.shape[1]) * 10.0 ** rng.integers(-3, 4)
+        if coef_kind == "signed zeros":  # the sum's starting zero decides the sign
+            coef = np.copysign(0.0, coef)
+        elif coef_kind == "tiny":  # subnormal products round to zeros of either sign
+            coef = np.where(rng.random(coef.size) < 0.5, coef * 1e-320, -0.0)
+        model = regress.FittedSplineGAM(knots, coef, lo, hi, 1.0, 1.0, np.zeros(1))
+        xq = np.concatenate([x, [lo, hi], rng.uniform(lo, hi, size=20)])
+        got = model.predict(xq[:, None])
+        spl = BSpline(knots, coef, 3)
+        want = spl(np.clip(xq, knots[3], knots[-4]))
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        der = spl.derivative()
+        ends = (knots[3], knots[-4])
+        want = (spl(ends[0]), der(ends[0]), spl(ends[1]), der(ends[1]))
+        assert np.array(model._extension).tobytes() == np.array(want).tobytes()
 
 
 class TestInSampleFit:
