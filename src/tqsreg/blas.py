@@ -7,9 +7,12 @@ on that count, so the last digits of a solve do, too; and several
 processes that each start one thread per core oversubscribe the CPUs.
 The CLI and the synthetic sweeps therefore compute at one thread, set
 through the libraries' own ``*_set_num_threads`` entry points (ctypes;
-``CDLL`` on an already loaded library returns that library).  Where no
-setter is found (another platform, or numpy/scipy built against another
-BLAS), everything here is a no-op and BLAS runs unpinned.
+``CDLL`` on an already loaded library returns that library).  The
+libraries are found next to each package without importing it, so a pin
+set before scipy is first imported holds for the OpenBLAS that scipy
+then loads: the dynamic loader hands scipy the instance mapped here.
+Where no setter is found (another platform, or numpy/scipy built against
+another BLAS), everything here is a no-op and BLAS runs unpinned.
 No environment variable is read or written.
 """
 
@@ -19,7 +22,7 @@ import contextlib
 import ctypes
 import functools
 import glob
-import importlib
+import importlib.util
 import os
 
 # (package, library file pattern next to it, symbol with %s for get/set)
@@ -34,7 +37,11 @@ def _controls():
     """(getter, setter) of each bundled OpenBLAS found; () when none."""
     found = []
     for package, pattern, symbol in _OPENBLAS:
-        root = os.path.dirname(importlib.import_module(package).__file__)
+        # the package's location without importing it: pinning loads no scipy
+        spec = importlib.util.find_spec(package)
+        if spec is None or not spec.submodule_search_locations:
+            continue
+        root = spec.submodule_search_locations[0]
         for path in sorted(glob.glob(os.path.join(root + ".libs", pattern))):
             try:
                 lib = ctypes.CDLL(path)

@@ -20,14 +20,14 @@ and restores the caller's count on exit; the workers pin themselves too.
 So identical configs and seeds give byte-identical files across reruns,
 across ``--jobs`` values and across hosts with the same numpy/OpenBLAS
 build and CPU type.  Where no OpenBLAS thread setter is found, commands
-run unpinned.  Regressor configs and ``jobs`` are checked when read, so a
-bad ``regressor.*`` key or a ``jobs`` below 1 fails before any input is
-loaded; a kernel ridge model whose largest training set is over its row
-limit fails right after loading (``synth``: before any worker starts),
-and an ``eval`` test filter that empties a year fails before any fit.
-Usage, config and table errors exit 2; a fit that fails on well-formed
-input (``EstimationError``, ``SingularModelError``) exits 3, also when
-it fails in a worker.
+run unpinned.  Regressor configs, ``jobs``, ``method``, ``methods`` and
+``eval.test_filter`` are checked when read, so a bad value of any of them
+fails before any input is loaded; a kernel ridge model whose largest
+training set is over its row limit fails right after loading (``synth``:
+before any worker starts), and an ``eval`` test filter that empties a
+year fails before any fit.  Usage, config and table errors exit 2; a fit
+that fails on well-formed input (``EstimationError``,
+``SingularModelError``) exits 3, also when it fails in a worker.
 """
 
 from __future__ import annotations
@@ -51,6 +51,9 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_MODEL = 3  # a fit failed on well-formed input
+
+_DENOISE_METHODS = ("3qs", "hs")
+_TEST_FILTERS = ("none", "brightness-zero")
 
 
 class UsageError(ValueError):
@@ -359,12 +362,14 @@ def cmd_simulate(args):
 def cmd_denoise(args):
     cfg = merged_config(args, [("input", args.input), ("method", args.method)])
     seed = int(cfg.get("seed", 0))
+    method = cfg.get("method", "3qs")
+    if method not in _DENOISE_METHODS:
+        raise UsageError(f"unknown method {method!r} (expected 3qs or hs)")
     cfg_x = regressor_from_config(cfg, "x", "spline_gam")
     cfg_res = regressor_from_config(cfg, "res", "boosted_trees")
     table = _load_input(cfg, "denoise")
     if table.n_species < 2:
         raise UsageError("need >= 2 species to denoise")
-    method = cfg.get("method", "3qs")
     _check_residual_width(cfg_res, {"the other species": table.n_species - 1})
     _check_kernel_rows(table.n_rows,
                        [("res", cfg_res)] + ([("x", cfg_x)] if method == "3qs" else []))
@@ -373,11 +378,9 @@ def cmd_denoise(args):
         result = estimators.tqs_multi_species(table, cfg_x, cfg_res)
         z_hat = result.z_hat
         per_species = result.training_diagnostics(table)
-    elif method == "hs":
+    else:
         z_hat = evalharness.denoise_hs(table, cfg_res)
         per_species = [{"species": s} for s in table.species_names]
-    else:
-        raise UsageError(f"unknown method {method!r} (expected 3qs or hs)")
     out = _out_dir(args)
     _write_csv(os.path.join(out, "zhat.csv"), table.species_names, _floats(z_hat),
                pre=preamble(cfg, seed) + [f"method={method}"])
@@ -471,12 +474,18 @@ def cmd_eval(args):
         ("eval.test_filter", args.test_filter),
     ])
     seed = int(cfg.get("seed", 0))
+    methods = [m.strip() for m in cfg.get("methods", ",".join(evalharness.METHODS)).split(",")
+               if m.strip()]
+    unknown = set(methods) - set(evalharness.METHODS)
+    if unknown:
+        raise UsageError(f"unknown methods: {sorted(unknown)}")
+    filter_kind = cfg.get("eval.test_filter", "none")
+    if filter_kind not in _TEST_FILTERS:
+        raise UsageError(f"unknown test filter {filter_kind!r}")
     cfg_x = regressor_from_config(cfg, "x", "spline_gam")
     cfg_res = regressor_from_config(cfg, "res", "boosted_trees")
     smooth_cfg = regressor_from_config(cfg, "smooth", "spline_gam")
     table = _load_input(cfg, "eval")
-    methods = [m.strip() for m in cfg.get("methods", ",".join(evalharness.METHODS)).split(",")
-               if m.strip()]
     models = [("smooth", smooth_cfg)]  # the smoother scores every cell
     if "3qs" in methods or table.diagnostics:
         models.append(("x", cfg_x))
@@ -504,16 +513,12 @@ def cmd_eval(args):
     # one task per fold, and the 3QS and HS halves of the diagnostics
     jobs = _processes(cfg, len(groups) + 2 * bool(table.diagnostics), rows, models)
     brightness_column = cfg.get("eval.brightness_column")
-    filter_kind = cfg.get("eval.test_filter", "none")
+    test_filter = None
     if filter_kind == "brightness-zero":
         column = evalharness.resolve_brightness_column(table, brightness_column)
         thr = cfg.get("eval.threshold")
         thr = float(thr) if thr is not None else None
         test_filter = lambda t: evalharness.brightness_zero_subset(t, column, thr)
-    elif filter_kind == "none":
-        test_filter = None
-    else:
-        raise UsageError(f"unknown test filter {filter_kind!r}")
     report = evalharness.loyo_evaluate(
         table, methods, cfg_x, cfg_res, smooth_cfg,
         test_filter=test_filter,
@@ -565,7 +570,7 @@ def build_parser():
     p = sub.add_parser("denoise", help="denoise a counts CSV")
     common(p)
     p.add_argument("--input", help="input CSV path")
-    p.add_argument("--method", choices=["3qs", "hs"], default=None,
+    p.add_argument("--method", choices=_DENOISE_METHODS, default=None,
                    help="denoising method (default 3qs)")
     p.set_defaults(func=cmd_denoise)
 
@@ -588,7 +593,7 @@ def build_parser():
     p.add_argument("--input", help="input CSV path")
     p.add_argument("--methods", default=None,
                    help="comma-separated subset of raw,hs,3qs,mb,global")
-    p.add_argument("--test-filter", choices=["none", "brightness-zero"],
+    p.add_argument("--test-filter", choices=_TEST_FILTERS,
                    default=None, help="test-subset rule (default none)")
     p.set_defaults(func=cmd_eval)
 

@@ -23,7 +23,12 @@ by the denoising estimators:
                        K + lam I is solved by one Cholesky factorization
                        (LAPACK ``dposv``, in place), and a fit refuses
                        more than ``kernel_ridge_max_rows()`` rows before
-                       it allocates any m x m array.
+                       it allocates any m x m array.  It is the only
+                       backend that uses scipy (``dposv``, ``dgemv``,
+                       ``pdist``, ``cdist``) and imports those routines
+                       where it first calls them, after the row check,
+                       so a process that fits no kernel ridge model
+                       never loads scipy.
 
 Every fitted model carries ``fitted``, its predictions on the training
 rows, taken from what the fit already holds: ``K alpha + b`` for kernel
@@ -49,9 +54,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg.blas import dgemv
-from scipy.linalg.lapack import dposv
-from scipy.spatial.distance import cdist, pdist
 
 
 class RegressionError(ValueError):
@@ -209,6 +211,8 @@ class FittedKernelRidge(FittedRegressor):
         self.gamma = gamma
 
     def _predict(self, x):
+        from scipy.spatial.distance import cdist
+
         k = np.exp(-self.gamma * cdist(x, self.x_train, "sqeuclidean"))
         return _kernel_dot(k, self.alpha) + self.intercept
 
@@ -223,6 +227,8 @@ def _kernel_dot(k, alpha):
     """
     if k.shape[0] < 2:
         return k @ alpha
+    from scipy.linalg.blas import dgemv
+
     return dgemv(1.0, k.T, alpha, trans=1)  # k.T is k's Fortran-ordered view
 
 
@@ -249,6 +255,8 @@ def check_kernel_ridge_rows(m):
 def _median_bandwidth(x):
     """``np.median(pdist(x))`` from one partition: the middle distance, or
     the mean of the two middle ones when the pair count is even."""
+    from scipy.spatial.distance import pdist
+
     d = pdist(x)  # fit() guarantees 2 rows, so 1 pair
     k = d.size // 2
     d.partition(k)
@@ -258,7 +266,10 @@ def _median_bandwidth(x):
 
 def _fit_kernel_ridge(params, x, y):
     m = x.shape[0]
-    check_kernel_ridge_rows(m)
+    check_kernel_ridge_rows(m)  # before scipy is imported or any m x m array exists
+    from scipy.linalg.lapack import dposv
+    from scipy.spatial.distance import cdist
+
     bw = params["bandwidth"]
     if bw is None:
         bw = _median_bandwidth(x)

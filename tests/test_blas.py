@@ -1,3 +1,8 @@
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from tqsreg import blas, cli
@@ -56,3 +61,43 @@ class TestScopedPin:
             with blas.num_threads(1):
                 raise KeyError("boom")
         assert blas.get_num_threads() == before
+
+
+# A first-ever kernel ridge fit inside the pin; argv[1] == "early" imports
+# scipy.linalg before pinning instead.
+_LATE_FIT = """
+import json, sys
+import numpy as np
+from tqsreg import blas, regress
+
+if sys.argv[1] == "early":
+    import scipy.linalg
+loaded = "scipy.linalg" in sys.modules
+rng = np.random.default_rng(0)
+x, y = rng.normal(size=(500, 3)), rng.normal(size=500)
+with blas.num_threads(1):
+    model = regress.fit(regress.RegressorConfig("kernel_ridge"), x, y)
+    threads = blas.get_num_threads()
+print(json.dumps({"loaded": loaded, "threads": threads,
+                  "fitted": model.fitted.tobytes().hex()}))
+"""
+
+
+class TestLateLoad:
+    """The pin, set before scipy is imported, holds for the OpenBLAS that
+    kernel ridge's first fit loads with ``scipy.linalg``."""
+
+    def test_pin_covers_first_kernel_ridge_fit(self):
+        src = os.path.dirname(os.path.dirname(blas.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        runs = {}
+        for mode in ("late", "early"):
+            proc = subprocess.run([sys.executable, "-c", _LATE_FIT, mode], env=env,
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            runs[mode] = json.loads(proc.stdout)
+        assert (runs["late"]["loaded"], runs["early"]["loaded"]) == (False, True)
+        for run in runs.values():
+            assert run["threads"] and set(run["threads"]) == {1}
+        assert runs["late"]["fitted"] == runs["early"]["fitted"]

@@ -530,6 +530,22 @@ class TestConfigFailsEarly:
         assert message in capsys.readouterr().err
         assert early_calls == {"load": 0, "fit": 0}
 
+    @pytest.mark.parametrize("command,line,message", [
+        ("denoise", "method = foo", "unknown method 'foo' (expected 3qs or hs)"),
+        ("eval", "methods = raw,foo", "unknown methods: ['foo']"),
+        ("eval", "eval.test_filter = bogus", "unknown test filter 'bogus'"),
+    ])
+    def test_bad_method_or_filter(self, sim_dir, tmp_path, capsys, early_calls,
+                                  command, line, message):
+        # the key is named even when the input file is missing
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(line + "\n")
+        for survey in (sim_dir / "survey.csv", tmp_path / "missing.csv"):
+            assert run([command, "--input", str(survey), "--config", str(cfg),
+                        "--out", str(tmp_path / "o")]) == EXIT_USAGE
+            assert message in capsys.readouterr().err
+        assert early_calls == {"load": 0, "fit": 0}
+
     def test_bad_synth_key_starts_no_pool(self, tmp_path, capsys, monkeypatch,
                                           early_calls):
         import concurrent.futures
@@ -853,15 +869,77 @@ class TestBlasThreadIndependence:
         assert len(blobs) == 1
 
 
+def _python(args):
+    """Run a fresh interpreter on this checkout's tqsreg; return its stdout."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+# Each step records the scipy modules loaded so far in one fresh interpreter.
+_FOOTPRINT = """
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+steps = {}
+import tqsreg
+steps["import tqsreg"] = [0, scipy_modules()]
+import tqsreg.cli
+steps["import tqsreg.cli"] = [0, scipy_modules()]
+from tqsreg import cli, regress
+
+out = sys.argv[1]
+survey, krr = out + "/sim/survey.csv", out + "/krr.cfg"
+with open(krr, "w") as fh:
+    fh.write("regressor.res.kind = kernel_ridge\\n")
+
+def step(name, *argv, dest=None):
+    rc = cli.main([*argv, "--out", dest or f"{out}/{len(steps)}"])
+    steps[name] = [rc, scipy_modules()]
+
+step("simulate", "simulate", "--years", "3", "--days-per-year", "40",
+     "--n-species", "3", dest=out + "/sim")
+step("denoise", "denoise", "--input", survey)
+step("denoise --method hs", "denoise", "--method", "hs", "--input", survey)
+step("eval", "eval", "--input", survey)
+step("verify", "verify")
+budget, regress.KERNEL_RIDGE_BYTES = regress.KERNEL_RIDGE_BYTES, 1600
+step("oversized kernel ridge", "denoise", "--config", krr, "--input", survey)
+try:
+    regress.fit(regress.RegressorConfig("kernel_ridge"), [[0.0]] * 11, [0.0] * 11)
+except regress.RegressionError as e:
+    steps["oversized kernel ridge fit"] = [type(e).__name__, scipy_modules()]
+regress.KERNEL_RIDGE_BYTES = budget
+step("kernel ridge residuals", "denoise", "--config", krr, "--input", survey)
+print(json.dumps(steps))
+"""
+
+
 class TestImportFootprint:
     def test_cli_does_not_import_scipy_interpolate(self):
         # scipy.interpolate pulls in scipy.optimize; the spline basis is numpy's
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         code = ("import sys, tqsreg.cli; print(sorted(m for m in sys.modules "
                 "if m.startswith('scipy.interpolate')))")
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert _python(["-c", code]).strip() == "[]"
+
+    def test_scipy_loads_with_kernel_ridge_only(self, tmp_path):
+        """Only kernel ridge uses scipy; it imports it on first use, after
+        refusing a fit over its row limit.  The BLAS pin loads none either."""
+        steps = json.loads(_python(["-c", _FOOTPRINT, str(tmp_path)]).splitlines()[-1])
+        last = steps.pop("kernel ridge residuals")
+        assert steps == {
+            **{name: [EXIT_OK, []] for name in (
+                "import tqsreg", "import tqsreg.cli", "simulate", "denoise",
+                "denoise --method hs", "eval", "verify")},
+            "oversized kernel ridge": [EXIT_USAGE, []],
+            "oversized kernel ridge fit": ["RegressionError", []],
+        }
+        assert last[0] == EXIT_OK
+        assert {"scipy.linalg.blas", "scipy.linalg.lapack",
+                "scipy.spatial.distance"} <= set(last[1])

@@ -175,8 +175,9 @@ class TestKernelRidge:
         def no_distances(*a, **k):
             raise AssertionError("an m x m array was allocated")
 
-        monkeypatch.setattr(regress, "pdist", no_distances)
-        monkeypatch.setattr(regress, "cdist", no_distances)
+        # kernel ridge looks its distance routines up in scipy on each fit
+        monkeypatch.setattr("scipy.spatial.distance.pdist", no_distances)
+        monkeypatch.setattr("scipy.spatial.distance.cdist", no_distances)
         with pytest.raises(RegressionError, match="at most 10 training rows.*get 11"):
             fit(krr_cfg, rng.normal(size=(11, 2)), rng.normal(size=11))
 
