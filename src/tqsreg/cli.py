@@ -25,9 +25,12 @@ run unpinned.  Regressor configs, ``jobs``, ``method``, ``methods`` and
 fails before any input is loaded; a kernel ridge model whose largest
 training set is over its row limit fails right after loading (``synth``:
 before any worker starts), and an ``eval`` test filter that empties a
-year fails before any fit.  Usage, config and table errors exit 2; a fit
-that fails on well-formed input (``EstimationError``,
-``SingularModelError``) exits 3, also when it fails in a worker.
+year fails before any fit.  Usage, config and table errors exit 2, and so
+does running out of memory (``MemoryError``: the input or config asks for
+more than the host has); a fit that fails on well-formed input
+(``EstimationError``, ``SingularModelError``) exits 3, also when it fails
+in a worker.  ``verify`` checks its joints in stacked blocks of
+``VERIFY_BLOCK`` (see ``oracle.stack``).
 """
 
 from __future__ import annotations
@@ -428,6 +431,34 @@ def cmd_synth(args):
     return EXIT_OK
 
 
+# joints per stacked oracle call: memory stays flat in --joints, and at 25
+# the peak stays near that of checking joint by joint (larger blocks gain
+# little speed and hold more)
+VERIFY_BLOCK = 25
+
+
+def _check_block(joints, first, seed, corrupt):
+    """theorems.json entries of consecutive joints, checked as one block."""
+    block = oracle.stack(joints)
+    try:
+        z_hat, broken = oracle.exact_tqs(block), ()
+    except oracle.FormsDisagree as e:
+        z_hat, broken = e.z_hat, e.joints
+    # --corrupt-for-testing: negative-control hook used by the test suite
+    t1 = oracle.verify_theorem1(block, z_hat + 1.0 if corrupt else z_hat)
+    t2 = oracle.verify_theorem2(block, z_hat)
+    entries = []
+    for k, (joint, r1, r2) in enumerate(zip(joints, t1, t2)):
+        entry = {"joint": first + k, "seed": seed, "support": joint.size}
+        if k in broken:
+            entry.update(error=oracle.FORMS_DISAGREE, satisfied=False)
+        else:
+            entry.update(theorem1=dict(vars(r1)), theorem2=dict(vars(r2)),
+                         satisfied=r1.satisfied and r2.satisfied)
+        entries.append(entry)
+    return entries
+
+
 def cmd_verify(args):
     cfg = merged_config(args, [("joints", args.joints)])
     seed = int(cfg.get("seed", 0))
@@ -436,26 +467,11 @@ def cmd_verify(args):
         raise UsageError(f"verify needs at least 1 joint (got {n_joints})")
     rng = np.random.default_rng(np.random.SeedSequence(seed & 0xFFFFFFFF))
     reports = []
-    failures = []
-    for idx in range(n_joints):
-        joint = oracle.random_joint(rng, additive=True, zero_mean_f=True)
-        entry = {"joint": idx, "seed": seed, "support": joint.size}
-        try:
-            z_hat = oracle.exact_tqs(joint)
-            # --corrupt-for-testing: negative-control hook used by the test suite
-            t1 = oracle.verify_theorem1(
-                joint, z_hat + 1.0 if args.corrupt_for_testing else z_hat)
-            t2 = oracle.verify_theorem2(joint, z_hat)
-            entry["theorem1"] = dataclasses.asdict(t1)
-            entry["theorem2"] = dataclasses.asdict(t2)
-            ok = t1.satisfied and t2.satisfied
-        except AssertionError as e:
-            entry["error"] = str(e)
-            ok = False
-        entry["satisfied"] = ok
-        if not ok:
-            failures.append(idx)
-        reports.append(entry)
+    for first in range(0, n_joints, VERIFY_BLOCK):
+        joints = [oracle.random_joint(rng, additive=True, zero_mean_f=True)
+                  for _ in range(min(VERIFY_BLOCK, n_joints - first))]
+        reports += _check_block(joints, first, seed, args.corrupt_for_testing)
+    failures = [entry["joint"] for entry in reports if not entry["satisfied"]]
     out = _out_dir(args)
     _write_json(os.path.join(out, "theorems.json"),
                 {"meta": {**_meta(cfg, seed), "joints": n_joints},
@@ -621,6 +637,9 @@ def main(argv=None):
         return EXIT_MODEL
     except (ValueError, RuntimeError, OSError) as e:  # UsageError is a ValueError
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as e:  # the input or config asks for more than this host has
+        print(f"error: out of memory{f': {e}' if str(e) else ''}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -334,6 +334,8 @@ def simulate_moth_survey(years=5, days_per_year=180, n_species=10, seed=0,
     """
     if years < 2:
         raise EvalError("need >= 2 years")
+    if days_per_year < 1:
+        raise EvalError(f"need >= 1 night per year (got {days_per_year})")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, 77]))
     days = np.arange(1.0, days_per_year + 1.0)
     m = years * days_per_year

@@ -8,9 +8,17 @@ its support once per conditioning set: ``by_x`` and ``by_x_y2`` label
 each outcome by its X and its (X, Y2) value on first use and are kept
 on the joint.  ``build_joint`` (from maps) and ``random_joint`` (from
 arrays of draws) share one array assembler.  These joints back the
-equivalence, error-bound and exact-recovery checks for the estimators:
-``tqsreg verify`` computes one exact 3QS estimate per joint with
-``exact_tqs``, and the theorem checks take the estimate they check.
+equivalence, error-bound and exact-recovery checks for the estimators.
+
+``stack`` puts independent joints into one block: a ``DiscreteJoint``
+whose ``joint`` column labels each outcome with its joint.  The label
+leads every grouping, so each group, and each group sum, is the one the
+joint has alone, and ``exact_tqs`` and the theorem checks take a whole
+block in one call and give per-joint results, bit for bit those of the
+one-joint calls.  A single joint (no ``joint`` column) is the block of
+one and gets its results unwrapped.  ``tqsreg verify`` checks its
+random joints one block at a time: one exact 3QS pass per block, whose
+estimate the theorem checks take.
 """
 
 from __future__ import annotations
@@ -32,7 +40,8 @@ class JointError(ValueError):
 
 @dataclass(frozen=True)
 class DiscreteJoint:
-    """Finite joint over (X, Z1, Z2, N) with deterministic measurements."""
+    """Finite joint over (X, Z1, Z2, N) with deterministic measurements,
+    or a block of independent joints (see ``stack``)."""
 
     x: np.ndarray
     z1: np.ndarray
@@ -43,27 +52,52 @@ class DiscreteJoint:
     fvals: np.ndarray  # f(N) evaluated per outcome
     probs: np.ndarray
     additive: bool
+    joint: np.ndarray | None = None  # a block's joint of each outcome
 
     def __post_init__(self):
-        k = len(self.probs)
-        if k == 0:
+        if len(self.probs) == 0:
             raise JointError("empty support")
-        if k > 10_000:
+        if self.joint is not None:
+            steps = np.diff(self.joint)
+            if (len(self.joint) != len(self.probs) or self.joint[0] != 0
+                    or np.any((steps != 0) & (steps != 1))):
+                raise JointError("joint labels must run 0, 1, ... in support order")
+        spans = self.spans
+        if max(b - a for a, b in spans) > 10_000:
             raise JointError("support too large to enumerate")
         if np.any(self.probs <= 0):
             raise JointError("probabilities must be positive")
-        if abs(self.probs.sum() - 1.0) > TOL:
+        if any(abs(self.probs[a:b].sum() - 1.0) > TOL for a, b in spans):
             raise JointError("probabilities must sum to 1")
 
     @cached_property
+    def starts(self):
+        """Index of each joint's first outcome."""
+        if self.joint is None:
+            return np.zeros(1, dtype=np.intp)
+        return np.flatnonzero(np.diff(self.joint, prepend=-1))
+
+    @property
+    def spans(self):
+        """(start, stop) of each joint's outcomes."""
+        if self.joint is None:
+            return [(0, len(self.probs))]
+        bounds = self.starts.tolist() + [len(self.probs)]
+        return list(zip(bounds[:-1], bounds[1:]))
+
+    @property
+    def _labels(self):
+        return () if self.joint is None else (self.joint,)
+
+    @cached_property
     def by_x(self):
-        """Group id of each outcome's X value (see ``_group_ids``)."""
-        return _group_ids(self.x)
+        """Group id of each outcome's (joint,) X value (see ``_group_ids``)."""
+        return _group_ids(*self._labels, self.x)
 
     @cached_property
     def by_x_y2(self):
-        """Group id of each outcome's (X, Y2) value."""
-        return _group_ids(self.x, self.y2)
+        """Group id of each outcome's (joint,) (X, Y2) value."""
+        return _group_ids(*self._labels, self.x, self.y2)
 
     @property
     def size(self):
@@ -75,8 +109,33 @@ class DiscreteJoint:
             for i in range(self.size)
         ]
 
+    def expectations(self, values):
+        """E[values] of each joint: one ``np.dot`` over its span."""
+        p = self.probs
+        return np.array([np.dot(p[a:b], values[a:b]) for a, b in self.spans])
+
     def expectation(self, values):
-        return float(np.dot(self.probs, values))
+        """E[values] of a single joint."""
+        (e,) = self.expectations(values)
+        return float(e)
+
+    def _unwrap(self, per_joint):
+        """A per-joint list as the caller sees it: its one item for a
+        single joint, the list for a block."""
+        return per_joint[0] if self.joint is None else per_joint
+
+
+_COLUMNS = ("x", "z1", "z2", "n", "y1", "y2", "fvals", "probs")
+
+
+def stack(joints):
+    """One block of the given single joints, in order."""
+    if len({j.additive for j in joints}) != 1:
+        raise JointError("a block needs joints that are all additive or all not")
+    return DiscreteJoint(
+        **{c: np.concatenate([getattr(j, c) for j in joints]) for c in _COLUMNS},
+        additive=joints[0].additive,
+        joint=np.repeat(np.arange(len(joints)), [j.size for j in joints]))
 
 
 @dataclass(frozen=True)
@@ -87,8 +146,13 @@ class TheoremReport:
     slack: float
 
 
+def _unnormalized(ps):
+    """Whether each row of ``ps`` fails to be a distribution."""
+    return (ps.min(-1) < 0) | (abs(ps.sum(-1) - 1.0) > 1e-9)
+
+
 def _checked(ps, what):
-    if (ps < 0).any() or abs(ps.sum() - 1.0) > 1e-9:
+    if _unnormalized(ps):
         raise JointError(f"{what} distribution is not normalized")
 
 
@@ -187,12 +251,15 @@ def _cond_mean(joint, values, ids):
 
 
 def exact_cond_expectation(joint, target, given):
-    """Exact E[target | given] as a map from given-value tuples to reals.
+    """Exact E[target | given] of a single joint, as a map from
+    given-value tuples to reals.
 
     ``target`` and each element of ``given`` are functions of an
     Outcome.  Only attained given-values appear, so conditioning events
     always have positive probability.
     """
+    if joint.joint is not None:
+        raise JointError("exact_cond_expectation takes a single joint, not a block")
     outs = joint.outcomes()
     tvals = np.array([target(o) for o in outs], dtype=float)
     keys = [tuple(g(o) for g in given) for o in outs]
@@ -200,36 +267,60 @@ def exact_cond_expectation(joint, target, given):
     return dict(zip(keys, means))
 
 
+FORMS_DISAGREE = "3QS forms disagree: estimator implementation bug"
+
+
+class FormsDisagree(AssertionError):
+    """The two 3QS forms differ by more than 1e-12 in ``joints`` (their
+    indices in the block); ``z_hat`` holds the residual form for all."""
+
+    def __init__(self, joints, z_hat):
+        super().__init__(FORMS_DISAGREE)
+        self.joints, self.z_hat = joints, z_hat
+
+
 def exact_tqs(joint):
     """Exact 3QS estimate at every outcome, via both algebraic forms.
 
     Evaluates the residual form and the alternate form with exact
-    conditional expectations, asserts they agree within 1e-12 and
-    returns the residual-form values (aligned with the support order).
+    conditional expectations, checks that they agree within 1e-12 in
+    every joint (else raises ``FormsDisagree``) and returns the
+    residual-form values (aligned with the support order).
     """
     e_y1_x = _cond_mean(joint, joint.y1, joint.by_x)
     eq1 = joint.y1 - _cond_mean(joint, joint.y1 - e_y1_x, joint.by_x_y2)
     eq2 = joint.y1 - _cond_mean(joint, joint.y1, joint.by_x_y2) + e_y1_x
-    if np.max(np.abs(eq1 - eq2)) > TOL:
-        raise AssertionError("3QS forms disagree: estimator implementation bug")
+    gap = np.maximum.reduceat(np.abs(eq1 - eq2), joint.starts)
+    if np.any(gap > TOL):
+        raise FormsDisagree(np.flatnonzero(gap > TOL).tolist(), eq1)
     return eq1
 
 
 def check_mean_match(joint):
-    """Verify E[Y1|X=x] = E[Z1|X=x] for every x; raise naming offenders."""
+    """Verify E[Y1|X=x] = E[Z1|X=x] for every x of every joint; raise
+    naming the first joint's offenders."""
     gap = _cond_mean(joint, joint.y1, joint.by_x) - _cond_mean(joint, joint.z1, joint.by_x)
-    bad = np.unique(joint.x[np.abs(gap) > 1e-9]).tolist()
-    if bad:
-        raise JointError(f"E[Y1|X] != E[Z1|X] at X={bad}")
+    bad = np.abs(gap) > 1e-9
+    if not bad.any():
+        return
+    if joint.joint is None:
+        raise JointError(f"E[Y1|X] != E[Z1|X] at X={np.unique(joint.x[bad]).tolist()}")
+    k = joint.joint[bad][0]
+    xs = np.unique(joint.x[bad & (joint.joint == k)]).tolist()
+    raise JointError(f"joint {k}: E[Y1|X] != E[Z1|X] at X={xs}")
+
+
+def _reports(joint, lhs, rhs, slack):
+    return joint._unwrap([TheoremReport(*r) for r in zip(
+        lhs.tolist(), rhs.tolist(), (slack >= -TOL).tolist(), slack.tolist())])
 
 
 def verify_theorem1(joint, z_hat):
     """Exact-expectation error bound: MSE of the estimate ``z_hat`` vs raw Y1."""
     check_mean_match(joint)
-    lhs = joint.expectation((z_hat - joint.z1) ** 2)
-    rhs = joint.expectation((joint.y1 - joint.z1) ** 2)
-    slack = rhs - lhs
-    return TheoremReport(lhs=lhs, rhs=rhs, satisfied=slack >= -TOL, slack=slack)
+    lhs = joint.expectations((z_hat - joint.z1) ** 2)
+    rhs = joint.expectations((joint.y1 - joint.z1) ** 2)
+    return _reports(joint, lhs, rhs, rhs - lhs)
 
 
 def verify_theorem2(joint, z_hat):
@@ -237,24 +328,28 @@ def verify_theorem2(joint, z_hat):
     offset-corrected MSE equals E[Var(f(N)|X,Y2)]."""
     if not joint.additive:
         raise JointError("theorem 2 requires an additive joint")
-    ef = joint.expectation(joint.fvals)
-    lhs = joint.expectation((z_hat - (joint.z1 + ef)) ** 2)
+    ef = joint.expectations(joint.fvals)
+    ef = ef[0] if joint.joint is None else ef[joint.joint]
+    lhs = joint.expectations((z_hat - (joint.z1 + ef)) ** 2)
     noise = joint.y1 - joint.z1
     e_f = _cond_mean(joint, noise, joint.by_x_y2)
     e_f2 = _cond_mean(joint, noise ** 2, joint.by_x_y2)
-    rhs = joint.expectation(e_f2 - e_f ** 2)
-    slack = -abs(lhs - rhs)
-    return TheoremReport(lhs=lhs, rhs=rhs, satisfied=slack >= -TOL, slack=slack)
+    rhs = joint.expectations(e_f2 - e_f ** 2)
+    return _reports(joint, lhs, rhs, -np.abs(lhs - rhs))
 
 
 def noise_is_observable(joint):
-    """True when f(N) is constant on every attained (x, y2) group."""
+    """True when f(N) is constant on every attained (x, y2) group, per joint."""
     ids = joint.by_x_y2
     hi = np.full(ids.max() + 1, -np.inf)
     lo = np.full(hi.size, np.inf)
     np.maximum.at(hi, ids, joint.fvals)
     np.minimum.at(lo, ids, joint.fvals)
-    return bool(np.all(hi - lo <= TOL))
+    observed = (hi - lo <= TOL)[ids]
+    return joint._unwrap(np.logical_and.reduceat(observed, joint.starts).tolist())
+
+
+_VALUES = np.arange(-2.0, 3.0)  # random_joint's support values
 
 
 def random_joint(rng, additive=True, zero_mean_f=True):
@@ -265,7 +360,7 @@ def random_joint(rng, additive=True, zero_mean_f=True):
     sorted and checked as ``build_joint`` does with its maps.
     """
     def support(size):
-        return rng.choice(np.arange(-2.0, 3.0), size=size, replace=False)
+        return rng.choice(_VALUES, size=size, replace=False)
 
     kx, kz1, kz2, kn = rng.integers(2, 5, size=4)
     xs, z1s, z2s, ns = support(kx), support(kz1), support(kz2), support(kn)
@@ -287,10 +382,11 @@ def random_joint(rng, additive=True, zero_mean_f=True):
     pz1, pz2 = pz1[ox][:, o1], pz2[ox][:, o2]
     _checked(px, "x")
     _checked(pn, "n")
-    for xv, p, r1, r2 in zip(xs, px, pz1, pz2):
-        if p > 0:
-            _checked(r1, f"z1|x={xv}")
-            _checked(r2, f"z2|x={xv}")
+    if np.any((_unnormalized(pz1) | _unnormalized(pz2)) & (px > 0)):
+        for xv, p, r1, r2 in zip(xs, px, pz1, pz2):  # name the first bad row
+            if p > 0:
+                _checked(r1, f"z1|x={xv}")
+                _checked(r2, f"z2|x={xv}")
     if not additive:
         m1, m2 = m1[o1][:, on], m2[o2][:, on]
     return _assemble(xs, px, z1s, pz1, z2s, pz2, ns, pn, fn, m1, m2)

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -92,6 +93,13 @@ class TestSimulate:
         out = tmp_path / "keys"
         assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         assert len((out / "survey.csv").read_text().splitlines()) == 1 + 3 * 10
+
+    @pytest.mark.parametrize("days", ["0", "-3"])
+    def test_no_nights_is_usage_error(self, tmp_path, capsys, days):
+        assert run(["simulate", "--out", str(tmp_path / "o"), "--years", "2",
+                    "--days-per-year", days]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: need >= 1 night per year (got {days})\n"
+        assert not (tmp_path / "o").exists()
 
     def test_seed_changes_output(self, tmp_path):
         blobs = []
@@ -788,6 +796,36 @@ class TestExitCodes:
         assert "eval.n_aux must be >= 1 (got 0)" in capsys.readouterr().err
 
 
+    def test_out_of_memory_is_usage_error(self, tmp_path):
+        # 200 000 knots ask numpy for a 298 GiB spline penalty matrix; the
+        # child's address space is capped, so the request fails at once
+        sim = tmp_path / "sim"
+        assert run(["simulate", "--out", str(sim), "--years", "2",
+                    "--days-per-year", "10", "--n-species", "3"]) == EXIT_OK
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("regressor.x.n_knots = 200000\n")
+        out = tmp_path / "o"
+        proc = subprocess.run(
+            [sys.executable, "-m", "tqsreg.cli", "denoise", "--input",
+             str(sim / "survey.csv"), "--config", str(cfg), "--out", str(out)],
+            env=_child_env(), capture_output=True, text=True,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)))
+        assert proc.returncode == EXIT_USAGE, proc.stderr
+        assert "Traceback" not in proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1
+        assert errors[0].startswith("error: out of memory: Unable to allocate")
+        assert not out.exists() or not os.listdir(out)
+
+    def test_bare_memory_error(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli.oracle, "random_joint", exhausted)
+        assert run(["verify", "--out", str(tmp_path / "v")]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: out of memory\n"
+
+
 class TestBlasThreadIndependence:
     """Output bytes do not depend on the host's BLAS thread count.
 
@@ -869,12 +907,17 @@ class TestBlasThreadIndependence:
         assert len(blobs) == 1
 
 
-def _python(args):
-    """Run a fresh interpreter on this checkout's tqsreg; return its stdout."""
+def _child_env():
+    """The environment of a fresh interpreter on this checkout's tqsreg."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True,
+    return env
+
+
+def _python(args):
+    """Run a fresh interpreter on this checkout's tqsreg; return its stdout."""
+    proc = subprocess.run([sys.executable, *args], env=_child_env(), capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
