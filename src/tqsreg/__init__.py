@@ -13,6 +13,7 @@ from .estimators import (  # noqa: F401
     DenoiseResult,
     center,
     hs_estimate,
+    hs_multi_species,
     tqs_eq1,
     tqs_eq2,
     tqs_multi_species,

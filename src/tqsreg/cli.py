@@ -382,7 +382,7 @@ def cmd_denoise(args):
         z_hat = result.z_hat
         per_species = result.training_diagnostics(table)
     else:
-        z_hat = evalharness.denoise_hs(table, cfg_res)
+        z_hat = estimators.hs_multi_species(table, cfg_res)
         per_species = [{"species": s} for s in table.species_names]
     out = _out_dir(args)
     _write_csv(os.path.join(out, "zhat.csv"), table.species_names, _floats(z_hat),

@@ -6,6 +6,10 @@ condition on observed process covariates so that intrinsic dependence
 between the latent quantities is preserved.  Every estimator subtracts
 a model's predictions on its own training rows, which it reads from the
 fitted model (``FittedRegressor.fitted``), not from a second ``predict``.
+
+``tqs_multi_species`` and ``hs_multi_species`` share one residual stage,
+one seeded model per species: 3QS fits it to the covariate residuals,
+HS to the counts.
 """
 
 from __future__ import annotations
@@ -76,7 +80,6 @@ class DenoiseResult:
     covariate_models: tuple
     residual_models: tuple
     aux_columns: tuple  # per species, the residual columns its model was fit on
-    method: str
 
     def training_diagnostics(self, table):
         """Training MSE of each internal regression, per species.
@@ -110,6 +113,24 @@ def _aux_species(counts, i, n_aux):
     return others[:n_aux]
 
 
+def _fit_species(stage, cfg, features, targets, counts, columns):
+    """Fit species i's model to ``targets[:, i]`` on ``features[:, columns[i]]``
+    with seed (cfg.seed, i); return the models and ``counts`` minus their
+    fits.  A failed fit names its stage and species."""
+    models = []
+    out = np.empty(counts.shape)
+    for i, cols in enumerate(columns):
+        try:
+            model = fit(cfg.with_seed(species_seed(cfg.seed, i)),
+                        features[:, cols], targets[:, i])
+            fitted = model.fitted
+        except regress.RegressionError as e:
+            raise EstimationError(f"{stage} model failed for species {i}: {e}") from e
+        models.append(model)
+        out[:, i] = counts[:, i] - fitted
+    return tuple(models), out
+
+
 def tqs_multi_species(table, cfg_x, cfg_res, n_aux=None):
     """Residual-form 3QS denoising of every species in a table.
 
@@ -125,37 +146,31 @@ def tqs_multi_species(table, cfg_x, cfg_res, n_aux=None):
     if table.covariates.shape[1] < 1:
         raise ValueError("need >= 1 process covariate")
     y = table.counts
-    x = table.covariates
-    m = table.n_rows
     aux_columns = [_aux_species(y, i, n_aux) for i in range(s)]
-
-    cov_models = []
-    residuals = np.empty((m, s))
-    for i in range(s):
-        cfg = cfg_x.with_seed(species_seed(cfg_x.seed, i))
-        try:
-            model = fit(cfg, x, y[:, i])
-        except regress.RegressionError as e:
-            raise EstimationError(f"covariate model failed for species {i}: {e}") from e
-        cov_models.append(model)
-        residuals[:, i] = y[:, i] - model.fitted
-
-    res_models = []
-    z_hat = np.empty((m, s))
-    for i, aux in enumerate(aux_columns):
-        cfg = cfg_res.with_seed(species_seed(cfg_res.seed, i))
-        try:
-            model = fit(cfg, residuals[:, aux], residuals[:, i])
-        except regress.RegressionError as e:
-            raise EstimationError(f"residual model failed for species {i}: {e}") from e
-        res_models.append(model)
-        z_hat[:, i] = y[:, i] - model.fitted
-
+    cov_models, residuals = _fit_species("covariate", cfg_x, table.covariates, y, y,
+                                         [slice(None)] * s)
+    res_models, z_hat = _fit_species("residual", cfg_res, residuals, residuals, y,
+                                     aux_columns)
     return DenoiseResult(
         z_hat=z_hat,
         residuals=residuals,
-        covariate_models=tuple(cov_models),
-        residual_models=tuple(res_models),
+        covariate_models=cov_models,
+        residual_models=res_models,
         aux_columns=tuple(tuple(aux) for aux in aux_columns),
-        method="3QS_residual",
     )
+
+
+def hs_multi_species(table, cfg_res, n_aux=None):
+    """Half-sibling z-hat matrix: 3QS's residual stage run on the counts.
+
+    Per species i, Y_i minus its fit on Y_-i (``n_aux`` as in
+    ``tqs_multi_species``), plus the mean of Y_i so that the downstream
+    smoother works on the measurement scale.
+    """
+    s = table.n_species
+    if s < 2:
+        raise ValueError("need >= 2 species for multi-species denoising")
+    y = table.counts
+    _, z_hat = _fit_species("residual", cfg_res, y, y, y,
+                            [_aux_species(y, i, n_aux) for i in range(s)])
+    return z_hat + [y[:, i].mean() for i in range(s)]

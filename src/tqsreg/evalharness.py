@@ -1,11 +1,11 @@
 """Leave-one-year-out evaluation harness and survey simulation.
 
-For every held-out test year, the denoising models are fit on the
-remaining years pooled; a per-year smoother is then fit to the
-denoised counts of each single training year and scored on the raw
-test-year counts.  Also provides the moon-driven survey simulation
-used in place of the (non-redistributable) field data, and the
-correlation / retained-variability diagnostics.
+For every held-out test year, the 3QS and HS denoisers of ``estimators``
+(one residual stage serves both) are fit on the remaining years pooled;
+a per-year smoother is then fit to the denoised counts of each single
+training year and scored on the raw test-year counts.  Also provides the
+moon-driven survey simulation used in place of the (non-redistributable)
+field data, and the correlation / retained-variability diagnostics.
 
 ``loyo_evaluate`` first builds every fold's training table and filtered
 test rows in the calling process (a test filter need not pickle), then
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import ObservationTable, split_by_group
-from .estimators import _aux_species, hs_estimate, species_seed, tqs_multi_species
+from .estimators import hs_multi_species, species_seed, tqs_multi_species
 from .regress import fit, predict
 from .synthgen import worker_pool
 
@@ -100,26 +100,6 @@ def brightness_zero_subset(table, column, threshold=None):
 
 
 # ---------------------------------------------------------------------------
-# denoisers over tables
-
-
-def denoise_hs(table, cfg_res, n_aux=None):
-    """Half-sibling z-hat matrix, re-centered to each species' mean."""
-    s = table.n_species
-    if s < 2:
-        raise EvalError("need >= 2 species")
-    y = table.counts
-    z_hat = np.empty_like(y)
-    for i in range(s):
-        others = _aux_species(y, i, n_aux)
-        cfg = cfg_res.with_seed(species_seed(cfg_res.seed, i))
-        # HS output is a residual; restore the observed mean so the
-        # downstream smoother works on the measurement scale
-        z_hat[:, i] = hs_estimate(y[:, i], y[:, others], cfg) + y[:, i].mean()
-    return z_hat
-
-
-# ---------------------------------------------------------------------------
 # leave-one-year-out protocol
 
 
@@ -158,7 +138,7 @@ def _denoised(method, table, cfg_x, cfg_res, n_aux):
     """The z-hat matrix of method "3qs" or "hs" on ``table``."""
     if method == "3qs":
         return tqs_multi_species(table, cfg_x, cfg_res, n_aux=n_aux).z_hat
-    return denoise_hs(table, cfg_res, n_aux=n_aux)
+    return hs_multi_species(table, cfg_res, n_aux=n_aux)
 
 
 def _method_diagnostics(method, table, column, cfg_x, cfg_res, n_aux):

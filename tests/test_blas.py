@@ -1,10 +1,10 @@
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
+from conftest import child_env
 from tqsreg import blas, cli
 
 pytestmark = pytest.mark.skipif(
@@ -88,9 +88,7 @@ class TestLateLoad:
     kernel ridge's first fit loads with ``scipy.linalg``."""
 
     def test_pin_covers_first_kernel_ridge_fit(self):
-        src = os.path.dirname(os.path.dirname(blas.__file__))
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        env = child_env(OPENBLAS_NUM_THREADS="2")
         runs = {}
         for mode in ("late", "early"):
             proc = subprocess.run([sys.executable, "-c", _LATE_FIT, mode], env=env,

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import child_env
 from tqsreg import __version__, cli, regress
 from tqsreg.cli import (
     EXIT_OK,
@@ -776,6 +777,22 @@ class TestExitCodes:
         assert "spline_gam needs at least 2 distinct x values" in errors[0]
         assert errors[0] == errors[1]
 
+    @pytest.mark.parametrize("argv", [["denoise"], ["denoise", "--method", "hs"]])
+    def test_overflowing_fit_exits_3_and_names_species(self, tmp_path, capsys, argv):
+        # finite counts near the float64 limit: each model's sums overflow,
+        # so every denoiser's first fit is non-finite
+        counts = np.random.default_rng(0).uniform(1.0, 2.0, size=(3, 20, 3)) * 1e307
+        lines = ["day_of_year,species_a,species_b,species_c,year"]
+        for year, block in zip((2013, 2014, 2015), counts):
+            for day, row in enumerate(block.tolist()):
+                lines.append(",".join([str(100 + day), *map(repr, row), str(year)]))
+        survey = tmp_path / "huge.csv"
+        survey.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        assert run(argv + ["--input", str(survey), "--out", str(out)]) == cli.EXIT_MODEL
+        assert "model failed for species 0: " in capsys.readouterr().err
+        assert not out.exists() or not os.listdir(out)
+
     @pytest.mark.parametrize("argv", [["denoise"], ["eval", "--methods", "raw,3qs"]])
     def test_table_without_covariate_is_usage_error(self, tmp_path, capsys, argv):
         survey = tmp_path / "nocov.csv"
@@ -808,7 +825,7 @@ class TestExitCodes:
         proc = subprocess.run(
             [sys.executable, "-m", "tqsreg.cli", "denoise", "--input",
              str(sim / "survey.csv"), "--config", str(cfg), "--out", str(out)],
-            env=_child_env(), capture_output=True, text=True,
+            env=child_env(), capture_output=True, text=True,
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)))
         assert proc.returncode == EXIT_USAGE, proc.stderr
         assert "Traceback" not in proc.stderr
@@ -841,14 +858,8 @@ class TestBlasThreadIndependence:
 
     @staticmethod
     def _child(argv, threads):
-        env = {k: v for k, v in os.environ.items()
-               if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
-                            "OMP_NUM_THREADS")}
-        if threads is not None:
-            env["OPENBLAS_NUM_THREADS"] = threads
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
+        env = child_env(OPENBLAS_NUM_THREADS=threads, GOTO_NUM_THREADS=None,
+                        OMP_NUM_THREADS=None)
         proc = subprocess.run([sys.executable, "-m", "tqsreg.cli", *argv],
                               env=env, capture_output=True, text=True)
         assert proc.returncode == EXIT_OK, proc.stderr
@@ -907,17 +918,9 @@ class TestBlasThreadIndependence:
         assert len(blobs) == 1
 
 
-def _child_env():
-    """The environment of a fresh interpreter on this checkout's tqsreg."""
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    return env
-
-
 def _python(args):
     """Run a fresh interpreter on this checkout's tqsreg; return its stdout."""
-    proc = subprocess.run([sys.executable, *args], env=_child_env(), capture_output=True,
+    proc = subprocess.run([sys.executable, *args], env=child_env(), capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout

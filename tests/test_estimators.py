@@ -11,12 +11,12 @@ from tqsreg.estimators import (
     EstimationError,
     center,
     hs_estimate,
+    hs_multi_species,
     species_seed,
     tqs_eq1,
     tqs_eq2,
     tqs_multi_species,
 )
-from tqsreg.evalharness import denoise_hs
 from tqsreg.regress import RegressorConfig
 
 
@@ -258,6 +258,8 @@ class TestMultiSpecies:
         bad_res = RegressorConfig("kernel_ridge", {"bogus": 1.0})
         with pytest.raises(EstimationError, match="residual model failed for species 0"):
             tqs_multi_species(table, spline_cfg, bad_res, n_aux=1)
+        with pytest.raises(EstimationError, match="residual model failed for species 0"):
+            hs_multi_species(table, bad_res, n_aux=1)
 
     @pytest.mark.parametrize("n_aux", [0, -1])
     def test_n_aux_below_one_rejected(self, spline_cfg, krr_cfg, rng, n_aux):
@@ -284,7 +286,7 @@ class TestNoSecondPredict:
         for cfg_res in (krr_cfg, trees):
             res = tqs_multi_species(table, spline_cfg, cfg_res, n_aux=1)
             res.training_diagnostics(table)
-            denoise_hs(table, cfg_res)
+            hs_multi_species(table, cfg_res)
         y = table.counts
         hs_estimate(y[:, 0], y[:, 1:], krr_cfg)
         tqs_eq1(y[:, 0], table.covariates, y[:, 1:], spline_cfg, krr_cfg)
@@ -325,3 +327,58 @@ class TestSpeciesPermutation:
         base = z_hat(list(range(s)))
         np.testing.assert_allclose(z_hat(list(perm)), base[:, perm],
                                    rtol=0, atol=1e-9 * np.abs(counts).max())
+
+
+class TestPerSpeciesReference:
+    """Both multi-species denoisers equal, bit for bit, per-species loops
+    written out here: one fit per species, seeded by (seed, species)."""
+
+    BACKENDS = (RegressorConfig("kernel_ridge"),
+                RegressorConfig("boosted_trees", {"n_stages": 5}),
+                RegressorConfig("boosted_trees", {"n_stages": 5, "subsample": 0.7}))
+
+    @staticmethod
+    def _aux(y, i, n_aux):
+        totals = y.sum(axis=0)
+        others = [j for j in range(y.shape[1]) if j != i]
+        if n_aux is None:
+            return others
+        return sorted(others, key=lambda j: (-totals[j], j))[:n_aux]
+
+    def _hs(self, y, cfg_res, n_aux):
+        z = np.empty_like(y)
+        for i in range(y.shape[1]):
+            cfg = cfg_res.with_seed(species_seed(cfg_res.seed, i))
+            aux = self._aux(y, i, n_aux)
+            z[:, i] = hs_estimate(y[:, i], y[:, aux], cfg) + y[:, i].mean()
+        return z
+
+    def _tqs(self, x, y, cfg_x, cfg_res, n_aux):
+        r = np.empty_like(y)
+        for i in range(y.shape[1]):
+            cfg = cfg_x.with_seed(species_seed(cfg_x.seed, i))
+            r[:, i] = y[:, i] - regress.fit(cfg, x, y[:, i]).fitted
+        z = np.empty_like(y)
+        for i in range(y.shape[1]):
+            cfg = cfg_res.with_seed(species_seed(cfg_res.seed, i))
+            aux = self._aux(y, i, n_aux)
+            z[:, i] = y[:, i] - regress.fit(cfg, r[:, aux], r[:, i]).fitted
+        return z
+
+    @settings(max_examples=12, deadline=None)
+    @given(m=st.integers(30, 80), s=st.integers(2, 5), backend=st.integers(0, 2),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_bit_identical(self, m, s, backend, seed, data):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0.0, 10.0, size=m)
+        counts = (np.sin(x)[:, None] * rng.uniform(-1, 1, size=s)
+                  + np.tanh(rng.normal(size=m))[:, None] * rng.uniform(0.5, 2.0, size=s)
+                  + 0.1 * rng.normal(size=(m, s)))
+        n_aux = data.draw(st.none() | st.integers(1, s - 1))
+        table = ObservationTable(x[:, None], counts, [f"sp{i}" for i in range(s)],
+                                 ["g"] * m)
+        cfg_x, cfg_res = RegressorConfig("spline_gam"), self.BACKENDS[backend]
+        assert (hs_multi_species(table, cfg_res, n_aux=n_aux).tobytes()
+                == self._hs(counts, cfg_res, n_aux).tobytes())
+        assert (tqs_multi_species(table, cfg_x, cfg_res, n_aux=n_aux).z_hat.tobytes()
+                == self._tqs(x[:, None], counts, cfg_x, cfg_res, n_aux).tobytes())

@@ -6,11 +6,10 @@ import pytest
 from tqsreg import blas, cli
 from tqsreg import evalharness as ev
 from tqsreg.data_model import ObservationTable, save_table
-from tqsreg.estimators import tqs_multi_species
+from tqsreg.estimators import hs_multi_species, tqs_multi_species
 from tqsreg.evalharness import (
     EvalError,
     brightness_zero_subset,
-    denoise_hs,
     external_correlation,
     loyo_evaluate,
     percent_improvement,
@@ -150,11 +149,11 @@ class TestDenoisers:
     @pytest.mark.parametrize("n_aux", [0, -1])
     def test_hs_n_aux_below_one_rejected(self, small_sim, krr_cfg, n_aux):
         with pytest.raises(ValueError, match=rf"n_aux must be >= 1 \(got {n_aux}\)"):
-            denoise_hs(small_sim.table, krr_cfg, n_aux=n_aux)
+            hs_multi_species(small_sim.table, krr_cfg, n_aux=n_aux)
 
     def test_hs_preserves_mean(self, small_sim, krr_cfg):
         t = small_sim.table
-        z = denoise_hs(t, krr_cfg)
+        z = hs_multi_species(t, krr_cfg)
         # the regression residual has approximately (not exactly) zero
         # mean, so the species mean is preserved up to that slack
         np.testing.assert_allclose(z.mean(axis=0), t.counts.mean(axis=0),
