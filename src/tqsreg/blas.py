@@ -14,6 +14,13 @@ then loads: the dynamic loader hands scipy the instance mapped here.
 Where no setter is found (another platform, or numpy/scipy built against
 another BLAS), everything here is a no-op and BLAS runs unpinned.
 No environment variable is read or written.
+
+A count is set only where it differs from the library's current one.
+The OpenBLAS of these wheels stops its thread pool in the parent at every
+``fork`` and restarts it inside the next ``*_set_num_threads`` call,
+whatever the count; each restarted thread then spins for about 0.13 s
+before it sleeps.  A redundant call after a worker pool forks therefore
+costs CPU time, and a skipped one costs nothing.
 """
 
 from __future__ import annotations
@@ -60,18 +67,23 @@ def get_num_threads():
 
 
 def set_num_threads(n):
-    """Set every controllable BLAS library to ``n`` threads."""
-    for _, set_ in _controls():
-        set_(int(n))
+    """Set every controllable BLAS library to ``n`` threads; a library
+    already at ``n`` is left alone (see the module docstring)."""
+    n = int(n)
+    for get, set_ in _controls():
+        if get() != n:
+            set_(n)
 
 
 @contextlib.contextmanager
 def num_threads(n):
-    """Run the block at ``n`` BLAS threads; restore each old count on exit."""
-    saved = [(get(), set_) for get, set_ in _controls()]
+    """Run the block at ``n`` BLAS threads; restore each old count on exit,
+    again only where the count differs."""
+    saved = [(get(), get, set_) for get, set_ in _controls()]
     set_num_threads(n)
     try:
         yield
     finally:
-        for old, set_ in saved:
-            set_(old)
+        for old, get, set_ in saved:
+            if get() != old:
+                set_(old)

@@ -16,7 +16,7 @@ defaults to the usable CPU count and is capped at the task count, and
 at the count whose largest kernel ridge fits stay within
 ``regress.KERNEL_RIDGE_BYTES`` together (with a note on stderr).
 ``main`` runs every command at one BLAS thread (``blas.num_threads``)
-and restores the caller's count on exit; the workers pin themselves too.
+and restores the caller's count on exit; forked workers inherit the pin.
 So identical configs and seeds give byte-identical files across reruns,
 across ``--jobs`` values and across hosts with the same numpy/OpenBLAS
 build and CPU type.  Where no OpenBLAS thread setter is found, commands
@@ -29,8 +29,8 @@ year fails before any fit.  Usage, config and table errors exit 2, and so
 does running out of memory (``MemoryError``: the input or config asks for
 more than the host has); a fit that fails on well-formed input
 (``EstimationError``, ``SingularModelError``) exits 3, also when it fails
-in a worker.  ``verify`` checks its joints in stacked blocks of
-``VERIFY_BLOCK`` (see ``oracle.stack``).
+in a worker.  ``verify`` draws and checks its joints in blocks of
+``VERIFY_BLOCK`` (see ``oracle.random_joints``).
 """
 
 from __future__ import annotations
@@ -437,9 +437,8 @@ def cmd_synth(args):
 VERIFY_BLOCK = 25
 
 
-def _check_block(joints, first, seed, corrupt):
-    """theorems.json entries of consecutive joints, checked as one block."""
-    block = oracle.stack(joints)
+def _check_block(block, first, seed, corrupt):
+    """theorems.json entries of a block of consecutive joints."""
     try:
         z_hat, broken = oracle.exact_tqs(block), ()
     except oracle.FormsDisagree as e:
@@ -448,8 +447,8 @@ def _check_block(joints, first, seed, corrupt):
     t1 = oracle.verify_theorem1(block, z_hat + 1.0 if corrupt else z_hat)
     t2 = oracle.verify_theorem2(block, z_hat)
     entries = []
-    for k, (joint, r1, r2) in enumerate(zip(joints, t1, t2)):
-        entry = {"joint": first + k, "seed": seed, "support": joint.size}
+    for k, ((a, b), r1, r2) in enumerate(zip(block.spans, t1, t2)):
+        entry = {"joint": first + k, "seed": seed, "support": b - a}
         if k in broken:
             entry.update(error=oracle.FORMS_DISAGREE, satisfied=False)
         else:
@@ -468,9 +467,9 @@ def cmd_verify(args):
     rng = np.random.default_rng(np.random.SeedSequence(seed & 0xFFFFFFFF))
     reports = []
     for first in range(0, n_joints, VERIFY_BLOCK):
-        joints = [oracle.random_joint(rng, additive=True, zero_mean_f=True)
-                  for _ in range(min(VERIFY_BLOCK, n_joints - first))]
-        reports += _check_block(joints, first, seed, args.corrupt_for_testing)
+        block = oracle.random_joints(rng, min(VERIFY_BLOCK, n_joints - first),
+                                     additive=True, zero_mean_f=True)
+        reports += _check_block(block, first, seed, args.corrupt_for_testing)
     failures = [entry["joint"] for entry in reports if not entry["satisfied"]]
     out = _out_dir(args)
     _write_json(os.path.join(out, "theorems.json"),

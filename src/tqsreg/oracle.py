@@ -6,9 +6,8 @@ expectations are exact up to floating-point rounding; all checks use a
 one group mean over the support (``_cond_mean``), and a joint groups
 its support once per conditioning set: ``by_x`` and ``by_x_y2`` label
 each outcome by its X and its (X, Y2) value on first use and are kept
-on the joint.  ``build_joint`` (from maps) and ``random_joint`` (from
-arrays of draws) share one array assembler.  These joints back the
-equivalence, error-bound and exact-recovery checks for the estimators.
+on the joint.  These joints back the equivalence, error-bound and
+exact-recovery checks for the estimators.
 
 ``stack`` puts independent joints into one block: a ``DiscreteJoint``
 whose ``joint`` column labels each outcome with its joint.  The label
@@ -16,8 +15,13 @@ leads every grouping, so each group, and each group sum, is the one the
 joint has alone, and ``exact_tqs`` and the theorem checks take a whole
 block in one call and give per-joint results, bit for bit those of the
 one-joint calls.  A single joint (no ``joint`` column) is the block of
-one and gets its results unwrapped.  ``tqsreg verify`` checks its
-random joints one block at a time: one exact 3QS pass per block, whose
+one and gets its results unwrapped.
+
+One assembler, ``_assemble``, builds every joint, a block at a time from
+arrays with a leading joint axis: ``build_joint`` (from maps) assembles
+a block of one, and ``random_joints`` a block of random draws.
+``tqsreg verify`` draws and checks its random joints one block at a
+time: one ``random_joints`` call and one exact 3QS pass per block, whose
 estimate the theorem checks take.
 """
 
@@ -176,24 +180,28 @@ def _kernel(rows):
     return vals, p
 
 
-def _assemble(xs, px, z1s, pz1, z2s, pz2, ns, pn, fn, m1=None, m2=None):
-    """The joint p(x) p(z1|x) p(z2|x) p(n) on sorted supports.
+def _assemble(xs, px, z1s, pz1, z2s, pz2, ns, pn, fn, m1=None, m2=None, block=False):
+    """Joints p(x) p(z1|x) p(z2|x) p(n) on sorted supports, one per row
+    of every argument's leading axis.
 
-    ``pz1[i, j]`` is P(Z1 = z1s[j] | X = xs[i]), ``pz2`` likewise, and
-    ``fn[k]`` is f(ns[k]).  The measurements are y_i = z_i + f(n) unless
-    ``m1``/``m2`` give them per (z, n) pair: y1 = m1[j, k] at
-    (z1s[j], ns[k]).  The outcomes are the cells of positive probability
-    of the (x, z1, z2, n) grid, in that lexicographic order.
+    In joint j, ``pz1[j, i, k]`` is P(Z1 = z1s[j, k] | X = xs[j, i]),
+    ``pz2`` likewise, and ``fn[j, k]`` is f(ns[j, k]).  The measurements
+    are y_i = z_i + f(n) unless ``m1``/``m2`` give them per (z, n) pair:
+    y1 = m1[j, i, k] at (z1s[j, i], ns[j, k]).  The outcomes are the cells
+    of positive probability of each joint's (x, z1, z2, n) grid, in that
+    lexicographic order, joint after joint: the order of ``stack``.  With
+    ``block`` the ``joint`` column labels them; otherwise there is one
+    joint and no column.
     """
-    keep = ((px > 0)[:, None, None, None] & (pz1 > 0)[:, :, None, None]
-            & (pz2 > 0)[:, None, :, None] & (pn > 0))
-    ix, i1, i2, i3 = np.nonzero(keep)
-    z1, z2, fvals = z1s[i1], z2s[i2], fn[i3]
+    keep = ((px > 0)[:, :, None, None, None] & (pz1 > 0)[:, :, :, None, None]
+            & (pz2 > 0)[:, :, None, :, None] & (pn > 0)[:, None, None, None, :])
+    j, ix, i1, i2, i3 = np.nonzero(keep)
+    z1, z2, fvals = z1s[j, i1], z2s[j, i2], fn[j, i3]
     additive = m1 is None
-    y1, y2 = (z1 + fvals, z2 + fvals) if additive else (m1[i1, i3], m2[i2, i3])
-    return DiscreteJoint(x=xs[ix], z1=z1, z2=z2, n=ns[i3], y1=y1, y2=y2, fvals=fvals,
-                         probs=px[ix] * pz1[ix, i1] * pz2[ix, i2] * pn[i3],
-                         additive=additive)
+    y1, y2 = (z1 + fvals, z2 + fvals) if additive else (m1[j, i1, i3], m2[j, i2, i3])
+    return DiscreteJoint(x=xs[j, ix], z1=z1, z2=z2, n=ns[j, i3], y1=y1, y2=y2, fvals=fvals,
+                         probs=px[j, ix] * pz1[j, ix, i1] * pz2[j, ix, i2] * pn[j, i3],
+                         additive=additive, joint=j if block else None)
 
 
 def build_joint(px, pz1_given_x, pz2_given_x, pn, f, additive=True,
@@ -216,12 +224,11 @@ def build_joint(px, pz1_given_x, pz2_given_x, pn, f, additive=True,
              _normalized(pz2_given_x[xv], f"z2|x={xv}")) for xv in xs]
     z1s, pz1 = _kernel([r1 for r1, _ in rows])
     z2s, pz2 = _kernel([r2 for _, r2 in rows])
-    fn = np.array([f(v) for v in ns])
-    if additive:
-        return _assemble(xs, pxs, z1s, pz1, z2s, pz2, ns, pns, fn)
-    m1 = np.array([[measure_y1(z, v) for v in ns] for z in z1s])
-    m2 = np.array([[measure_y2(z, v) for v in ns] for z in z2s])
-    return _assemble(xs, pxs, z1s, pz1, z2s, pz2, ns, pns, fn, m1, m2)
+    arrays = [xs, pxs, z1s, pz1, z2s, pz2, ns, pns, np.array([f(v) for v in ns])]
+    if not additive:
+        arrays += [np.array([[measure_y1(z, v) for v in ns] for z in z1s]),
+                   np.array([[measure_y2(z, v) for v in ns] for z in z2s])]
+    return _assemble(*(a[None] for a in arrays))  # the block of one
 
 
 def _group_ids(*cols):
@@ -349,44 +356,70 @@ def noise_is_observable(joint):
     return joint._unwrap(np.logical_and.reduceat(observed, joint.starts).tolist())
 
 
-_VALUES = np.arange(-2.0, 3.0)  # random_joint's support values
+_VALUES = np.arange(-2.0, 3.0)  # a random joint's support values
+
+
+def random_joints(rng, n, additive=True, zero_mean_f=True):
+    """A block of ``n`` small random joints for the randomized theorem
+    suites: ``stack`` of ``n`` ``random_joint`` calls, bit for bit, from
+    the same draws.
+
+    Supports of size 2-4 per variable, values from {-2..2},
+    probabilities from a symmetric Dirichlet(1).  Only the draws are made
+    joint by joint.  The supports, padded to 4 with +inf at probability
+    0, are sorted, and everything is checked as ``build_joint`` checks
+    its maps, once for the block; an error names the first bad joint's
+    first bad row, as that joint drawn alone would.
+    """
+    return _random_joints(rng, n, additive, zero_mean_f, block=True)
 
 
 def random_joint(rng, additive=True, zero_mean_f=True):
-    """Small random joint for the randomized theorem suites.
+    """One small random joint: the block of one of ``random_joints``, as
+    a single joint (no ``joint`` column)."""
+    return _random_joints(rng, 1, additive, zero_mean_f, block=False)
 
-    Supports of size 2-4 per variable, values from {-2..2},
-    probabilities from a symmetric Dirichlet(1).  Every support is then
-    sorted and checked as ``build_joint`` does with its maps.
-    """
-    def support(size):
-        return rng.choice(_VALUES, size=size, replace=False)
 
-    kx, kz1, kz2, kn = rng.integers(2, 5, size=4)
-    xs, z1s, z2s, ns = support(kx), support(kz1), support(kz2), support(kn)
-    px = rng.dirichlet(np.ones(kx))
-    pz1 = rng.dirichlet(np.ones(kz1), size=kx)  # row i: Z1 given X = xs[i]
-    pz2 = rng.dirichlet(np.ones(kz2), size=kx)
-    pn = rng.dirichlet(np.ones(kn))
-    fn = rng.uniform(-2.0, 2.0, size=kn)
-    if zero_mean_f:
-        fn = fn - np.dot(pn, fn)
-    m1 = m2 = None
-    if not additive:
-        m1 = rng.uniform(-2.0, 2.0, size=(kz1, kn))
-        m2 = rng.uniform(-2.0, 2.0, size=(kz2, kn))
+def _random_joints(rng, n, additive, zero_mean_f, block):
+    vals = np.full((4, n, 4), np.inf)  # X, Z1, Z2 and N supports, as drawn
+    px, pn, fn = np.zeros((3, n, 4))
+    pz1, pz2 = np.zeros((2, n, 4, 4))  # row i: Z given X = xs[i]
+    m1, m2 = np.zeros((2, n, 4, 4)) if not additive else (None, None)
+    for j in range(n):
+        sizes = rng.integers(2, 5, size=4).tolist()
+        for v, k in enumerate(sizes):
+            vals[v, j, :k] = rng.choice(_VALUES, size=k, replace=False)
+        kx, kz1, kz2, kn = sizes
+        px[j, :kx] = rng.dirichlet(np.ones(kx))
+        pz1[j, :kx, :kz1] = rng.dirichlet(np.ones(kz1), size=kx)
+        pz2[j, :kx, :kz2] = rng.dirichlet(np.ones(kz2), size=kx)
+        pn[j, :kn] = p = rng.dirichlet(np.ones(kn))
+        f = rng.uniform(-2.0, 2.0, size=kn)
+        fn[j, :kn] = f - np.dot(p, f) if zero_mean_f else f
+        if not additive:
+            m1[j, :kz1, :kn] = rng.uniform(-2.0, 2.0, size=(kz1, kn))
+            m2[j, :kz2, :kn] = rng.uniform(-2.0, 2.0, size=(kz2, kn))
 
-    ox, o1, o2, on = (np.argsort(v) for v in (xs, z1s, z2s, ns))
-    xs, z1s, z2s, ns = xs[ox], z1s[o1], z2s[o2], ns[on]
-    px, pn, fn = px[ox], pn[on], fn[on]
-    pz1, pz2 = pz1[ox][:, o1], pz2[ox][:, o2]
-    _checked(px, "x")
-    _checked(pn, "n")
-    if np.any((_unnormalized(pz1) | _unnormalized(pz2)) & (px > 0)):
-        for xv, p, r1, r2 in zip(xs, px, pz1, pz2):  # name the first bad row
+    order = np.argsort(vals, axis=-1, kind="stable")
+    xs, z1s, z2s, ns = np.take_along_axis(vals, order, -1)
+    ox, o1, o2, on = order
+    at = np.arange(n)[:, None]
+
+    def grid(p, rows, cols):  # p[j][rows[j]][:, cols[j]] for every joint j
+        return p[at[:, :, None], rows[:, :, None], cols[:, None, :]]
+
+    px, pn, fn = px[at, ox], pn[at, on], fn[at, on]
+    pz1, pz2 = grid(pz1, ox, o1), grid(pz2, ox, o2)
+    bad = (_unnormalized(px) | _unnormalized(pn)
+           | ((_unnormalized(pz1) | _unnormalized(pz2)) & (px > 0)).any(-1))
+    if bad.any():  # the first bad joint's first bad row, in x order
+        j = bad.argmax()
+        _checked(px[j], "x")
+        _checked(pn[j], "n")
+        for xv, p, r1, r2 in zip(xs[j], px[j], pz1[j], pz2[j]):
             if p > 0:
                 _checked(r1, f"z1|x={xv}")
                 _checked(r2, f"z2|x={xv}")
     if not additive:
-        m1, m2 = m1[o1][:, on], m2[o2][:, on]
-    return _assemble(xs, px, z1s, pz1, z2s, pz2, ns, pn, fn, m1, m2)
+        m1, m2 = grid(m1, o1, on), grid(m2, o2, on)
+    return _assemble(xs, px, z1s, pz1, z2s, pz2, ns, pn, fn, m1, m2, block)

@@ -184,6 +184,9 @@ def fit(config, features, targets):
         raise RegressionError("need at least 1 feature")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise RegressionError("non-finite training data")
+    with np.errstate(over="ignore"):  # every backend sums squared targets
+        if not np.isfinite(y @ y):
+            raise RegressionError("targets too large: their sum of squares overflows")
     params = config.resolved()
     if config.kind == "kernel_ridge":
         return _fit_kernel_ridge(params, x, y)

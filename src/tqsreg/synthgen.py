@@ -173,22 +173,28 @@ def worker_pool(jobs):
     raises what the first failing task raised, as a serial loop would.
     ``fn`` and the tasks must pickle.  Several ``run`` calls can share one
     pool; ``jobs <= 1`` starts no worker.
-    """
-    if not jobs or jobs <= 1:
-        yield _run_serial
-        return
-    from concurrent.futures import ProcessPoolExecutor
 
-    # pin each worker itself: spawn and forkserver workers do not
-    # inherit the parent's thread count
-    with ProcessPoolExecutor(max_workers=jobs - 1, initializer=blas.set_num_threads,
-                             initargs=(1,)) as executor:
-        yield functools.partial(_run_shared, executor, jobs - 1)
+    The pool holds this process at one BLAS thread from before its
+    workers fork until they are gone, so forked workers inherit that count
+    and no count is set after a fork: with the OpenBLAS of these wheels,
+    each such call restarts the thread pool that the fork stopped (see
+    ``blas``).
+    """
+    with blas.num_threads(1):
+        if not jobs or jobs <= 1:
+            yield _run_serial
+            return
+        from concurrent.futures import ProcessPoolExecutor
+
+        # spawn and forkserver workers start at a fresh count: the
+        # initializer pins them (forked ones are at 1 already)
+        with ProcessPoolExecutor(max_workers=jobs - 1, initializer=blas.set_num_threads,
+                                 initargs=(1,)) as executor:
+            yield functools.partial(_run_shared, executor, jobs - 1)
 
 
 def _run_serial(fn, tasks):
-    with blas.num_threads(1):
-        return [fn(t) for t in tasks]
+    return [fn(t) for t in tasks]
 
 
 def _run_shared(executor, workers, fn, tasks):
@@ -211,18 +217,17 @@ def _run_shared(executor, workers, fn, tasks):
     try:
         for _ in range(workers):
             submit_next()
-        with blas.num_threads(1):
-            while True:
+        while True:
+            with lock:
+                if not todo:
+                    break
+                i, task = todo.popleft()
+            try:
+                here[i] = (fn(task), None)
+            except Exception as e:  # raised below, once earlier tasks are in
+                here[i] = (None, e)
                 with lock:
-                    if not todo:
-                        break
-                    i, task = todo.popleft()
-                try:
-                    here[i] = (fn(task), None)
-                except Exception as e:  # raised below, once earlier tasks are in
-                    here[i] = (None, e)
-                    with lock:
-                        todo.clear()
+                    todo.clear()
         results = []
         for i in range(n):  # a task never run comes after one that failed
             if i not in here:

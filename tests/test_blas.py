@@ -99,3 +99,61 @@ class TestLateLoad:
         for run in runs.values():
             assert run["threads"] and set(run["threads"]) == {1}
         assert runs["late"]["fitted"] == runs["early"]["fitted"]
+
+
+class TestSetOnlyWhereDifferent:
+    """A library's setter runs only when its count changes, and every
+    count is still restored."""
+
+    def test_spied_setters(self, monkeypatch):
+        counts, calls = [1, 4], []
+
+        def control(k):
+            def set_(n):
+                calls.append((k, n))
+                counts[k] = n
+            return (lambda: counts[k]), set_
+
+        monkeypatch.setattr(blas, "_controls", lambda: (control(0), control(1)))
+        with blas.num_threads(1):
+            assert calls == [(1, 1)]
+            blas.set_num_threads(1)
+            with blas.num_threads(1):
+                pass
+            assert calls == [(1, 1)]
+            with blas.num_threads(3):
+                assert counts == [3, 3]
+            assert counts == [1, 1]
+        assert counts == [1, 4]
+        assert calls == [(1, 1), (0, 3), (1, 3), (0, 1), (1, 1), (1, 4)]
+
+
+# After a pool of two processes (one forked worker), this process sleeps;
+# prints the CPU seconds it used meanwhile.
+_POOL_THEN_SLEEP = """
+import resource, time
+from tqsreg import blas, synthgen
+
+def cpu():
+    r = resource.getrusage(resource.RUSAGE_SELF)
+    return r.ru_utime + r.ru_stime
+
+with blas.num_threads(1):
+    with synthgen.worker_pool(2) as run:
+        assert run(abs, [-1, -2, -3, -4]) == [1, 2, 3, 4]
+    before = cpu()
+    time.sleep(0.3)
+    print(cpu() - before)
+"""
+
+
+class TestPoolLeavesBlasAsleep:
+    """A worker pool sets no thread count after its fork, so the OpenBLAS
+    thread pool that the fork stopped is not restarted (a restarted
+    thread spins about 0.13 s before it sleeps)."""
+
+    def test_parent_idle_after_pool(self):
+        proc = subprocess.run([sys.executable, "-c", _POOL_THEN_SLEEP], env=child_env(),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) < 0.05

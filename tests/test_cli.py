@@ -3,6 +3,7 @@ import os
 import resource
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -789,8 +790,12 @@ class TestExitCodes:
         survey = tmp_path / "huge.csv"
         survey.write_text("\n".join(lines) + "\n")
         out = tmp_path / "o"
-        assert run(argv + ["--input", str(survey), "--out", str(out)]) == cli.EXIT_MODEL
-        assert "model failed for species 0: " in capsys.readouterr().err
+        with warnings.catch_warnings():  # refused before any sum overflows
+            warnings.simplefilter("error")
+            assert run(argv + ["--input", str(survey), "--out", str(out)]) == cli.EXIT_MODEL
+        err = capsys.readouterr().err
+        assert "model failed for species 0: " in err
+        assert "targets too large: their sum of squares overflows" in err
         assert not out.exists() or not os.listdir(out)
 
     @pytest.mark.parametrize("argv", [["denoise"], ["eval", "--methods", "raw,3qs"]])
@@ -838,7 +843,7 @@ class TestExitCodes:
         def exhausted(*args, **kwargs):
             raise MemoryError
 
-        monkeypatch.setattr(cli.oracle, "random_joint", exhausted)
+        monkeypatch.setattr(cli.oracle, "random_joints", exhausted)
         assert run(["verify", "--out", str(tmp_path / "v")]) == EXIT_USAGE
         assert capsys.readouterr().err == "error: out of memory\n"
 

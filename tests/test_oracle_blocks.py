@@ -20,6 +20,7 @@ from tqsreg.oracle import (
     exact_tqs,
     noise_is_observable,
     random_joint,
+    random_joints,
     stack,
     verify_theorem1,
     verify_theorem2,
@@ -61,6 +62,21 @@ class TestStackedEqualsOneJoint:
         joints = _joints(seed, count, additive=False)
         z_hat = exact_tqs(stack(joints))
         assert z_hat.tobytes() == np.concatenate([exact_tqs(j) for j in joints]).tobytes()
+
+
+class TestRandomBlocks:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, BLOCK - 1, BLOCK, BLOCK + 1]),
+           st.booleans(), st.booleans())
+    def test_block_is_stack_of_single_draws(self, seed, count, additive, zero_mean_f):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        block = random_joints(rng, count, additive=additive, zero_mean_f=zero_mean_f)
+        ref = stack([random_joint(ref_rng, additive, zero_mean_f) for _ in range(count)])
+        for name in DiscreteJoint.__dataclass_fields__:
+            got, want = np.asarray(getattr(block, name)), np.asarray(getattr(ref, name))
+            assert got.dtype == want.dtype, name
+            assert got.tobytes() == want.tobytes(), name
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestBlockChecks:
@@ -155,6 +171,41 @@ class TestRandomJointChecks:
         assert str(err.value) == f"z{kernel}|x={x} distribution is not normalized"
 
 
+class _BadBlockKernels(_BadKernels):
+    """``_BadKernels`` that also keeps every support as drawn."""
+
+    def __init__(self, seed, bad):
+        super().__init__(seed, bad)
+        self.supports = []
+
+    def choice(self, *args, **kwargs):
+        out = super().choice(*args, **kwargs)
+        self.supports.append(out)
+        return out
+
+
+class TestRandomBlockChecks:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("bad", [[(1, 0)], [(2, 1)], [(1, 1), (2, 0)], [(1, 0), (2, 0)]])
+    @pytest.mark.parametrize("also_later", [False, True])
+    def test_block_names_the_first_bad_joints_row(self, seed, bad, also_later):
+        # joint k's kernels are the draws 2k + 1 (Z1 | X) and 2k + 2 (Z2 | X);
+        # joint 3 is corrupted, and with also_later joint 5 as well
+        shifted = [(6 + kernel, row) for kernel, row in bad]
+        rng = _BadBlockKernels(seed, shifted + ([(11, 0), (12, 1)] if also_later else []))
+        with pytest.raises(JointError) as err:
+            random_joints(rng, 7)
+        xs = rng.supports[4 * 3]  # joint 3's X support, as drawn
+        x, kernel = min((xs[row], kernel) for kernel, row in bad)
+        assert str(err.value) == f"z{kernel}|x={x} distribution is not normalized"
+        one_by_one = _BadKernels(seed, shifted)
+        for _ in range(3):
+            random_joint(one_by_one)
+        with pytest.raises(JointError) as single:
+            random_joint(one_by_one)
+        assert str(single.value) == str(err.value)
+
+
 def _flat(size, joint=None):
     """A joint of ``size`` equally likely outcomes, all at 0."""
     z = np.zeros(size)
@@ -203,12 +254,15 @@ class TestVerifyBlocks:
     def test_disagreeing_forms_fail_their_joint_only(self, tmp_path, monkeypatch, capsys):
         drawn = []
 
-        def drawing(rng, **kwargs):
-            joint = random_joint(rng, **kwargs)
-            drawn.append(joint)
-            return _shifted(joint) if len(drawn) - 1 in (2, BLOCK + 1) else joint
+        def drawing(rng, count, **kwargs):  # the block, drawn joint by joint
+            joints = []
+            for _ in range(count):
+                joint = random_joint(rng, **kwargs)
+                drawn.append(joint)
+                joints.append(_shifted(joint) if len(drawn) - 1 in (2, BLOCK + 1) else joint)
+            return stack(joints)
 
-        monkeypatch.setattr(cli.oracle, "random_joint", drawing)
+        monkeypatch.setattr(cli.oracle, "random_joints", drawing)
         assert cli.main(["verify", "--out", str(tmp_path), "--joints",
                          str(BLOCK + 3)]) == cli.EXIT_VERIFY_FAIL
         doc = json.loads((tmp_path / "theorems.json").read_text())

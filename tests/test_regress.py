@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -100,6 +101,17 @@ class TestFitValidation:
     def test_non_finite(self, krr_cfg):
         with pytest.raises(RegressionError, match="non-finite"):
             fit(krr_cfg, np.array([[1.0], [np.inf]]), np.ones(2))
+
+    @pytest.mark.parametrize("kind", ["kernel_ridge", "boosted_trees", "spline_gam"])
+    def test_overflowing_targets_refused_without_warnings(self, kind, rng):
+        x = rng.uniform(size=(60, 1))
+        y = rng.uniform(1.0, 2.0, size=60)
+        scale = np.sqrt(np.finfo(float).max / 60)  # about 1.7e153
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit(RegressorConfig(kind), x, y * (scale / 100))
+            with pytest.raises(RegressionError, match="sum of squares overflows"):
+                fit(RegressorConfig(kind), x, y * scale)
 
     def test_spline_multifeature_rejected(self, spline_cfg):
         with pytest.raises(RegressionError, match="exactly 1 feature"):
