@@ -9,7 +9,10 @@ fitted model (``FittedRegressor.fitted``), not from a second ``predict``.
 
 ``tqs_multi_species`` and ``hs_multi_species`` share one residual stage,
 one seeded model per species: 3QS fits it to the covariate residuals,
-HS to the counts.
+HS to the counts.  A stage fits its species in one
+``regress.shared_designs()`` block, so kernel ridge builds and factors
+one design per run of species with equal auxiliary columns (all of the
+covariate stage's species share one) and solves each target on it.
 """
 
 from __future__ import annotations
@@ -119,15 +122,17 @@ def _fit_species(stage, cfg, features, targets, counts, columns):
     fits.  A failed fit names its stage and species."""
     models = []
     out = np.empty(counts.shape)
-    for i, cols in enumerate(columns):
-        try:
-            model = fit(cfg.with_seed(species_seed(cfg.seed, i)),
-                        features[:, cols], targets[:, i])
-            fitted = model.fitted
-        except regress.RegressionError as e:
-            raise EstimationError(f"{stage} model failed for species {i}: {e}") from e
-        models.append(model)
-        out[:, i] = counts[:, i] - fitted
+    with regress.shared_designs():
+        for i, cols in enumerate(columns):
+            try:
+                model = fit(cfg.with_seed(species_seed(cfg.seed, i)),
+                            features[:, cols], targets[:, i])
+                fitted = model.fitted
+            except regress.RegressionError as e:
+                raise EstimationError(
+                    f"{stage} model failed for species {i}: {e}") from e
+            models.append(model)
+            out[:, i] = counts[:, i] - fitted
     return tuple(models), out
 
 

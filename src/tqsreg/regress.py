@@ -7,9 +7,10 @@ by the denoising estimators:
                        second-difference penalty, smoothness chosen by
                        GCV over a fixed logarithmic grid; every penalty
                        on the grid comes from one eigendecomposition
-                       per design (Demmler-Reinsch), and the last few
-                       designs stay cached, so a fit on a seen x only
-                       projects its target.  The basis comes from de
+                       per design (Demmler-Reinsch), which also holds
+                       GCV's target-free terms, and the last few designs
+                       stay cached, so a fit on a seen x only projects
+                       its target.  The basis comes from de
                        Boor's recursion in numpy, in the operation order
                        of scipy's ``BSpline``, so with its bits.
 * ``boosted_trees``  - gradient boosted regression trees, squared-error
@@ -19,13 +20,15 @@ by the denoising estimators:
 * ``kernel_ridge``   - RBF kernel ridge regression with an unpenalized
                        intercept and median-distance bandwidth heuristic
                        (the median from one partition of the pairwise
-                       distances, the bits of ``np.median``);
-                       K + lam I is solved by one Cholesky factorization
-                       (LAPACK ``dposv``, in place), and a fit refuses
+                       distances, the bits of ``np.median``); a design,
+                       K and the Cholesky factor of K + lam I (LAPACK
+                       ``dpotrf``, in place), serves each target's solve
+                       (``dpotrs``), and inside ``shared_designs()`` the
+                       next fit on the same design too.  A fit refuses
                        more than ``kernel_ridge_max_rows()`` rows before
                        it allocates any m x m array.  It is the only
-                       backend that uses scipy (``dposv``, ``dgemv``,
-                       ``pdist``, ``cdist``) and imports those routines
+                       backend that uses scipy (``dpotrf``, ``dpotrs``,
+                       ``dgemv``, ``pdist``, ``cdist``) and imports them
                        where it first calls them, after the row check,
                        so a process that fits no kernel ridge model
                        never loads scipy.
@@ -50,6 +53,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
@@ -82,6 +86,8 @@ _PENALTY_GRID = tuple(np.logspace(-3.0, 3.0, 13))
 
 # byte budget for the m x m float64 arrays of one kernel ridge fit; no
 # step holds more than two (the kernel and the system factored in place).
+# A design kept by ``shared_designs()`` is those same two arrays, and it
+# is dropped before the next design allocates and when the block ends.
 # The CLI keeps the fits of all its processes within it together.
 KERNEL_RIDGE_BYTES = 1 << 30
 _KERNEL_RIDGE_ARRAYS = 2
@@ -267,25 +273,54 @@ def _median_bandwidth(x):
     return med if med > 0 else 1.0
 
 
-def _fit_kernel_ridge(params, x, y):
-    m = x.shape[0]
-    check_kernel_ridge_rows(m)  # before scipy is imported or any m x m array exists
-    from scipy.linalg.lapack import dposv
+# inside shared_designs(), [None or the last design: (key, gamma, K, factor)]
+_held = None
+
+
+@contextmanager
+def shared_designs():
+    """Keep kernel ridge's last design (K and its Cholesky factor) through a
+    block: a fit on its x bytes, bandwidth and penalty only solves, any other
+    fit replaces it, and the block's end drops it."""
+    global _held
+    _held = [None]
+    try:
+        yield
+    finally:
+        _held = None
+
+
+def _kernel_design(x, bandwidth, penalty):
+    """gamma, K and the upper Cholesky factor of K + penalty I (Fortran order)."""
+    from scipy.linalg.lapack import dpotrf
     from scipy.spatial.distance import cdist
 
-    bw = params["bandwidth"]
-    if bw is None:
-        bw = _median_bandwidth(x)
+    m = x.shape[0]
+    bw = _median_bandwidth(x) if bandwidth is None else bandwidth
     gamma = 1.0 / (2.0 * bw * bw)
     k = np.exp(-gamma * cdist(x, x, "sqeuclidean"))
-    intercept = float(np.mean(y))
     a = k.copy()
-    a.flat[::m + 1] += params["penalty"]
+    a.flat[::m + 1] += penalty
     # a is symmetric, so its transpose is the Fortran-ordered array that
-    # dposv factors in place, without a copy
-    _, alpha, info = dposv(a.T, y - intercept, overwrite_a=True, overwrite_b=True)
+    # dpotrf factors in place, without a copy
+    c, info = dpotrf(a.T, overwrite_a=True, clean=False)
     if info != 0:
         raise SingularModelError(f"kernel system not positive definite (info={info})")
+    return gamma, k, c
+
+
+def _fit_kernel_ridge(params, x, y):
+    check_kernel_ridge_rows(x.shape[0])  # before scipy or any m x m array
+    key = (x.shape, x.tobytes(), params["bandwidth"], params["penalty"])
+    held = _held or [None]  # outside shared_designs(), this fit's own
+    if held[0] is None or held[0][0] != key:
+        held[0] = None  # drop the last design before allocating this one
+        held[0] = (key, *_kernel_design(x, params["bandwidth"], params["penalty"]))
+    _, gamma, k, c = held[0]
+    from scipy.linalg.lapack import dpotrs
+
+    intercept = float(np.mean(y))
+    alpha, _ = dpotrs(c, y - intercept, overwrite_b=True)  # info < 0: a bad argument
     if not np.all(np.isfinite(alpha)):
         raise SingularModelError("kernel system produced non-finite solution")
     return FittedKernelRidge(x.copy(), alpha, intercept, gamma,
@@ -554,6 +589,8 @@ class _SplineBasis:
     v: np.ndarray  # coefficients of the Demmler-Reinsch basis, (nb, nb)
     bv: np.ndarray  # the design in that basis, B V
     bv_norms: np.ndarray  # |B v_j|^2
+    scale: np.ndarray  # GCV's target-free terms on _PENALTY_GRID, from _gcv_terms
+    edf: np.ndarray
 
 
 @lru_cache(maxsize=8)  # LOYO fits cycle through a few designs per training set
@@ -579,10 +616,18 @@ def _spline_basis(n_knots, x_bytes):
     v = li.T @ w
     bv = b @ v
     # |B v_j|^2 is 1 - mu_j without the cancellation where mu_j is near 1
-    basis = _SplineBasis(knots, lo, hi, mu, v, bv, (bv * bv).sum(axis=0))
-    for a in (knots, mu, v, bv, basis.bv_norms):
+    bv_norms = (bv * bv).sum(axis=0)
+    basis = _SplineBasis(knots, lo, hi, mu, v, bv, bv_norms,
+                         *_gcv_terms(mu, bv_norms, np.array(_PENALTY_GRID)))
+    for a in (knots, mu, v, bv, bv_norms, basis.scale, basis.edf):
         a.setflags(write=False)
     return basis
+
+
+def _gcv_terms(mu, bv_norms, lams):
+    """The (nb, n_lam) eigenvalue scales of penalties ``lams`` and their edf."""
+    scale = 1.0 + np.outer(mu, lams - 1.0)
+    return scale, (bv_norms[:, None] / scale).sum(axis=0)
 
 
 def _fit_spline_gam(params, x, y):
@@ -592,12 +637,12 @@ def _fit_spline_gam(params, x, y):
     basis = _spline_basis(params["n_knots"], x[:, 0].tobytes())
     fixed = params["penalty"] is not None
     lams = np.array([float(params["penalty"])] if fixed else _PENALTY_GRID)
-    scale = 1.0 + np.outer(basis.mu, lams - 1.0)  # (nb, n_lam)
+    scale, edf = (_gcv_terms(basis.mu, basis.bv_norms, lams) if fixed
+                  else (basis.scale, basis.edf))
     z = (basis.bv.T @ y)[:, None] / scale  # V-basis coefficients, one column per lam
     coefs = basis.v @ z
     if not np.all(np.isfinite(coefs)):
         raise SingularModelError("spline system produced non-finite solution")
-    edf = (basis.bv_norms[:, None] / scale).sum(axis=0)
     fits = basis.bv @ z  # in-sample predictions, one column per lam
     rss = ((y[:, None] - fits) ** 2).sum(axis=0)
     denom = m - edf

@@ -1,11 +1,13 @@
+import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tqsreg import cli, regress
+from tqsreg import cli, estimators, regress
 from tqsreg.data_model import ObservationTable, save_table
 from tqsreg.estimators import (
     EstimationError,
@@ -382,3 +384,64 @@ class TestPerSpeciesReference:
                 == self._hs(counts, cfg_res, n_aux).tobytes())
         assert (tqs_multi_species(table, cfg_x, cfg_res, n_aux=n_aux).z_hat.tobytes()
                 == self._tqs(x[:, None], counts, cfg_x, cfg_res, n_aux).tobytes())
+
+
+class TestSharedDesignsInStages:
+    """A stage fits kernel ridge once per design: one per run of species
+    with equal auxiliary columns, and no m x m array outlives it."""
+
+    def test_one_factorization_per_run_of_equal_aux_columns(self, spline_cfg, krr_cfg,
+                                                            rng, monkeypatch):
+        from scipy.linalg import lapack
+
+        factored, fitted = [], []
+        real_dpotrf, real_fit = lapack.dpotrf, estimators.fit
+
+        def dpotrf_spy(*args, **kwargs):
+            factored.append(1)
+            return real_dpotrf(*args, **kwargs)
+
+        def fit_spy(cfg, x, y):
+            fitted.append(cfg.kind)
+            return real_fit(cfg, x, y)
+
+        monkeypatch.setattr("scipy.linalg.lapack.dpotrf", dpotrf_spy)
+        monkeypatch.setattr(estimators, "fit", fit_spy)
+        table, _ = make_table(rng, s=6, m=80)
+        res = tqs_multi_species(table, spline_cfg, krr_cfg, n_aux=1)
+        runs = len(list(itertools.groupby(res.aux_columns)))
+        assert runs < 6  # the 5 species besides the most abundant share its column
+        assert len(factored) == runs
+        assert fitted == ["spline_gam"] * 6 + ["kernel_ridge"] * 6
+        # every covariate model shares the covariates: one design for the stage
+        factored.clear()
+        fitted.clear()
+        assert tqs_multi_species(table, krr_cfg, krr_cfg, n_aux=1).aux_columns \
+            == res.aux_columns
+        assert len(factored) == 1 + runs
+        assert fitted == ["kernel_ridge"] * 12
+
+    def test_stage_holds_at_most_two_kernel_arrays(self, krr_cfg, rng):
+        m = 300
+        feats = rng.normal(size=(m, 3))
+        targets = rng.normal(size=(m, 6))
+        # misses and hits in turn: every new design replaces the last one
+        columns = [[0], [0], [1], [0, 1], [0, 1], [2]]
+        estimators._fit_species("residual", krr_cfg, feats, targets, targets,
+                                columns[:1])  # scipy's imports are not the stage's
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            models, _ = estimators._fit_species("residual", krr_cfg, feats, targets,
+                                                targets, columns)
+            now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kernel = 8 * m * m
+        # besides two kernels: the models so far and the vectors of one fit,
+        # about 8 m (6 (d + 2) + 6) bytes, under a quarter kernel at m = 300
+        assert peak - start <= 2 * kernel + kernel // 4
+        # the models (x, alpha, fitted) and the result remain; no kernel does
+        assert now - start < kernel // 2
+        assert len(models) == 6

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import BSpline
+from scipy.linalg import lapack
 from scipy.spatial.distance import cdist
 
 from tqsreg import regress
@@ -889,3 +890,98 @@ class TestMedianBandwidth:
         full = cdist(x, x)
         med = float(np.median(full[np.triu_indices(m, k=1)]))
         assert regress._median_bandwidth(x) == (med if med > 0 else 1.0)
+
+
+class TestSplineGcvTerms:
+    def test_grid_terms_are_kept_read_only_on_the_basis(self, rng):
+        x = rng.uniform(0, 10, size=(40, 1))
+        basis = regress._spline_basis(20, x[:, 0].tobytes())
+        assert basis.scale.shape == (24, len(regress._PENALTY_GRID))
+        for a in (basis.scale, basis.edf):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+        # a fixed penalty on the grid gets the grid's edf up to the order of
+        # the sum (one column against thirteen), through the same helper
+        for j in (0, 6, 12):
+            cfg = RegressorConfig("spline_gam", {"penalty": regress._PENALTY_GRID[j]})
+            edf = fit(cfg, x, rng.normal(size=40)).edf
+            assert edf == pytest.approx(basis.edf[j], rel=1e-14)
+
+
+class TestSharedKernelDesigns:
+    """Kernel ridge fits inside ``shared_designs()`` reuse the last design
+    (K and its Cholesky factor) when x's bytes, bandwidth and penalty
+    match, and give the bits of fits made alone."""
+
+    @staticmethod
+    def _factor_spy(calls):
+        real = lapack.dpotrf
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+        return spy
+
+    @staticmethod
+    def _facts(model, xq):
+        return model.alpha, model.gamma, model.fitted, model.predict(xq)
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(2, 30), d=st.integers(1, 3), constant=st.booleans(),
+           seed=st.integers(0, 2**32 - 1),
+           species=st.lists(st.tuples(st.integers(0, 1), st.sampled_from([1.0, 0.25]),
+                                      st.sampled_from([None, 0.7])),
+                            min_size=1, max_size=6))
+    def test_reused_design_gives_the_bits_of_a_fresh_one(self, m, d, constant, seed,
+                                                          species):
+        rng = np.random.default_rng(seed)
+        x = np.full((m, d), 0.5) if constant else rng.normal(size=(m, d)).round(1)
+        # the second x differs from the first in one bit of one value
+        xs = (x, x.copy())
+        xs[1][0, 0] = np.nextafter(x[0, 0], np.inf)
+        xq = rng.normal(size=(5, d))
+        fits = [(xs[v], RegressorConfig("kernel_ridge", {"penalty": lam, "bandwidth": bw}),
+                 rng.normal(size=m) * 10.0 ** rng.integers(-3, 4))
+                for v, lam, bw in species]
+        # a key that differs from the one before refactors; nothing else does
+        designs = 1 + sum(a != b for a, b in zip(species, species[1:]))
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("scipy.linalg.lapack.dpotrf", self._factor_spy(calls))
+            with regress.shared_designs():
+                shared = [fit(cfg, xv, y) for xv, cfg, y in fits]
+            assert len(calls) == designs
+            fresh = [fit(cfg, xv, y) for xv, cfg, y in fits]
+            assert len(calls) == designs + len(fits)  # alone, each fit factors
+        for a, b in zip(shared, fresh):
+            for u, v in zip(self._facts(a, xq), self._facts(b, xq)):
+                assert np.asarray(u).tobytes() == np.asarray(v).tobytes()
+
+    def test_singular_design_raises_for_every_fit_and_is_not_kept(self, monkeypatch,
+                                                                   krr_cfg, rng):
+        # the data of TestKernelRidge.test_singular_system_raises
+        cfg = RegressorConfig("kernel_ridge", {"penalty": 1e-300})
+        x_bad = np.array([[0.0], [0.0], [1.0]])
+        x_good = rng.normal(size=(3, 1))
+        calls = []
+        monkeypatch.setattr("scipy.linalg.lapack.dpotrf", self._factor_spy(calls))
+        with regress.shared_designs():
+            fit(krr_cfg, x_good, rng.normal(size=3))
+            for _ in range(3):
+                with pytest.raises(SingularModelError, match="not positive definite"):
+                    fit(cfg, x_bad, rng.normal(size=3))
+            # the failed design dropped the good one and kept nothing
+            fit(krr_cfg, x_good, rng.normal(size=3))
+        assert len(calls) == 5
+
+    def test_block_end_drops_the_design(self, monkeypatch, krr_cfg, rng):
+        x = rng.normal(size=(20, 2))
+        calls = []
+        monkeypatch.setattr("scipy.linalg.lapack.dpotrf", self._factor_spy(calls))
+        with regress.shared_designs():
+            for _ in range(3):
+                fit(krr_cfg, x, rng.normal(size=20))
+        assert len(calls) == 1
+        with regress.shared_designs():
+            fit(krr_cfg, x, rng.normal(size=20))
+        assert len(calls) == 2
