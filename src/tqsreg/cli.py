@@ -268,9 +268,9 @@ def _write_csv(path, header, rows, pre=()):
         with open(p, "w", encoding="utf-8", newline="") as fh:
             for line in pre:
                 fh.write(f"# {line}\n")
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(row) + "\n")
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
 
     atomic(path, write)
 

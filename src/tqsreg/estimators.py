@@ -7,12 +7,12 @@ between the latent quantities is preserved.  Every estimator subtracts
 a model's predictions on its own training rows, which it reads from the
 fitted model (``FittedRegressor.fitted``), not from a second ``predict``.
 
-``tqs_multi_species`` and ``hs_multi_species`` share one residual stage,
-one seeded model per species: 3QS fits it to the covariate residuals,
-HS to the counts.  A stage fits its species in one
-``regress.shared_designs()`` block, so kernel ridge builds and factors
-one design per run of species with equal auxiliary columns (all of the
-covariate stage's species share one) and solves each target on it.
+Every per-species model, here and in ``evalharness``, is fit by one stage
+step: one model per species in one ``regress.shared_designs()`` block, so
+kernel ridge factors one design per run of species with equal features,
+and a failed fit names its stage and species.  ``tqs_multi_species`` and
+``hs_multi_species`` share one residual stage, one seeded model per
+species: 3QS fits it to the covariate residuals, HS to the counts.
 """
 
 from __future__ import annotations
@@ -116,24 +116,26 @@ def _aux_species(counts, i, n_aux):
     return others[:n_aux]
 
 
-def _fit_species(stage, cfg, features, targets, counts, columns):
-    """Fit species i's model to ``targets[:, i]`` on ``features[:, columns[i]]``
-    with seed (cfg.seed, i); return the models and ``counts`` minus their
-    fits.  A failed fit names its stage and species."""
+def _species_configs(cfg, s):
+    """``cfg`` seeded with (cfg.seed, i) for each species i < s."""
+    return [cfg.with_seed(species_seed(cfg.seed, i)) for i in range(s)]
+
+
+def _fit_species(stage, cfgs, features, targets, columns):
+    """Fit species i's model, config ``cfgs[i]``, to ``targets[:, i]`` on
+    ``features[:, columns[i]]`` and return the models.  A failed fit, or a
+    non-finite fit on its own rows, names its stage and species."""
     models = []
-    out = np.empty(counts.shape)
     with regress.shared_designs():
-        for i, cols in enumerate(columns):
+        for i, (cfg, cols) in enumerate(zip(cfgs, columns)):
             try:
-                model = fit(cfg.with_seed(species_seed(cfg.seed, i)),
-                            features[:, cols], targets[:, i])
-                fitted = model.fitted
+                model = fit(cfg, features[:, cols], targets[:, i])
+                model.fitted  # noqa: B018 -- raises on a non-finite fit
             except regress.RegressionError as e:
                 raise EstimationError(
                     f"{stage} model failed for species {i}: {e}") from e
             models.append(model)
-            out[:, i] = counts[:, i] - fitted
-    return tuple(models), out
+    return tuple(models)
 
 
 def tqs_multi_species(table, cfg_x, cfg_res, n_aux=None):
@@ -152,12 +154,13 @@ def tqs_multi_species(table, cfg_x, cfg_res, n_aux=None):
         raise ValueError("need >= 1 process covariate")
     y = table.counts
     aux_columns = [_aux_species(y, i, n_aux) for i in range(s)]
-    cov_models, residuals = _fit_species("covariate", cfg_x, table.covariates, y, y,
-                                         [slice(None)] * s)
-    res_models, z_hat = _fit_species("residual", cfg_res, residuals, residuals, y,
-                                     aux_columns)
+    cov_models = _fit_species("covariate", _species_configs(cfg_x, s), table.covariates,
+                              y, [slice(None)] * s)
+    residuals = y - np.column_stack([m.fitted for m in cov_models])
+    res_models = _fit_species("residual", _species_configs(cfg_res, s), residuals,
+                              residuals, aux_columns)
     return DenoiseResult(
-        z_hat=z_hat,
+        z_hat=y - np.column_stack([m.fitted for m in res_models]),
         residuals=residuals,
         covariate_models=cov_models,
         residual_models=res_models,
@@ -176,6 +179,7 @@ def hs_multi_species(table, cfg_res, n_aux=None):
     if s < 2:
         raise ValueError("need >= 2 species for multi-species denoising")
     y = table.counts
-    _, z_hat = _fit_species("residual", cfg_res, y, y, y,
-                            [_aux_species(y, i, n_aux) for i in range(s)])
-    return z_hat + [y[:, i].mean() for i in range(s)]
+    models = _fit_species("residual", _species_configs(cfg_res, s), y, y,
+                          [_aux_species(y, i, n_aux) for i in range(s)])
+    return (y - np.column_stack([m.fitted for m in models])
+            + [y[:, i].mean() for i in range(s)])

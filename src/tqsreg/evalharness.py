@@ -3,7 +3,9 @@
 For every held-out test year, the 3QS and HS denoisers of ``estimators``
 (one residual stage serves both) are fit on the remaining years pooled;
 a per-year smoother is then fit to the denoised counts of each single
-training year and scored on the raw test-year counts.  Also provides the
+training year and scored on the raw test-year counts.  The smoothers, the
+pooled-years ``global`` and the brightness-feature ``mb`` models fit their
+species through the denoisers' stage step.  Also provides the
 moon-driven survey simulation used in place of the (non-redistributable)
 field data, and the correlation / retained-variability diagnostics.
 
@@ -22,8 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import ObservationTable, split_by_group
-from .estimators import hs_multi_species, species_seed, tqs_multi_species
-from .regress import fit, predict
+from .estimators import (_fit_species, _species_configs, hs_multi_species,
+                         tqs_multi_species)
+from .regress import predict
 from .synthgen import worker_pool
 
 # raw smoother, HS, 3QS, brightness-feature model, and the pooled-years
@@ -33,6 +36,8 @@ METHODS = ("raw", "hs", "3qs", "mb", "global")
 DIAGNOSED = ("3qs", "hs")
 
 LUNAR_PERIOD = 29.5
+WEATHER_FLOOR = 0.0  # the least nightly weather factor of the brightness
+ACTIVITY_SCALE = 0.25  # the shared activity factor's loading, per seasonal std
 BRIGHTNESS_ZERO_DEFAULT = 0.05
 
 
@@ -126,14 +131,6 @@ class EvalReport:
         return float(np.mean(vals))
 
 
-def _unique_groups(table):
-    seen = []
-    for g in table.group_labels:
-        if g not in seen:
-            seen.append(g)
-    return seen
-
-
 def _denoised(method, table, cfg_x, cfg_res, n_aux):
     """The z-hat matrix of method "3qs" or "hs" on ``table``."""
     if method == "3qs":
@@ -167,43 +164,40 @@ def _fold_cells(train, train_groups, test_g, test_x, test_y, test_bright,
                 score_methods, cfg_x, cfg_res, smooth_cfg, brightness_column, n_aux):
     """The cells of held-out group ``test_g``: models fit on ``train`` (the
     other groups), scored on the test rows (``test_*``, already filtered)."""
+    s = train.n_species
+    smoothers = [smooth_cfg] * s  # not seeded per species
     denoised = {"raw": train.counts}
     for method in DIAGNOSED:
         if method in score_methods:
             denoised[method] = _denoised(method, train, cfg_x, cfg_res, n_aux)
-    train_labels = np.array(train.group_labels)
-    species = train.species_names
 
-    global_mse = {}
+    def mse_of(stage, cfgs, x, y, test):
+        models = _fit_species(stage, cfgs, x, y, [slice(None)] * s)
+        return [float(np.mean((test_y[:, i] - predict(model, test)) ** 2))
+                for i, model in enumerate(models)]
+
     if "global" in score_methods:
-        for i, sp in enumerate(species):
-            model = fit(smooth_cfg, train.covariates, train.counts[:, i])
-            pred = predict(model, test_x)
-            global_mse[sp] = float(np.mean((test_y[:, i] - pred) ** 2))
-
-    cells = []
+        global_mse = mse_of("global", smoothers, train.covariates, train.counts, test_x)
+    train_labels = np.array(train.group_labels)
+    scores = {}
     for train_g in train_groups:
         rows = train_labels == train_g
-        year_x = train.covariates[rows]
-        for i, sp in enumerate(species):
-            for method in score_methods:
-                if method == "global":
-                    mse = global_mse[sp]
-                elif method == "mb":
-                    bright = train.diagnostics[brightness_column][rows]
-                    feats = np.column_stack([year_x[:, 0], bright])
-                    model = fit(cfg_res.with_seed(species_seed(cfg_res.seed, i)),
-                                feats, train.counts[rows, i])
-                    pred = predict(
-                        model, np.column_stack([test_x[:, 0], test_bright])
-                    )
-                    mse = float(np.mean((test_y[:, i] - pred) ** 2))
-                else:
-                    model = fit(smooth_cfg, year_x, denoised[method][rows, i])
-                    pred = predict(model, test_x)
-                    mse = float(np.mean((test_y[:, i] - pred) ** 2))
-                cells.append(EvalCell(sp, train_g, test_g, method, mse))
-    return cells
+        for method in score_methods:
+            if method == "global":
+                scores[train_g, method] = global_mse
+            elif method == "mb":
+                feats = np.column_stack([train.covariates[rows, 0],
+                                         train.diagnostics[brightness_column][rows]])
+                scores[train_g, method] = mse_of(
+                    "mb", _species_configs(cfg_res, s), feats, train.counts[rows],
+                    np.column_stack([test_x[:, 0], test_bright]))
+            else:
+                scores[train_g, method] = mse_of(
+                    "smoother", smoothers, train.covariates[rows], denoised[method][rows],
+                    test_x)
+    return [EvalCell(sp, train_g, test_g, method, scores[train_g, method][i])
+            for train_g in train_groups for i, sp in enumerate(train.species_names)
+            for method in score_methods]
 
 
 def _call(task):
@@ -219,8 +213,9 @@ def loyo_evaluate(table, methods, cfg_x, cfg_res, smooth_cfg, test_filter=None,
     given, maps the test-year table to a boolean row mask (e.g. a
     brightness-zero rule).  ``n_aux`` caps the auxiliary species used
     by hs/3qs, in the folds and in the diagnostics.  Test rows never touch
-    any fitted model.  Every test subset is built, and checked non-empty,
-    before any model is fit.  ``jobs`` runs the folds and the two halves of
+    any fitted model.  Before any model is fit, every test subset is built
+    and checked non-empty and, with diagnostics, every species column is
+    checked non-constant.  ``jobs`` runs the folds and the two halves of
     the diagnostics on that many processes (``synthgen.worker_pool``, at
     one BLAS thread); None runs them here, one after another, at the
     caller's thread count.
@@ -229,7 +224,7 @@ def loyo_evaluate(table, methods, cfg_x, cfg_res, smooth_cfg, test_filter=None,
     unknown = set(methods) - set(METHODS)
     if unknown:
         raise EvalError(f"unknown methods: {sorted(unknown)}")
-    groups = _unique_groups(table)
+    groups = list(dict.fromkeys(table.group_labels))
     if len(groups) < 2:
         raise EvalError("need >= 2 distinct group labels")
     if table.n_species < 2:
@@ -237,6 +232,10 @@ def loyo_evaluate(table, methods, cfg_x, cfg_res, smooth_cfg, test_filter=None,
     needs_brightness = "mb" in methods
     if needs_brightness or with_diagnostics:
         brightness_column = resolve_brightness_column(table, brightness_column)
+    if with_diagnostics:  # the retained std divides by each species' std
+        for name, column in zip(table.species_names, table.counts.T):
+            if np.all(column == column[0]):
+                raise EvalError(f"zero-variance species column {name!r}")
 
     score_methods = list(dict.fromkeys(["raw"] + methods))
     denoise_args = {"cfg_x": cfg_x, "cfg_res": cfg_res, "n_aux": n_aux}
@@ -297,8 +296,7 @@ class MothSimulation:
 
 
 def simulate_moth_survey(years=5, days_per_year=180, n_species=10, seed=0,
-                         beta=1.0, idio_sigma=0.1, weather_floor=0.0,
-                         activity_scale=0.25):
+                         beta=1.0, idio_sigma=0.1):
     """Moon-driven survey simulation with known ground truth.
 
     Per species the latent log-abundance is a sum of 1-2 seasonal
@@ -308,7 +306,7 @@ def simulate_moth_survey(years=5, days_per_year=180, n_species=10, seed=0,
     varying activity/weather factor.  Brightness follows a 29.5-day
     cycle whose phase shifts per year; the effective (ground) value is
     the astronomical one scaled by a nightly weather factor in
-    [weather_floor, 1].  The diagnostic column stores only the
+    [WEATHER_FLOOR, 1].  The diagnostic column stores only the
     astronomical brightness: an imperfect proxy for the detection
     conditions, as in real surveys.
     """
@@ -347,7 +345,7 @@ def simulate_moth_survey(years=5, days_per_year=180, n_species=10, seed=0,
     # scale each species' detection loss with its seasonal variability so
     # the brightness correlation stays in a comparable band across species
     betas = beta * loadings * truth.std(axis=0)
-    weather = rng.uniform(weather_floor, 1.0, size=m)
+    weather = rng.uniform(WEATHER_FLOOR, 1.0, size=m)
     effective = brightness * weather
     # smooth shared activity factor (~10-day correlation, zero mean,
     # unit variance per year); looks like seasonal signal to a smoother
@@ -360,7 +358,7 @@ def simulate_moth_survey(years=5, days_per_year=180, n_species=10, seed=0,
         smooth = np.convolve(white, kernel, mode="valid")
         activity[rows] = smooth - smooth.mean()
     act_load = rng.uniform(0.8, 1.2, size=n_species)
-    gammas = activity_scale * act_load * truth.std(axis=0)
+    gammas = ACTIVITY_SCALE * act_load * truth.std(axis=0)
     idio = rng.normal(0.0, idio_sigma, size=(m, n_species))
     observed = (
         truth

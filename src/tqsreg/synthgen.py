@@ -27,6 +27,11 @@ from .estimators import center, hs_estimate, tqs_eq2
 DEFAULT_N_OBS = 500
 SPECIES_GRID = (2, 3, 5, 7, 10)
 SIGMA_GRID = (0.0, 0.05, 0.1, 0.2, 0.4)
+# the ranges of each species' noise loading and sigmoid parameters
+W_N_RANGE = (-1.0, 1.0)
+AMPLITUDE_RANGE = (0.5, 2.0)
+SLOPE_RANGE = (1.0, 5.0)
+CENTER_RANGE = (-0.5, 0.5)
 
 
 @dataclass(frozen=True)
@@ -36,10 +41,6 @@ class SynthConfig:
     sigma_eps: float = 0.0
     tie_noise_functions: bool = False
     seed: int = 0
-    amplitude_range: tuple = (0.5, 2.0)
-    slope_range: tuple = (1.0, 5.0)
-    center_range: tuple = (-0.5, 0.5)
-    w_n_range: tuple = (-1.0, 1.0)
 
     def __post_init__(self):
         if self.n_species < 2:
@@ -48,10 +49,6 @@ class SynthConfig:
             raise ValueError("need at least 50 observations")
         if self.sigma_eps < 0:
             raise ValueError("sigma_eps must be >= 0")
-        for rng_pair in (self.amplitude_range, self.slope_range,
-                         self.center_range, self.w_n_range):
-            if rng_pair[1] < rng_pair[0]:
-                raise ValueError("empty parameter interval")
 
 
 @dataclass(frozen=True)
@@ -81,10 +78,10 @@ def generate(config):
     x = rng.uniform(-1.0, 1.0, size=m)
     noise = rng.uniform(-1.0, 1.0, size=m)
     w_x = rng.uniform(-1.0, 1.0, size=n)
-    w_n = rng.uniform(*config.w_n_range, size=n)
-    a = rng.uniform(*config.amplitude_range, size=n)
-    b = rng.uniform(*config.slope_range, size=n)
-    c = rng.uniform(*config.center_range, size=n)
+    w_n = rng.uniform(*W_N_RANGE, size=n)
+    a = rng.uniform(*AMPLITUDE_RANGE, size=n)
+    b = rng.uniform(*SLOPE_RANGE, size=n)
+    c = rng.uniform(*CENTER_RANGE, size=n)
     if config.tie_noise_functions:
         w_n = np.full(n, w_n[0])
         a = np.full(n, a[0])

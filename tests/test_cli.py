@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import resource
@@ -472,6 +473,48 @@ class TestEval:
         assert f"empty test subset for group {last!r}" in capsys.readouterr().err
         assert early_calls == {"load": 1, "fit": 0}
 
+    def test_constant_species_fails_before_any_fit(self, tmp_path, capsys,
+                                                   early_calls, pools):
+        # the diagnostics would divide by species_c's zero std
+        rng = np.random.default_rng(0)
+        rows = ["day_of_year,species_a,species_b,species_c,moon_brightness,year"]
+        rows += [f"{100 + d % 20},{rng.poisson(5.0)},{rng.poisson(5.0)},3,"
+                 f"{rng.uniform():.4f},{2013 + d // 20}" for d in range(60)]
+        survey = tmp_path / "survey.csv"
+        survey.write_text("\n".join(rows) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for jobs in ("1", "2"):
+                assert run(["eval", "--input", str(survey), "--jobs", jobs,
+                            "--out", str(tmp_path / jobs)]) == EXIT_USAGE
+                assert ("zero-variance species column 'species_c'"
+                        in capsys.readouterr().err)
+        assert early_calls["fit"] == 0 and pools == []
+        assert run(["denoise", "--input", str(survey),
+                    "--out", str(tmp_path / "d")]) == EXIT_OK
+
+    def test_result_csvs_quote_names_and_labels(self, tmp_path):
+        # names and labels with commas are legal in a quoted input CSV
+        rng = np.random.default_rng(0)
+        names = ["species,a", "species_b", "species_c"]
+        survey = tmp_path / "survey.csv"
+        with open(survey, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["day_of_year", *names, "year"])
+            writer.writerows([d % 20, *rng.normal(size=3), ("y,1", "y2", "y3")[d // 20]]
+                             for d in range(60))
+        out = tmp_path / "o"
+        for command in (["denoise"], ["eval", "--methods", "raw,global"]):
+            assert run(command + ["--input", str(survey), "--out", str(out)]) == EXIT_OK
+        with open(out / "zhat.csv", newline="") as fh:
+            zhat = [row for row in csv.reader(fh) if not row[0].startswith("#")]
+        assert zhat[0] == names and {len(row) for row in zhat} == {3}
+        with open(out / "eval_cells.csv", newline="") as fh:
+            cells = [row for row in csv.reader(fh) if not row[0].startswith("#")]
+        assert {len(row) for row in cells} == {5}
+        assert {row[0] for row in cells[1:]} == set(names)
+        assert {row[1] for row in cells[1:]} == {"y,1", "y2", "y3"}
+
     def test_byte_identical_reruns(self, sim_dir, tmp_path):
         blobs = []
         for name in ("a", "b"):
@@ -486,7 +529,7 @@ class TestEval:
 @pytest.fixture
 def early_calls(monkeypatch):
     """Count input loads and model fits (``fit`` through every module binding it)."""
-    from tqsreg import data_model, estimators, evalharness, regress
+    from tqsreg import data_model, estimators, regress
 
     calls = {"load": 0, "fit": 0}
     real_fit, real_load = regress.fit, data_model.load_table
@@ -499,7 +542,7 @@ def early_calls(monkeypatch):
         calls["load"] += 1
         return real_load(*a, **k)
 
-    for mod in (regress, estimators, evalharness):
+    for mod in (regress, estimators):
         monkeypatch.setattr(mod, "fit", counting_fit)
     monkeypatch.setattr(data_model, "load_table", counting_load)
     return calls
@@ -778,10 +821,17 @@ class TestExitCodes:
         assert "spline_gam needs at least 2 distinct x values" in errors[0]
         assert errors[0] == errors[1]
 
-    @pytest.mark.parametrize("argv", [["denoise"], ["denoise", "--method", "hs"]])
-    def test_overflowing_fit_exits_3_and_names_species(self, tmp_path, capsys, argv):
+    @pytest.mark.parametrize("argv,stage", [
+        (["denoise"], "covariate"),
+        (["denoise", "--method", "hs"], "residual"),
+        *((["eval", "--methods", methods, "--jobs", jobs], stage)
+          for methods, stage in (("raw", "smoother"), ("raw,global", "global"))
+          for jobs in ("1", "2")),
+    ])
+    def test_overflowing_fit_exits_3_and_names_species(self, tmp_path, capsys, argv,
+                                                       stage):
         # finite counts near the float64 limit: each model's sums overflow,
-        # so every denoiser's first fit is non-finite
+        # so every command's first fit is refused
         counts = np.random.default_rng(0).uniform(1.0, 2.0, size=(3, 20, 3)) * 1e307
         lines = ["day_of_year,species_a,species_b,species_c,year"]
         for year, block in zip((2013, 2014, 2015), counts):
@@ -794,7 +844,7 @@ class TestExitCodes:
             warnings.simplefilter("error")
             assert run(argv + ["--input", str(survey), "--out", str(out)]) == cli.EXIT_MODEL
         err = capsys.readouterr().err
-        assert "model failed for species 0: " in err
+        assert f"{stage} model failed for species 0: " in err
         assert "targets too large: their sum of squares overflows" in err
         assert not out.exists() or not os.listdir(out)
 

@@ -427,14 +427,14 @@ class TestSharedDesignsInStages:
         targets = rng.normal(size=(m, 6))
         # misses and hits in turn: every new design replaces the last one
         columns = [[0], [0], [1], [0, 1], [0, 1], [2]]
-        estimators._fit_species("residual", krr_cfg, feats, targets, targets,
+        estimators._fit_species("residual", [krr_cfg], feats, targets,
                                 columns[:1])  # scipy's imports are not the stage's
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            models, _ = estimators._fit_species("residual", krr_cfg, feats, targets,
-                                                targets, columns)
+            models = estimators._fit_species("residual", [krr_cfg] * 6, feats,
+                                             targets, columns)
             now, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -442,6 +442,6 @@ class TestSharedDesignsInStages:
         # besides two kernels: the models so far and the vectors of one fit,
         # about 8 m (6 (d + 2) + 6) bytes, under a quarter kernel at m = 300
         assert peak - start <= 2 * kernel + kernel // 4
-        # the models (x, alpha, fitted) and the result remain; no kernel does
+        # the models (x, alpha, fitted) remain; no kernel does
         assert now - start < kernel // 2
         assert len(models) == 6

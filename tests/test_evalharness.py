@@ -1,12 +1,15 @@
+import functools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tqsreg import blas, cli
+from tqsreg import blas, cli, regress
 from tqsreg import evalharness as ev
-from tqsreg.data_model import ObservationTable, save_table
-from tqsreg.estimators import hs_multi_species, tqs_multi_species
+from tqsreg.data_model import ObservationTable, save_table, split_by_group
+from tqsreg.estimators import hs_multi_species, species_seed, tqs_multi_species
 from tqsreg.evalharness import (
     EvalError,
     brightness_zero_subset,
@@ -308,3 +311,100 @@ class TestLoyoProtocol:
         assert reports[0].improvements == reports[1].improvements
         assert reports[0].diagnostics == reports[1].diagnostics
         assert set(reports[0].diagnostics) == {"3qs", "hs", "species"}
+
+
+class TestFoldReference:
+    """Every ``loyo_evaluate`` cell equals, bit for bit, per-species loops
+    written out here: one smoother fit per (training year, method, species),
+    one ``global`` fit per (fold, species) and one ``mb`` fit, seeded by
+    (seed, species), per (training year, species)."""
+
+    SMOOTHERS = (RegressorConfig("spline_gam"), RegressorConfig("kernel_ridge"),
+                 RegressorConfig("boosted_trees", {"n_stages": 5, "subsample": 0.7}, 3))
+    RESIDUALS = (RegressorConfig("kernel_ridge"),
+                 RegressorConfig("boosted_trees", {"n_stages": 5, "subsample": 0.8}, 5))
+
+    @staticmethod
+    def _cells(table, cfg_x, cfg_res, smooth_cfg, n_aux):
+        def mse(model, x, y):
+            return float(np.mean((y - regress.predict(model, x)) ** 2))
+
+        groups = list(dict.fromkeys(table.group_labels))
+        cells = []
+        for test_g in groups:
+            train, test = split_by_group(table, test_g)
+            denoised = {
+                "raw": train.counts,
+                "hs": hs_multi_species(train, cfg_res, n_aux=n_aux),
+                "3qs": tqs_multi_species(train, cfg_x, cfg_res, n_aux=n_aux).z_hat,
+            }
+            test_y = test.counts
+            test_mb = np.column_stack([test.covariates[:, 0],
+                                       test.diagnostics["moon_brightness"]])
+            labels = np.array(train.group_labels)
+            for train_g in (g for g in groups if g != test_g):
+                rows = labels == train_g
+                year_x = train.covariates[rows]
+                feats = np.column_stack([year_x[:, 0],
+                                         train.diagnostics["moon_brightness"][rows]])
+                for i, sp in enumerate(train.species_names):
+                    for method in ev.METHODS:
+                        if method == "global":
+                            model = regress.fit(smooth_cfg, train.covariates,
+                                                train.counts[:, i])
+                            err = mse(model, test.covariates, test_y[:, i])
+                        elif method == "mb":
+                            cfg = cfg_res.with_seed(species_seed(cfg_res.seed, i))
+                            model = regress.fit(cfg, feats, train.counts[rows, i])
+                            err = mse(model, test_mb, test_y[:, i])
+                        else:
+                            model = regress.fit(smooth_cfg, year_x,
+                                                denoised[method][rows, i])
+                            err = mse(model, test.covariates, test_y[:, i])
+                        cells.append((sp, train_g, test_g, method, err.hex()))
+        return cells
+
+    @settings(max_examples=8, deadline=None)
+    @given(years=st.integers(2, 4), days=st.integers(12, 30), s=st.integers(2, 4),
+           smoother=st.integers(0, 2), residual=st.integers(0, 1),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_bit_identical(self, years, days, s, smoother, residual, seed, data):
+        table = simulate_moth_survey(years=years, days_per_year=days, n_species=s,
+                                     seed=seed).table
+        n_aux = data.draw(st.none() | st.just(1))
+        cfg_x, cfg_res = RegressorConfig("spline_gam"), self.RESIDUALS[residual]
+        smooth_cfg = self.SMOOTHERS[smoother]
+        rep = loyo_evaluate(table, list(ev.METHODS), cfg_x, cfg_res, smooth_cfg,
+                            n_aux=n_aux)
+        assert [(c.species, c.train_group, c.test_group, c.method, c.mse.hex())
+                for c in rep.cells] \
+            == self._cells(table, cfg_x, cfg_res, smooth_cfg, n_aux)
+
+    def test_mb_factors_once_per_training_year(self, spline_cfg, krr_cfg, monkeypatch):
+        from scipy.linalg import lapack
+
+        factored, fitted = [], []
+        real_dpotrf = lapack.dpotrf
+
+        def dpotrf_spy(*args, **kwargs):
+            factored.append(1)
+            return real_dpotrf(*args, **kwargs)
+
+        def fit_spy(real, kind, *args):
+            fitted.append(kind)
+            return real(*args)
+
+        monkeypatch.setattr("scipy.linalg.lapack.dpotrf", dpotrf_spy)
+        for kind in ("kernel_ridge", "spline_gam"):
+            real = getattr(regress, f"_fit_{kind}")
+            monkeypatch.setattr(regress, f"_fit_{kind}",
+                                functools.partial(fit_spy, real, kind))
+        years, s = 3, 4
+        table = simulate_moth_survey(years=years, days_per_year=20, n_species=s,
+                                     seed=3).table
+        loyo_evaluate(table, ["mb"], spline_cfg, krr_cfg, spline_cfg)
+        pairs = years * (years - 1)  # (fold, training year)
+        # per pair: the raw smoother and mb fit every species
+        assert fitted.count("spline_gam") == fitted.count("kernel_ridge") == pairs * s
+        # every species of a training year shares mb's features: one design
+        assert len(factored) == pairs

@@ -57,8 +57,6 @@ class TestSynthConfig:
             SynthConfig(n_obs=10)
         with pytest.raises(ValueError):
             SynthConfig(sigma_eps=-0.1)
-        with pytest.raises(ValueError):
-            SynthConfig(slope_range=(5.0, 1.0))
 
 
 class TestGenerate:
