@@ -525,8 +525,9 @@ def cmd_eval(args):
     groups = collections.Counter(table.group_labels).values()
     rows = table.n_rows if table.diagnostics else table.n_rows - min(groups, default=0)
     _check_kernel_rows(rows, models)
-    # one task per fold, and the 3QS and HS halves of the diagnostics
-    jobs = _processes(cfg, len(groups) + 2 * bool(table.diagnostics), rows, models)
+    # one task per fold and per training year, and the 3QS and HS halves of
+    # the diagnostics
+    jobs = _processes(cfg, 2 * len(groups) + 2 * bool(table.diagnostics), rows, models)
     brightness_column = cfg.get("eval.brightness_column")
     test_filter = None
     if filter_kind == "brightness-zero":

@@ -11,8 +11,9 @@ field data, and the correlation / retained-variability diagnostics.
 
 ``loyo_evaluate`` first builds every fold's training table and filtered
 test rows in the calling process (a test filter need not pickle), then
-runs independent tasks: one per held-out year, and the 3QS and HS halves
-of the diagnostics.  Given ``jobs`` it runs them on a
+runs independent tasks: one per held-out year, one per training year
+(its raw smoothers and ``mb`` models, each fit once), and the 3QS and HS
+halves of the diagnostics.  Given ``jobs`` it runs them on a
 ``synthgen.worker_pool``; the report is the same for every ``jobs``.
 """
 
@@ -26,7 +27,7 @@ import numpy as np
 from .data_model import ObservationTable, split_by_group
 from .estimators import (_fit_species, _species_configs, hs_multi_species,
                          tqs_multi_species)
-from .regress import predict
+from .regress import predict, shared_designs
 from .synthgen import worker_pool
 
 # raw smoother, HS, 3QS, brightness-feature model, and the pooled-years
@@ -160,44 +161,56 @@ def compute_diagnostics(table, cfg_x, cfg_res, column, n_aux=None):
     return out
 
 
-def _fold_cells(train, train_groups, test_g, test_x, test_y, test_bright,
-                score_methods, cfg_x, cfg_res, smooth_cfg, brightness_column, n_aux):
-    """The cells of held-out group ``test_g``: models fit on ``train`` (the
-    other groups), scored on the test rows (``test_*``, already filtered)."""
-    s = train.n_species
-    smoothers = [smooth_cfg] * s  # not seeded per species
-    denoised = {"raw": train.counts}
-    for method in DIAGNOSED:
-        if method in score_methods:
-            denoised[method] = _denoised(method, train, cfg_x, cfg_res, n_aux)
+def _scores(stage, cfgs, x, y, test_x, test_y):
+    """Per species i, the test MSE of stage ``stage``'s model of ``y[:, i]`` on ``x``."""
+    models = _fit_species(stage, cfgs, x, y, [slice(None)] * y.shape[1])
+    return [float(np.mean((test_y[:, i] - predict(model, test_x)) ** 2))
+            for i, model in enumerate(models)]
 
-    def mse_of(stage, cfgs, x, y, test):
-        models = _fit_species(stage, cfgs, x, y, [slice(None)] * s)
-        return [float(np.mean((test_y[:, i] - predict(model, test)) ** 2))
-                for i, model in enumerate(models)]
 
-    if "global" in score_methods:
-        global_mse = mse_of("global", smoothers, train.covariates, train.counts, test_x)
-    train_labels = np.array(train.group_labels)
+def _fold_scores(train, test_g, test, methods, cfg_x, cfg_res, smooth_cfg, n_aux):
+    """The hs, 3qs and global scores of held-out group ``test_g``: models fit
+    on ``train`` (the other groups), scored on its test rows ``test``."""
+    smoothers = [smooth_cfg] * train.n_species  # not seeded per species
+    test_x, test_y, _ = test
+    denoised = {m: _denoised(m, train, cfg_x, cfg_res, n_aux)
+                for m in DIAGNOSED if m in methods}
+    train_groups = list(dict.fromkeys(train.group_labels))
     scores = {}
+    if "global" in methods:
+        global_mse = _scores("global", smoothers, train.covariates, train.counts,
+                             test_x, test_y)
+        scores.update(((g, test_g, "global"), global_mse) for g in train_groups)
+    train_labels = np.array(train.group_labels)
     for train_g in train_groups:
         rows = train_labels == train_g
-        for method in score_methods:
-            if method == "global":
-                scores[train_g, method] = global_mse
-            elif method == "mb":
-                feats = np.column_stack([train.covariates[rows, 0],
-                                         train.diagnostics[brightness_column][rows]])
-                scores[train_g, method] = mse_of(
-                    "mb", _species_configs(cfg_res, s), feats, train.counts[rows],
-                    np.column_stack([test_x[:, 0], test_bright]))
-            else:
-                scores[train_g, method] = mse_of(
-                    "smoother", smoothers, train.covariates[rows], denoised[method][rows],
-                    test_x)
-    return [EvalCell(sp, train_g, test_g, method, scores[train_g, method][i])
-            for train_g in train_groups for i, sp in enumerate(train.species_names)
-            for method in score_methods]
+        for method in (m for m in methods if m in denoised):
+            scores[train_g, test_g, method] = _scores(
+                "smoother", smoothers, train.covariates[rows], denoised[method][rows],
+                test_x, test_y)
+    return scores
+
+
+def _year_scores(train_g, year, tests, methods, cfg_res, smooth_cfg):
+    """The raw and mb scores of training group ``train_g`` (``year``: its
+    covariates, counts and brightness) on each other group's test rows
+    (``tests``, by group), in one fit scope: every repeat of a model fit on
+    ``train_g`` alone is the model already fit."""
+    x, y, bright = year
+    s = y.shape[1]
+    scores = {}
+    with shared_designs():
+        for test_g, (test_x, test_y, test_bright) in tests.items():
+            if test_g == train_g:
+                continue
+            scores[train_g, test_g, "raw"] = _scores(
+                "smoother", [smooth_cfg] * s, x, y, test_x, test_y)
+            if "mb" in methods:
+                scores[train_g, test_g, "mb"] = _scores(
+                    "mb", _species_configs(cfg_res, s),
+                    np.column_stack([x[:, 0], bright]), y,
+                    np.column_stack([test_x[:, 0], test_bright]), test_y)
+    return scores
 
 
 def _call(task):
@@ -214,11 +227,14 @@ def loyo_evaluate(table, methods, cfg_x, cfg_res, smooth_cfg, test_filter=None,
     brightness-zero rule).  ``n_aux`` caps the auxiliary species used
     by hs/3qs, in the folds and in the diagnostics.  Test rows never touch
     any fitted model.  Before any model is fit, every test subset is built
-    and checked non-empty and, with diagnostics, every species column is
-    checked non-constant.  ``jobs`` runs the folds and the two halves of
-    the diagnostics on that many processes (``synthgen.worker_pool``, at
-    one BLAS thread); None runs them here, one after another, at the
-    caller's thread count.
+    and checked non-empty and, with diagnostics, every species column and
+    the brightness column are checked non-constant.  A task per held-out
+    group fits the denoisers, their per-year smoothers and ``global``; a
+    task per training group fits its raw smoothers and ``mb`` models once
+    and scores them on every other group.  ``jobs`` runs these tasks and
+    the two halves of the diagnostics, in that order, on that many processes
+    (``synthgen.worker_pool``, at one BLAS thread); None runs them here, one
+    after another, at the caller's thread count.
     """
     methods = list(methods)
     unknown = set(methods) - set(METHODS)
@@ -232,27 +248,34 @@ def loyo_evaluate(table, methods, cfg_x, cfg_res, smooth_cfg, test_filter=None,
     needs_brightness = "mb" in methods
     if needs_brightness or with_diagnostics:
         brightness_column = resolve_brightness_column(table, brightness_column)
-    if with_diagnostics:  # the retained std divides by each species' std
+    if with_diagnostics:  # they divide by each species' and the brightness' std
         for name, column in zip(table.species_names, table.counts.T):
             if np.all(column == column[0]):
                 raise EvalError(f"zero-variance species column {name!r}")
+        bright = table.diagnostics[brightness_column]
+        if np.all(bright == bright[0]):
+            raise EvalError(f"diagnostic column {brightness_column!r} has zero variance")
 
     score_methods = list(dict.fromkeys(["raw"] + methods))
     denoise_args = {"cfg_x": cfg_x, "cfg_res": cfg_res, "n_aux": n_aux}
-    tasks = []
+    tests, folds, years = {}, [], []
     for test_g in groups:
         train, test = split_by_group(table, test_g)
         mask = np.asarray(test_filter(test), dtype=bool) if test_filter is not None \
             else np.ones(test.n_rows, dtype=bool)
         if not mask.any():
             raise EvalError(f"empty test subset for group {test_g!r}")
-        test_bright = (
-            test.diagnostics[brightness_column][mask] if needs_brightness else None
-        )
-        tasks.append(functools.partial(
-            _fold_cells, train, [g for g in groups if g != test_g], test_g,
-            test.covariates[mask], test.counts[mask], test_bright, score_methods,
-            smooth_cfg=smooth_cfg, brightness_column=brightness_column, **denoise_args))
+        tests[test_g] = (test.covariates[mask], test.counts[mask],
+                         test.diagnostics[brightness_column][mask]
+                         if needs_brightness else None)
+        folds.append(functools.partial(_fold_scores, train, test_g, tests[test_g],
+                                       score_methods, smooth_cfg=smooth_cfg,
+                                       **denoise_args))
+        # the group's rows, unfiltered, train its training-year task
+        year = (test.covariates, test.counts, test.diagnostics.get(brightness_column))
+        years.append(functools.partial(_year_scores, test_g, year, tests, methods,
+                                       cfg_res, smooth_cfg))
+    tasks = folds + years  # then the diagnostics: the order that ran fastest
     if with_diagnostics:
         tasks += [functools.partial(_method_diagnostics, m, table, brightness_column,
                                     **denoise_args) for m in DIAGNOSED]
@@ -262,7 +285,12 @@ def loyo_evaluate(table, methods, cfg_x, cfg_res, smooth_cfg, test_filter=None,
     else:
         with worker_pool(min(jobs, len(tasks))) as run:
             results = run(_call, tasks)
-    cells = [c for fold in results[:len(groups)] for c in fold]
+    scores = {}
+    for part in results[:2 * len(groups)]:
+        scores.update(part)
+    cells = [EvalCell(sp, train_g, test_g, method, scores[train_g, test_g, method][i])
+             for test_g in groups for train_g in groups if train_g != test_g
+             for i, sp in enumerate(table.species_names) for method in score_methods]
 
     # aggregate as improvement of the mean MSE over all cells; a mean of
     # per-cell ratios is dominated by cells where the baseline happens
@@ -275,7 +303,7 @@ def loyo_evaluate(table, methods, cfg_x, cfg_res, smooth_cfg, test_filter=None,
 
     diagnostics = {}
     if with_diagnostics:
-        diagnostics = dict(zip(DIAGNOSED, results[len(groups):]))
+        diagnostics = dict(zip(DIAGNOSED, results[2 * len(groups):]))
         diagnostics["species"] = list(table.species_names)
 
     return EvalReport(

@@ -41,6 +41,13 @@ bit for bit; for the spline, the GCV step's
 ``(B V) z``, which differs from ``predict(x_train)``'s ``B (V z)`` only
 by rounding (about 1e-15 relative).
 
+``shared_designs()`` is also a fit scope: inside it, ``fit`` returns the
+kernel ridge or boosted-tree model it has already fit for the same kind,
+resolved hyperparameters, seed, x (shape and bytes) and y bytes; a failed
+fit is not kept, nested blocks share the outermost one's models, and its
+end drops them.  The spline is not kept (its cached basis makes a refit
+cost about a hash).  Every fitted model's arrays are read-only.
+
 All backends are deterministic given (config, data).  Kernel ridge and
 the spline are translation equivariant in the target up to rounding (a
 spline's GCV choice may flip only where two scores tie); boosted trees
@@ -142,14 +149,20 @@ def _validate_params(kind, p):
             raise RegressionError("spline penalty must be > 0")
 
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+
+
 class FittedRegressor:
-    """Immutable trained model; safe for concurrent predict calls."""
+    """Immutable trained model, its arrays read-only; safe for concurrent
+    predict calls and for sharing within a fit scope."""
 
     kind = None
 
     def __init__(self, n_features, fitted):
         self.n_features = n_features
-        fitted.setflags(write=False)
+        _read_only(fitted)
         self._fitted = fitted
 
     @property
@@ -194,11 +207,15 @@ def fit(config, features, targets):
         if not np.isfinite(y @ y):
             raise RegressionError("targets too large: their sum of squares overflows")
     params = config.resolved()
-    if config.kind == "kernel_ridge":
-        return _fit_kernel_ridge(params, x, y)
-    if config.kind == "boosted_trees":
-        return _fit_boosted_trees(params, x, y, config.seed)
-    return _fit_spline_gam(params, x, y)
+    if config.kind == "spline_gam":
+        return _fit_spline_gam(params, x, y)
+    key = (config.kind, tuple(sorted(params.items())), config.seed, x.shape,
+           x.tobytes(), y.tobytes())
+    models = _scope.models if _scope is not None else {}
+    if key not in models:  # a failed fit raises before it is kept
+        models[key] = (_fit_kernel_ridge(params, x, y) if config.kind == "kernel_ridge"
+                       else _fit_boosted_trees(params, x, y, config.seed))
+    return models[key]
 
 
 def predict(model, features):
@@ -214,6 +231,7 @@ class FittedKernelRidge(FittedRegressor):
 
     def __init__(self, x_train, alpha, intercept, gamma, fitted):
         super().__init__(x_train.shape[1], fitted)
+        _read_only(x_train, alpha)
         self.x_train = x_train
         self.alpha = alpha
         self.intercept = intercept
@@ -273,21 +291,31 @@ def _median_bandwidth(x):
     return med if med > 0 else 1.0
 
 
-# inside shared_designs(), [None or the last design: (key, gamma, K, factor)]
-_held = None
+@dataclass
+class _Scope:
+    design: tuple | None = None  # the last design: (key, gamma, K, factor)
+    models: dict = field(default_factory=dict)  # fit's key -> the fitted model
+
+
+_scope = None  # the outermost open shared_designs() block's scope
 
 
 @contextmanager
 def shared_designs():
-    """Keep kernel ridge's last design (K and its Cholesky factor) through a
-    block: a fit on its x bytes, bandwidth and penalty only solves, any other
-    fit replaces it, and the block's end drops it."""
-    global _held
-    _held = [None]
+    """A fit scope (see above).  Kernel ridge keeps its last design (K and
+    its Cholesky factor) through a block: a fit on its x bytes, bandwidth
+    and penalty only solves, any other fit replaces it, and every block's
+    end drops it."""
+    global _scope
+    outer = _scope is None
+    if outer:
+        _scope = _Scope()
     try:
         yield
     finally:
-        _held = None
+        _scope.design = None
+        if outer:
+            _scope = None
 
 
 def _kernel_design(x, bandwidth, penalty):
@@ -312,11 +340,11 @@ def _kernel_design(x, bandwidth, penalty):
 def _fit_kernel_ridge(params, x, y):
     check_kernel_ridge_rows(x.shape[0])  # before scipy or any m x m array
     key = (x.shape, x.tobytes(), params["bandwidth"], params["penalty"])
-    held = _held or [None]  # outside shared_designs(), this fit's own
-    if held[0] is None or held[0][0] != key:
-        held[0] = None  # drop the last design before allocating this one
-        held[0] = (key, *_kernel_design(x, params["bandwidth"], params["penalty"]))
-    _, gamma, k, c = held[0]
+    held = _scope or _Scope()  # outside shared_designs(), this fit's own
+    if held.design is None or held.design[0] != key:
+        held.design = None  # drop the last design before allocating this one
+        held.design = (key, *_kernel_design(x, params["bandwidth"], params["penalty"]))
+    _, gamma, k, c = held.design
     from scipy.linalg.lapack import dpotrs
 
     intercept = float(np.mean(y))
@@ -336,9 +364,11 @@ class FittedBoostedTrees(FittedRegressor):
 
     def __init__(self, n_features, init, learning_rate, trees, fitted):
         super().__init__(n_features, fitted)
+        for tree in trees:
+            _read_only(*tree)
         self.init = init
         self.learning_rate = learning_rate
-        self.trees = trees
+        self.trees = tuple(trees)
 
     def _predict(self, x):
         out = np.full(x.shape[0], self.init)
@@ -482,6 +512,7 @@ class FittedSplineGAM(FittedRegressor):
 
     def __init__(self, knots, coef, lo, hi, penalty, edf, fitted):
         super().__init__(1, fitted)
+        _read_only(coef)
         self.knots = knots
         self.coef = coef
         self.lo = lo
@@ -553,8 +584,7 @@ def _bspline_sum(c, cols, vals):
 def _span_basis(knots_bytes, x_bytes):
     """``_bspline_basis`` of in-span x (float64 bytes) on the cubic knots."""
     basis = _bspline_basis(np.frombuffer(knots_bytes), np.frombuffer(x_bytes), 3)
-    for a in basis:
-        a.setflags(write=False)
+    _read_only(*basis)
     return basis
 
 
@@ -619,8 +649,7 @@ def _spline_basis(n_knots, x_bytes):
     bv_norms = (bv * bv).sum(axis=0)
     basis = _SplineBasis(knots, lo, hi, mu, v, bv, bv_norms,
                          *_gcv_terms(mu, bv_norms, np.array(_PENALTY_GRID)))
-    for a in (knots, mu, v, bv, bv_norms, basis.scale, basis.edf):
-        a.setflags(write=False)
+    _read_only(knots, mu, v, bv, bv_norms, basis.scale, basis.edf)
     return basis
 
 

@@ -393,6 +393,21 @@ class TestJobs:
                     "--out", str(tmp_path / "s")]) == EXIT_OK
         assert pools == []
 
+    def test_eval_pool_gets_a_process_per_task(self, sim_dir, tmp_path, monkeypatch):
+        from tqsreg import evalharness, synthgen
+
+        sizes = []
+
+        def serial_pool(jobs):  # record the size, run the tasks here
+            sizes.append(jobs)
+            return synthgen.worker_pool(1)
+
+        monkeypatch.setattr(evalharness, "worker_pool", serial_pool)
+        assert run(["eval", "--input", str(sim_dir / "survey.csv"), "--jobs", "16",
+                    "--out", str(tmp_path / "e")]) == EXIT_OK
+        # 3 folds, 3 training years and the 2 halves of the diagnostics
+        assert sizes == [8]
+
     def test_no_worker_outlives_a_command(self, sim_dir, tmp_path, pools):
         import multiprocessing
 
@@ -492,6 +507,24 @@ class TestEval:
         assert early_calls["fit"] == 0 and pools == []
         assert run(["denoise", "--input", str(survey),
                     "--out", str(tmp_path / "d")]) == EXIT_OK
+
+    def test_constant_brightness_fails_before_any_fit(self, tmp_path, capsys,
+                                                      early_calls, pools):
+        # the diagnostics would correlate with a brightness of zero std
+        rng = np.random.default_rng(0)
+        rows = ["day_of_year,species_a,species_b,species_c,moon_brightness,year"]
+        rows += [f"{100 + d % 20},{rng.poisson(5.0)},{rng.poisson(5.0)},"
+                 f"{rng.poisson(5.0)},0.5,{2013 + d // 20}" for d in range(60)]
+        survey = tmp_path / "survey.csv"
+        survey.write_text("\n".join(rows) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for jobs in ("1", "2"):
+                assert run(["eval", "--input", str(survey), "--jobs", jobs,
+                            "--out", str(tmp_path / jobs)]) == EXIT_USAGE
+                assert ("diagnostic column 'moon_brightness' has zero variance"
+                        in capsys.readouterr().err)
+        assert early_calls["fit"] == 0 and pools == []
 
     def test_result_csvs_quote_names_and_labels(self, tmp_path):
         # names and labels with commas are legal in a quoted input CSV

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tqsreg import blas, cli, regress
+from tqsreg import blas, cli, estimators, regress
 from tqsreg import evalharness as ev
 from tqsreg.data_model import ObservationTable, save_table, split_by_group
 from tqsreg.estimators import hs_multi_species, species_seed, tqs_multi_species
@@ -306,11 +306,30 @@ class TestLoyoProtocol:
                                  smooth_cfg, with_diagnostics=True, jobs=jobs,
                                  test_filter=lambda t: brightness_zero_subset(
                                      t, "moon_brightness"))
-                   for jobs in (1, 2)]
-        assert reports[0].cells == reports[1].cells
-        assert reports[0].improvements == reports[1].improvements
-        assert reports[0].diagnostics == reports[1].diagnostics
+                   for jobs in (1, 2, 3)]
+        # an odd process count places fold and training-year tasks otherwise
+        for other in reports[1:]:
+            assert reports[0].cells == other.cells
+            assert reports[0].improvements == other.improvements
+            assert reports[0].diagnostics == other.diagnostics
         assert set(reports[0].diagnostics) == {"3qs", "hs", "species"}
+
+    def test_constant_brightness_fails_before_any_fit(self, small_sim, smooth_cfg,
+                                                      krr_cfg, spline_cfg, monkeypatch):
+        t = small_sim.table
+        flat = ObservationTable(
+            covariates=t.covariates, counts=t.counts, species_names=t.species_names,
+            group_labels=list(t.group_labels),
+            diagnostics={"moon_brightness": np.full(t.n_rows, 0.5)},
+            covariate_names=t.covariate_names, group_name=t.group_name)
+        fits = []
+        for mod in (regress, estimators):  # every module that binds fit
+            monkeypatch.setattr(mod, "fit", lambda *a: fits.append(a))
+        with pytest.raises(EvalError,
+                           match="diagnostic column 'moon_brightness' has zero variance"):
+            loyo_evaluate(flat, ["raw", "3qs"], spline_cfg, krr_cfg, smooth_cfg,
+                          with_diagnostics=True)
+        assert fits == []
 
 
 class TestFoldReference:
@@ -380,6 +399,28 @@ class TestFoldReference:
                 for c in rep.cells] \
             == self._cells(table, cfg_x, cfg_res, smooth_cfg, n_aux)
 
+    @pytest.mark.parametrize("cfg_res", RESIDUALS, ids=["kernel_ridge", "boosted_trees"])
+    def test_backend_fits_each_mb_model_once_per_call(self, spline_cfg, cfg_res,
+                                                      monkeypatch):
+        keys = []
+        real = getattr(regress, f"_fit_{cfg_res.kind}")
+
+        def spy(params, x, y, *seed):
+            keys.append((x.tobytes(), y.tobytes(), seed))
+            return real(params, x, y, *seed)
+
+        monkeypatch.setattr(regress, f"_fit_{cfg_res.kind}", spy)
+        years, s = 3, 3
+        table = simulate_moth_survey(years=years, days_per_year=16, n_species=s,
+                                     seed=4).table
+        reports = [loyo_evaluate(table, ["raw", "mb"], spline_cfg, cfg_res, spline_cfg)
+                   for _ in range(2)]
+        # one (training year, species) model each, and a second call fits again
+        n = years * s
+        assert len(keys) == 2 * n
+        assert len(set(keys[:n])) == n and keys[n:] == keys[:n]
+        assert reports[0] == reports[1]
+
     def test_mb_factors_once_per_training_year(self, spline_cfg, krr_cfg, monkeypatch):
         from scipy.linalg import lapack
 
@@ -404,7 +445,9 @@ class TestFoldReference:
                                      seed=3).table
         loyo_evaluate(table, ["mb"], spline_cfg, krr_cfg, spline_cfg)
         pairs = years * (years - 1)  # (fold, training year)
-        # per pair: the raw smoother and mb fit every species
-        assert fitted.count("spline_gam") == fitted.count("kernel_ridge") == pairs * s
+        # per pair the raw smoother fits every species; the backend fits each
+        # (training year, species) mb model once, and its other folds reuse it
+        assert fitted.count("spline_gam") == pairs * s
+        assert fitted.count("kernel_ridge") == years * s
         # every species of a training year shares mb's features: one design
-        assert len(factored) == pairs
+        assert len(factored) == years

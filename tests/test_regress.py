@@ -985,3 +985,124 @@ class TestSharedKernelDesigns:
         with regress.shared_designs():
             fit(krr_cfg, x, rng.normal(size=20))
         assert len(calls) == 2
+
+
+class TestReadOnlyModels:
+    """A fit scope hands one model to several callers: no caller can write
+    into its arrays."""
+
+    def test_kernel_ridge(self, krr_cfg, rng):
+        model = fit(krr_cfg, *toy_1d(rng, m=30))
+        for a in (model.x_train, model.alpha, model.fitted):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+
+    def test_boosted_trees(self, rng):
+        cfg = RegressorConfig("boosted_trees", {"n_stages": 3})
+        model = fit(cfg, *toy_1d(rng, m=30))
+        for tree in model.trees:
+            for a in tree:
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 1
+
+    def test_spline_gam(self, spline_cfg, rng):
+        model = fit(spline_cfg, *toy_1d(rng, m=30))
+        for a in (model.coef, model.knots, model.fitted):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+
+
+class TestFitScope:
+    """Inside ``shared_designs()``, ``fit`` returns the kernel ridge or
+    boosted-tree model it already fit for the same kind, resolved
+    hyperparameters, seed, x and y; nothing is kept outside a scope."""
+
+    BACKENDS = {"kernel_ridge": RegressorConfig("kernel_ridge"),
+                "boosted_trees": RegressorConfig("boosted_trees", {"n_stages": 4}, 7),
+                "spline_gam": RegressorConfig("spline_gam")}
+
+    @staticmethod
+    def _backend_spy(monkeypatch, calls):
+        for kind in TestFitScope.BACKENDS:
+            real = getattr(regress, f"_fit_{kind}")
+
+            def spy(*args, real=real, kind=kind):
+                calls.append(kind)
+                return real(*args)
+            monkeypatch.setattr(regress, f"_fit_{kind}", spy)
+
+    def test_repeats_hit_until_the_scope_closes(self, monkeypatch, rng):
+        calls = []
+        self._backend_spy(monkeypatch, calls)
+        x, y = toy_1d(rng, m=30)
+        for kind, cfg in self.BACKENDS.items():
+            with regress.shared_designs():
+                first = fit(cfg, x, y)
+                with regress.shared_designs():  # a nested block reuses the models
+                    again = fit(cfg, x.copy(), y.copy())
+                kept = kind != "spline_gam"  # a spline fit is not kept
+                assert (again is first) == kept
+                assert (fit(cfg, x, y) is first) == kept
+            assert regress._scope is None
+            assert fit(cfg, x, y) is not first  # nothing kept after the scope
+        assert calls == ["kernel_ridge"] * 2 + ["boosted_trees"] * 2 + ["spline_gam"] * 4
+
+    def test_any_difference_of_key_fits_again(self, monkeypatch, rng):
+        calls = []
+        self._backend_spy(monkeypatch, calls)
+        x, y = toy_1d(rng, m=30)
+        x2 = x.copy()
+        x2[0, 0] = np.nextafter(x[0, 0], np.inf)
+        cfg = self.BACKENDS["boosted_trees"]
+        with regress.shared_designs():
+            for args in ((cfg, x, y), (cfg.with_seed(8), x, y), (cfg, x2, y),
+                         (cfg, x, y + 1.0), (cfg, x.reshape(15, 2), y[:15]),
+                         (RegressorConfig("boosted_trees", {"n_stages": 5}, 7), x, y),
+                         (RegressorConfig("kernel_ridge", {}, 7), x, y)):
+                fit(*args)
+                fit(*args)
+        assert len(calls) == 7
+
+    def test_resolved_hyperparameters_are_the_key(self, monkeypatch, rng):
+        calls = []
+        self._backend_spy(monkeypatch, calls)
+        x, y = toy_1d(rng, m=30)
+        with regress.shared_designs():
+            a = fit(RegressorConfig("kernel_ridge"), x, y)
+            b = fit(RegressorConfig("kernel_ridge", {"penalty": 1.0}), x, y)
+        assert a is b and calls == ["kernel_ridge"]
+
+    def test_failed_fit_is_not_kept(self, monkeypatch):
+        calls = []
+        self._backend_spy(monkeypatch, calls)
+        # the data of TestKernelRidge.test_singular_system_raises
+        cfg = RegressorConfig("kernel_ridge", {"penalty": 1e-300})
+        x_bad, y = np.array([[0.0], [0.0], [1.0]]), np.array([1.0, 2.0, 3.0])
+        messages = []
+        with regress.shared_designs():
+            for _ in range(2):
+                with pytest.raises(SingularModelError) as err:
+                    fit(cfg, x_bad, y)
+                messages.append(str(err.value))
+            assert regress._scope.models == {}
+        assert calls == ["kernel_ridge"] * 2
+        assert messages[0] == messages[1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["kernel_ridge", "boosted_trees"]),
+           m=st.integers(2, 25), d=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+           subsample=st.sampled_from([1.0, 0.7]))
+    def test_hit_gives_the_bits_of_a_fresh_fit(self, kind, m, d, seed, subsample):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(m, d)).round(1)
+        y = rng.normal(size=m) * 10.0 ** rng.integers(-3, 4)
+        xq = rng.normal(size=(5, d))
+        hyper = {"n_stages": 6, "subsample": subsample} if kind == "boosted_trees" else {}
+        cfg = RegressorConfig(kind, hyper, seed % 1000)
+        with regress.shared_designs():
+            fit(cfg, x, y)
+            hit = fit(cfg, x.copy(), y.copy())
+        fresh = fit(cfg, x, y)
+        assert hit is not fresh
+        for a, b in ((hit.fitted, fresh.fitted), (hit.predict(xq), fresh.predict(xq))):
+            assert a.tobytes() == b.tobytes()
