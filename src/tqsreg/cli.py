@@ -10,11 +10,14 @@ by ``data_model.save_table``, the pair of ``load_table``.  Outputs are
 written to a temporary file and renamed on success.
 
 ``synth`` and ``eval`` run their independent tasks (sweep trials; LOYO
-folds and diagnostics halves) on ``--jobs`` processes, the command's own
-and ``--jobs - 1`` workers of one ``synthgen.worker_pool``.  ``jobs``
+folds and diagnostics halves) on ``--jobs`` processes: at ``--jobs 1``
+the command's own, otherwise ``--jobs`` workers of one
+``synthgen.worker_pool`` while the command's process waits.  ``jobs``
 defaults to the usable CPU count and is capped at the task count, and
 at the count whose largest kernel ridge fits stay within
-``regress.KERNEL_RIDGE_BYTES`` together (with a note on stderr).
+``regress.KERNEL_RIDGE_BYTES`` together (with a note on stderr).  A
+kernel ridge model on several processes has its scipy modules imported
+before the workers fork, so each worker inherits them.
 ``main`` runs every command at one BLAS thread (``blas.num_threads``)
 and restores the caller's count on exit; forked workers inherit the pin.
 So identical configs and seeds give byte-identical files across reruns,
@@ -48,7 +51,8 @@ import numpy as np
 
 from . import __version__, blas, data_model, estimators, evalharness, oracle, synthgen
 from .regress import (RegressionError, RegressorConfig, SingularModelError,
-                      check_kernel_ridge_rows, kernel_ridge_processes)
+                      check_kernel_ridge_rows, import_kernel_ridge,
+                      kernel_ridge_processes)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -195,7 +199,9 @@ def _processes(cfg, tasks, rows, models):
 
     ``jobs`` (default: the usable CPUs), at most one per task, and no more
     than keep the kernel ridge fits of all processes on ``rows`` rows (the
-    largest training set) within the byte budget together.
+    largest training set) within the byte budget together.  Kernel ridge
+    on more than one process imports its scipy modules here, before the
+    pool forks.
     """
     usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
               else os.cpu_count() or 1)
@@ -207,6 +213,8 @@ def _processes(cfg, tasks, rows, models):
                   f"{rows} rows in {jobs} processes would exceed the byte budget",
                   file=sys.stderr)
             jobs = cap
+        if jobs > 1:
+            import_kernel_ridge()
     return jobs
 
 

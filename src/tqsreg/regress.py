@@ -30,8 +30,10 @@ by the denoising estimators:
                        backend that uses scipy (``dpotrf``, ``dpotrs``,
                        ``dgemv``, ``pdist``, ``cdist``) and imports them
                        where it first calls them, after the row check,
-                       so a process that fits no kernel ridge model
-                       never loads scipy.
+                       so a command that fits no kernel ridge model
+                       never loads scipy; one that runs kernel ridge on
+                       several processes loads it once, before its
+                       workers fork (``import_kernel_ridge``).
 
 Every fitted model carries ``fitted``, its predictions on the training
 rows, taken from what the fit already holds: ``K alpha + b`` for kernel
@@ -268,6 +270,18 @@ def kernel_ridge_processes(m):
     """How many processes (at least 1) can each hold a kernel ridge fit on
     ``m`` rows within the byte budget together."""
     return max(1, KERNEL_RIDGE_BYTES // (_KERNEL_RIDGE_ARRAYS * 8 * max(m, 1) ** 2))
+
+
+def import_kernel_ridge():
+    """Import the scipy modules that kernel ridge calls.
+
+    A command that runs a kernel ridge model on several processes calls
+    this before its worker pool forks: the workers inherit the modules,
+    where each would otherwise import scipy again.
+    """
+    import scipy.linalg.blas  # noqa: F401
+    import scipy.linalg.lapack  # noqa: F401
+    import scipy.spatial.distance  # noqa: F401
 
 
 def check_kernel_ridge_rows(m):

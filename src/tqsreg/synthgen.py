@@ -6,16 +6,13 @@ with randomized sigmoids g_i.  The sweeps compare 3QS (alternate form,
 joint features (X, Y_-1)) against plain half-sibling regression on the
 reconstruction of species 1, with paired instances across methods.
 The sweeps compute at one BLAS thread, in the serial loop and in every
-worker process, so ``jobs=1`` and ``jobs>1`` give identical rows; both
-sweeps of one command share one ``worker_pool``, which also runs the
-folds of ``evalharness.loyo_evaluate``.
+worker process, so a serial run and one on a ``worker_pool`` give
+identical rows; both sweeps of one command share one ``worker_pool``,
+which also runs the folds of ``evalharness.loyo_evaluate``.
 """
 
 from __future__ import annotations
 
-import collections
-import functools
-import threading
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
@@ -161,15 +158,18 @@ def _run_cell(args):
 
 @contextmanager
 def worker_pool(jobs):
-    """``jobs`` processes for independent tasks: ``jobs - 1`` workers and this one.
+    """``jobs`` processes for independent tasks.
 
     Yields ``run(fn, tasks)``, which returns ``[fn(t) for t in tasks]``
-    computed at one BLAS thread in every process.  Each process takes the
-    next task in order as soon as it is free, so put the longest tasks
-    first.  Results come back in task order, and so does an error: ``run``
-    raises what the first failing task raised, as a serial loop would.
-    ``fn`` and the tasks must pickle.  Several ``run`` calls can share one
-    pool; ``jobs <= 1`` starts no worker.
+    computed at one BLAS thread.  ``jobs <= 1`` starts no worker and runs
+    the tasks here, one after another; otherwise ``jobs`` worker processes
+    take the tasks in order, each the next as soon as it is free, so put
+    the longest tasks first.  Results come back in task order, and so does
+    an error: ``run`` raises what the first failing task raised, as a
+    serial loop would, and cancels the tasks not yet started.  Only those
+    already handed to the executor's call queue (up to ``jobs + 1``) still
+    run, so when task 0 fails, fewer than ``2 * jobs + 3`` tasks ever start.
+    ``fn`` and the tasks must pickle.  Several ``run`` calls can share one pool.
 
     The pool holds this process at one BLAS thread from before its
     workers fork until they are gone, so forked workers inherit that count
@@ -179,68 +179,18 @@ def worker_pool(jobs):
     """
     with blas.num_threads(1):
         if not jobs or jobs <= 1:
-            yield _run_serial
+            yield lambda fn, tasks: [fn(t) for t in tasks]
             return
         from concurrent.futures import ProcessPoolExecutor
 
         # spawn and forkserver workers start at a fresh count: the
         # initializer pins them (forked ones are at 1 already)
-        with ProcessPoolExecutor(max_workers=jobs - 1, initializer=blas.set_num_threads,
+        with ProcessPoolExecutor(max_workers=jobs, initializer=blas.set_num_threads,
                                  initargs=(1,)) as executor:
-            yield functools.partial(_run_shared, executor, jobs - 1)
+            yield lambda fn, tasks: list(executor.map(fn, tasks))
 
 
-def _run_serial(fn, tasks):
-    return [fn(t) for t in tasks]
-
-
-def _run_shared(executor, workers, fn, tasks):
-    """``run`` of ``worker_pool`` over ``workers`` worker processes."""
-    todo = collections.deque(enumerate(tasks))
-    n = len(todo)
-    lock = threading.Lock()
-    futures, here = {}, {}  # task index -> worker future / (result, error) here
-
-    def submit_next(done=None):  # a callback runs in the executor's thread
-        with lock:
-            if done is not None and done.exception() is not None:
-                todo.clear()  # every task left comes after the failed one
-            if not todo:
-                return
-            i, task = todo.popleft()
-            futures[i] = future = executor.submit(fn, task)
-        future.add_done_callback(submit_next)
-
-    try:
-        for _ in range(workers):
-            submit_next()
-        while True:
-            with lock:
-                if not todo:
-                    break
-                i, task = todo.popleft()
-            try:
-                here[i] = (fn(task), None)
-            except Exception as e:  # raised below, once earlier tasks are in
-                here[i] = (None, e)
-                with lock:
-                    todo.clear()
-        results = []
-        for i in range(n):  # a task never run comes after one that failed
-            if i not in here:
-                results.append(futures[i].result())
-                continue
-            value, error = here[i]
-            if error is not None:
-                raise error
-            results.append(value)
-        return results
-    finally:
-        with lock:  # on an error, start nothing more
-            todo.clear()
-
-
-def _run_sweep(kind, grid, trials, cfg, master_seed, n_obs, jobs, pool):
+def _run_sweep(kind, grid, trials, cfg, master_seed, n_obs, pool):
     if trials < 1:
         raise ValueError("trials must be >= 1")
     tasks = [
@@ -248,8 +198,7 @@ def _run_sweep(kind, grid, trials, cfg, master_seed, n_obs, jobs, pool):
         for gi, gv in enumerate(grid)
         for t in range(trials)
     ]
-    with nullcontext(pool) if pool is not None else \
-            worker_pool(min(jobs, len(tasks))) as run:
+    with nullcontext(pool) if pool is not None else worker_pool(1) as run:
         results = run(_run_cell, tasks)
     rows = []
     for gi, gv in enumerate(grid):
@@ -260,21 +209,19 @@ def _run_sweep(kind, grid, trials, cfg, master_seed, n_obs, jobs, pool):
     return rows
 
 
-def run_species_sweep(ns, trials, cfg, master_seed=0, n_obs=DEFAULT_N_OBS, jobs=1,
-                      pool=None):
+def run_species_sweep(ns, trials, cfg, master_seed=0, n_obs=DEFAULT_N_OBS, pool=None):
     """Reconstruction MSE vs number of species, sigma_eps fixed at 0.
 
-    ``pool``, the ``run`` of an open ``worker_pool``, runs the trials in place
-    of ``jobs``.
+    ``pool``, the ``run`` of an open ``worker_pool``, runs the trials; None
+    runs them here, one after another, at one BLAS thread.
     """
-    return _run_sweep("species", list(ns), trials, cfg, master_seed, n_obs, jobs, pool)
+    return _run_sweep("species", list(ns), trials, cfg, master_seed, n_obs, pool)
 
 
-def run_noise_sweep(sigmas, trials, cfg, master_seed=0, n_obs=DEFAULT_N_OBS, jobs=1,
-                    pool=None):
+def run_noise_sweep(sigmas, trials, cfg, master_seed=0, n_obs=DEFAULT_N_OBS, pool=None):
     """Reconstruction MSE vs sigma_eps, n = 2 with tied noise functions.
 
-    ``pool``, the ``run`` of an open ``worker_pool``, runs the trials in place
-    of ``jobs``.
+    ``pool``, the ``run`` of an open ``worker_pool``, runs the trials; None
+    runs them here, one after another, at one BLAS thread.
     """
-    return _run_sweep("noise", list(sigmas), trials, cfg, master_seed, n_obs, jobs, pool)
+    return _run_sweep("noise", list(sigmas), trials, cfg, master_seed, n_obs, pool)

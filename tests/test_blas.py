@@ -128,7 +128,7 @@ class TestSetOnlyWhereDifferent:
         assert calls == [(1, 1), (0, 3), (1, 3), (0, 1), (1, 1), (1, 4)]
 
 
-# After a pool of two processes (one forked worker), this process sleeps;
+# After a pool of two forked workers, this process sleeps;
 # prints the CPU seconds it used meanwhile.
 _POOL_THEN_SLEEP = """
 import resource, time

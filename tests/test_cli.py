@@ -322,9 +322,9 @@ class TestSynth:
                         "--jobs", jobs, "--config", str(cfg)]) == EXIT_OK
             blobs.append([(out / f).read_bytes()
                           for f in ("species_sweep.csv", "noise_sweep.csv")])
-        # none for --jobs 1; for --jobs 2 one worker, as this process computes
-        # too, serving both sweeps
-        assert pools == [1]
+        # none for --jobs 1; for --jobs 2 one pool of two workers, serving
+        # both sweeps
+        assert pools == [2]
         assert blobs[0] == blobs[1]
 
 
@@ -355,11 +355,11 @@ class TestJobs:
         cfg.write_text(SMALL_SYNTH + "jobs = 2\n")
         assert run(["synth", "--config", str(cfg), "--trials", "2",
                     "--out", str(tmp_path / "key")]) == EXIT_OK
-        assert pools == [1]
+        assert pools == [2]
         # the flag beats the key
         assert run(["synth", "--config", str(cfg), "--trials", "2", "--jobs", "1",
                     "--out", str(tmp_path / "flag")]) == EXIT_OK
-        assert pools == [1]
+        assert pools == [2]
         for name in ("species_sweep.csv", "noise_sweep.csv"):
             assert ((tmp_path / "key" / name).read_bytes()
                     == (tmp_path / "flag" / name).read_bytes())
@@ -423,7 +423,7 @@ class TestJobs:
         assert run(["synth", "--config", str(cfg), "--trials", "2", "--jobs", "2",
                     "--out", str(tmp_path / "s")]) == EXIT_OK
         assert multiprocessing.active_children() == []
-        assert pools == [1, 1, 1]
+        assert pools == [2, 2, 2]
 
 
 class TestEval:
@@ -704,7 +704,7 @@ class TestConfigFailsEarly:
         cfg = tmp_path / "c.cfg"
         cfg.write_text("regressor.res.kind = spline_gam\n" + config)
         assert run([command, "--input", str(sim / "survey.csv"), "--config", str(cfg),
-                    "--out", str(tmp_path / "o")] + extra) == EXIT_OK
+                    "--jobs", "1", "--out", str(tmp_path / "o")] + extra) == EXIT_OK
         assert early_calls["fit"] > 0
 
     def test_hs_denoise_ignores_the_covariate_model(self, tmp_path, early_calls,
@@ -787,7 +787,7 @@ class TestKernelRidgeRowLimit:
                if ln.startswith("note: running")]
         assert err == [f"note: running 2 processes, not 3: kernel ridge fits on {rows} "
                        "rows in 3 processes would exceed the byte budget"]
-        assert pools == [1]
+        assert pools == [2]
         assert blobs[0] == blobs[1]
 
     def test_synth_refused_before_any_worker(self, tmp_path, capsys, early_calls,
@@ -1014,9 +1014,10 @@ def _python(args):
     return proc.stdout
 
 
-# Each step records the scipy modules loaded so far in one fresh interpreter.
+# Each step records the scipy modules loaded so far in one fresh interpreter;
+# "synth --jobs 2 pools" records them as each worker pool is built.
 _FOOTPRINT = """
-import json, sys
+import concurrent.futures, json, sys
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
@@ -1029,9 +1030,11 @@ steps["import tqsreg.cli"] = [0, scipy_modules()]
 from tqsreg import cli, regress
 
 out = sys.argv[1]
-survey, krr = out + "/sim/survey.csv", out + "/krr.cfg"
+survey, krr, sweeps = out + "/sim/survey.csv", out + "/krr.cfg", out + "/sweeps.cfg"
 with open(krr, "w") as fh:
     fh.write("regressor.res.kind = kernel_ridge\\n")
+with open(sweeps, "w") as fh:
+    fh.write("synth.species_grid = 2,3\\nsynth.sigma_grid = 0,0.1\\nsynth.n_obs = 100\\n")
 
 def step(name, *argv, dest=None):
     rc = cli.main([*argv, "--out", dest or f"{out}/{len(steps)}"])
@@ -1042,6 +1045,7 @@ step("simulate", "simulate", "--years", "3", "--days-per-year", "40",
 step("denoise", "denoise", "--input", survey)
 step("denoise --method hs", "denoise", "--method", "hs", "--input", survey)
 step("eval", "eval", "--input", survey)
+step("eval --jobs 2", "eval", "--input", survey, "--jobs", "2")
 step("verify", "verify")
 budget, regress.KERNEL_RIDGE_BYTES = regress.KERNEL_RIDGE_BYTES, 1600
 step("oversized kernel ridge", "denoise", "--config", krr, "--input", survey)
@@ -1050,6 +1054,16 @@ try:
 except regress.RegressionError as e:
     steps["oversized kernel ridge fit"] = [type(e).__name__, scipy_modules()]
 regress.KERNEL_RIDGE_BYTES = budget
+real_pool, built = concurrent.futures.ProcessPoolExecutor, []
+
+def spy_pool(*a, **k):
+    built.append(scipy_modules())
+    return real_pool(*a, **k)
+
+concurrent.futures.ProcessPoolExecutor = spy_pool
+step("synth --jobs 2", "synth", "--config", sweeps, "--trials", "2", "--jobs", "2")
+concurrent.futures.ProcessPoolExecutor = real_pool
+steps["synth --jobs 2 pools"] = built
 step("kernel ridge residuals", "denoise", "--config", krr, "--input", survey)
 print(json.dumps(steps))
 """
@@ -1064,16 +1078,21 @@ class TestImportFootprint:
 
     def test_scipy_loads_with_kernel_ridge_only(self, tmp_path):
         """Only kernel ridge uses scipy; it imports it on first use, after
-        refusing a fit over its row limit.  The BLAS pin loads none either."""
+        refusing a fit over its row limit, or, to run on several processes,
+        before the workers fork.  The BLAS pin loads none either."""
         steps = json.loads(_python(["-c", _FOOTPRINT, str(tmp_path)]).splitlines()[-1])
         last = steps.pop("kernel ridge residuals")
+        synth, pools = steps.pop("synth --jobs 2"), steps.pop("synth --jobs 2 pools")
         assert steps == {
             **{name: [EXIT_OK, []] for name in (
                 "import tqsreg", "import tqsreg.cli", "simulate", "denoise",
-                "denoise --method hs", "eval", "verify")},
+                "denoise --method hs", "eval", "eval --jobs 2", "verify")},
             "oversized kernel ridge": [EXIT_USAGE, []],
             "oversized kernel ridge fit": ["RegressionError", []],
         }
+        kernel_ridge = {"scipy.linalg.blas", "scipy.linalg.lapack",
+                        "scipy.spatial.distance"}
+        assert synth[0] == EXIT_OK and len(pools) == 1
+        assert kernel_ridge <= set(pools[0])
         assert last[0] == EXIT_OK
-        assert {"scipy.linalg.blas", "scipy.linalg.lapack",
-                "scipy.spatial.distance"} <= set(last[1])
+        assert kernel_ridge <= set(last[1])

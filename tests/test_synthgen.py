@@ -26,6 +26,16 @@ def _task(args):
     return i, "here" if os.getpid() == parent_pid else "worker"
 
 
+def _marked_task(args):
+    """Task ``(i, directory)``: task 0 raises; any other leaves a marker file
+    in ``directory``, then sleeps 50 ms."""
+    i, directory = args
+    if i == 0:
+        raise ValueError("task 0 failed")
+    open(os.path.join(directory, str(i)), "w").close()
+    time.sleep(0.05)
+
+
 class TestWorkerPool:
     @pytest.mark.parametrize("jobs", [1, 2, 3])
     def test_results_in_task_order(self, jobs):
@@ -33,13 +43,12 @@ class TestWorkerPool:
         with synthgen.worker_pool(jobs) as run:
             results = run(_task, tasks)
         assert [r[0] for r in results] == list(range(7))
-        # this process computes too
-        assert {r[1] for r in results} == ({"here"} if jobs == 1 else {"here", "worker"})
+        # only workers compute when there are any
+        assert {r[1] for r in results} == ({"here"} if jobs == 1 else {"worker"})
 
     @pytest.mark.parametrize("jobs", [1, 2, 3])
     def test_first_failing_task_raises(self, jobs):
-        # a worker takes task 0; with jobs=2 this process takes task 1, whose
-        # error is known first
+        # task 1 fails as fast as task 0 and its error may be known first
         tasks = [(i, (0, 1, 5), os.getpid()) for i in range(7)]
         with synthgen.worker_pool(jobs) as run:
             with pytest.raises(ValueError, match="task 0 failed"):
@@ -47,6 +56,17 @@ class TestWorkerPool:
             # the pool serves the next run
             assert [r[0] for r in run(_task, [(i, (), os.getpid()) for i in range(3)])] \
                 == [0, 1, 2]
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_failure_stops_the_queue(self, jobs, tmp_path):
+        tasks = [(i, str(tmp_path)) for i in range(30)]
+        with synthgen.worker_pool(jobs) as run:
+            with pytest.raises(ValueError, match="task 0 failed"):
+                run(_marked_task, tasks)
+            assert run(abs, [-1, -2]) == [1, 2]
+        # task 0, the tasks running beside it and those already in the
+        # executor's call queue start; the rest are cancelled
+        assert 1 + len(os.listdir(tmp_path)) < 2 * jobs + 3
 
 
 class TestSynthConfig:
@@ -150,8 +170,9 @@ class TestSweeps:
 
     def test_parallel_equals_serial(self):
         cfg = RegressorConfig("kernel_ridge")
-        serial = run_species_sweep([2, 3], trials=2, cfg=cfg, n_obs=100, jobs=1)
-        parallel = run_species_sweep([2, 3], trials=2, cfg=cfg, n_obs=100, jobs=2)
+        serial = run_species_sweep([2, 3], trials=2, cfg=cfg, n_obs=100)
+        with synthgen.worker_pool(2) as run:
+            parallel = run_species_sweep([2, 3], trials=2, cfg=cfg, n_obs=100, pool=run)
         assert serial == parallel
 
     def test_spawned_workers_pin_their_blas(self, monkeypatch):
@@ -166,8 +187,9 @@ class TestSweeps:
                             lambda *a, **k: real(*a, mp_context=spawn, **k))
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
         cfg = RegressorConfig("kernel_ridge")
-        serial = run_noise_sweep([0.0, 0.2], trials=2, cfg=cfg, n_obs=500, jobs=1)
-        parallel = run_noise_sweep([0.0, 0.2], trials=2, cfg=cfg, n_obs=500, jobs=2)
+        serial = run_noise_sweep([0.0, 0.2], trials=2, cfg=cfg, n_obs=500)
+        with synthgen.worker_pool(2) as run:
+            parallel = run_noise_sweep([0.0, 0.2], trials=2, cfg=cfg, n_obs=500, pool=run)
         assert serial == parallel
 
     def test_invalid_trials(self):
