@@ -16,8 +16,9 @@ the command's own, otherwise ``--jobs`` workers of one
 defaults to the usable CPU count and is capped at the task count, and
 at the count whose largest kernel ridge fits stay within
 ``regress.KERNEL_RIDGE_BYTES`` together (with a note on stderr).  A
-kernel ridge model on several processes has its scipy modules imported
-before the workers fork, so each worker inherits them.
+kernel ridge model on several processes has its compiled routines loaded
+(``regress.load_kernel_ridge``) before the workers fork, so each worker
+inherits them.
 ``main`` runs every command at one BLAS thread (``blas.num_threads``)
 and restores the caller's count on exit; forked workers inherit the pin.
 So identical configs and seeds give byte-identical files across reruns,
@@ -51,8 +52,8 @@ import numpy as np
 
 from . import __version__, blas, data_model, estimators, evalharness, oracle, synthgen
 from .regress import (RegressionError, RegressorConfig, SingularModelError,
-                      check_kernel_ridge_rows, import_kernel_ridge,
-                      kernel_ridge_processes)
+                      check_kernel_ridge_rows, kernel_ridge_processes,
+                      load_kernel_ridge)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -200,8 +201,7 @@ def _processes(cfg, tasks, rows, models):
     ``jobs`` (default: the usable CPUs), at most one per task, and no more
     than keep the kernel ridge fits of all processes on ``rows`` rows (the
     largest training set) within the byte budget together.  Kernel ridge
-    on more than one process imports its scipy modules here, before the
-    pool forks.
+    on more than one process loads its routines here, before the pool forks.
     """
     usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
               else os.cpu_count() or 1)
@@ -214,7 +214,7 @@ def _processes(cfg, tasks, rows, models):
                   file=sys.stderr)
             jobs = cap
         if jobs > 1:
-            import_kernel_ridge()
+            load_kernel_ridge()
     return jobs
 
 

@@ -26,18 +26,20 @@ by the denoising estimators:
                        (``dpotrs``), and inside ``shared_designs()`` the
                        next fit on the same design too.  A fit refuses
                        more than ``kernel_ridge_max_rows()`` rows before
-                       it allocates any m x m array.  It is the only
-                       backend that uses scipy (``dpotrf``, ``dpotrs``,
-                       ``dgemv``, ``pdist``, ``cdist``) and imports them
-                       where it first calls them, after the row check,
-                       so a command that fits no kernel ridge model
-                       never loads scipy; one that runs kernel ridge on
-                       several processes loads it once, before its
-                       workers fork (``import_kernel_ridge``).
+                       it allocates any m x m array.  It calls scipy's
+                       compiled code without importing scipy
+                       (``load_kernel_ridge``): ``dpotrf``, ``dpotrs`` and
+                       ``dgemv`` through ``blas.lapack``, and ``cdist``'s
+                       and ``pdist``'s routines from scipy's
+                       ``_distance_pybind`` extension, loaded by file
+                       path; so it has the bits of scipy's wrappers, which
+                       it falls back on where those are missing.  A design
+                       that replaces one of its size in a block is built
+                       in that one's two arrays.
 
 Every fitted model carries ``fitted``, its predictions on the training
 rows, taken from what the fit already holds: ``K alpha + b`` for kernel
-ridge (its products, like its solve, on scipy's BLAS) and the boosting
+ridge (its products, like its solve, on scipy's OpenBLAS) and the boosting
 loop's running prediction for trees, both equal to ``predict(x_train)``
 bit for bit; for the spline, the GCV step's
 ``(B V) z``, which differs from ``predict(x_train)``'s ``B (V z)`` only
@@ -60,13 +62,20 @@ then pick the other cut.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 import numbers
+import os
+import sys
+from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
+
+from . import blas
 
 
 class RegressionError(ValueError):
@@ -240,25 +249,20 @@ class FittedKernelRidge(FittedRegressor):
         self.gamma = gamma
 
     def _predict(self, x):
-        from scipy.spatial.distance import cdist
-
-        k = np.exp(-self.gamma * cdist(x, self.x_train, "sqeuclidean"))
+        k = np.exp(-self.gamma * load_kernel_ridge().sqdist(x, self.x_train))
         return _kernel_dot(k, self.alpha) + self.intercept
 
 
 def _kernel_dot(k, alpha):
-    """``k @ alpha`` on scipy's BLAS, the library that factors the system.
+    """``k @ alpha`` on scipy's OpenBLAS, the library that factors the system.
 
     Unpinned, numpy's and scipy's OpenBLAS each keep their own spinning
     threads, and a fit that alternates between the two ran about twice
-    as slow on 2 cores.  Fewer than 2 rows go through numpy: dgemv
-    refuses an empty result, and numpy takes one row as a dot product.
+    as slow on 2 cores.  Fewer than 2 rows go through numpy on either
+    path: the fallback's dgemv wrapper refuses an empty result, and numpy
+    takes one row as a dot product.
     """
-    if k.shape[0] < 2:
-        return k @ alpha
-    from scipy.linalg.blas import dgemv
-
-    return dgemv(1.0, k.T, alpha, trans=1)  # k.T is k's Fortran-ordered view
+    return k @ alpha if k.shape[0] < 2 else load_kernel_ridge().gemv(k, alpha)
 
 
 def kernel_ridge_max_rows():
@@ -272,16 +276,61 @@ def kernel_ridge_processes(m):
     return max(1, KERNEL_RIDGE_BYTES // (_KERNEL_RIDGE_ARRAYS * 8 * max(m, 1) ** 2))
 
 
-def import_kernel_ridge():
-    """Import the scipy modules that kernel ridge calls.
+# what kernel ridge calls: squared Euclidean cdist, pdist, blas.lapack()
+_Routines = namedtuple("_Routines", "sqdist pdist potrf potrs gemv")
+_DISTANCE = "scipy.spatial._distance_pybind"
 
-    A command that runs a kernel ridge model on several processes calls
-    this before its worker pool forks: the workers inherit the modules,
-    where each would otherwise import scipy again.
+
+def _distance_module():
+    """scipy's compiled distance extension: scipy's own module once scipy
+    imported it, else loaded by file path without scipy's package init and
+    left out of ``sys.modules`` (a later scipy import gets the same module)."""
+    if _DISTANCE in sys.modules:
+        return sys.modules[_DISTANCE]
+    root = blas.package_root("scipy")
+    spec = root and importlib.machinery.PathFinder.find_spec(
+        _DISTANCE, [os.path.join(root, "spatial")])
+    if not spec:
+        raise ImportError(f"no {_DISTANCE} found")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _works(r):
+    """One call of each routine gives the values worked out by hand."""
+    a, x = np.array([[4.0, 2.0], [2.0, 5.0]]), np.array([[0.0, 0.0], [3.0, 4.0]])
+    d, p = np.full((2, 2), np.nan), np.full(1, np.nan)  # the outputs' room
+    r.sqdist(x, x, out=d)
+    r.pdist(x, out=p)
+    return (r.potrf(a) == 0 and a.tolist() == [[2.0, 2.0], [1.0, 2.0]]
+            and r.potrs(a, np.array([8.0, 9.0])).tolist() == [1.375, 1.25]
+            and r.gemv(np.eye(2) + 1, np.array([1.0, 2.0])).tolist() == [4.0, 5.0]
+            and d.tolist() == [[0.0, 25.0], [25.0, 0.0]] and p.tolist() == [5.0])
+
+
+@cache
+def load_kernel_ridge():
+    """The routines kernel ridge calls (``_Routines``), loaded once; a
+    command that runs kernel ridge on several processes loads them before
+    its workers fork.  Where ``blas.lapack()`` or the distance extension is
+    missing or fails its check, they are scipy's wrappers of the same code.
     """
-    import scipy.linalg.blas  # noqa: F401
-    import scipy.linalg.lapack  # noqa: F401
-    import scipy.spatial.distance  # noqa: F401
+    try:
+        dist = _distance_module()
+        fast = _Routines(dist.cdist_sqeuclidean, dist.pdist_euclidean, *blas.lapack())
+        if _works(fast):
+            return fast
+    except (ImportError, AttributeError, TypeError, ValueError):
+        pass  # a module, function or symbol is missing, or refuses the check's call
+    from scipy.linalg.blas import dgemv
+    from scipy.linalg.lapack import dpotrf, dpotrs
+    from scipy.spatial.distance import cdist, pdist
+
+    return _Routines(lambda x, y, out=None: cdist(x, y, "sqeuclidean", out=out), pdist,
+                     lambda a: dpotrf(a.T, overwrite_a=True, clean=False)[1],
+                     lambda c, b: dpotrs(c.T, b, overwrite_b=True)[0],
+                     lambda k, v: dgemv(1.0, k.T, v, trans=1))
 
 
 def check_kernel_ridge_rows(m):
@@ -293,12 +342,11 @@ def check_kernel_ridge_rows(m):
             f"get {KERNEL_RIDGE_BYTES} bytes), but would get {m}")
 
 
-def _median_bandwidth(x):
+def _median_bandwidth(x, out=None):
     """``np.median(pdist(x))`` from one partition: the middle distance, or
-    the mean of the two middle ones when the pair count is even."""
-    from scipy.spatial.distance import pdist
-
-    d = pdist(x)  # fit() guarantees 2 rows, so 1 pair
+    the mean of the two middle ones when the pair count is even.  The
+    distances go to ``out`` (m (m - 1) / 2 floats) where given."""
+    d = load_kernel_ridge().pdist(x, out=out)  # fit() guarantees 2 rows, so 1 pair
     k = d.size // 2
     d.partition(k)
     med = float(d[k] if d.size % 2 else (d[:k].max() + d[k]) / 2.0)
@@ -332,37 +380,41 @@ def shared_designs():
             _scope = None
 
 
-def _kernel_design(x, bandwidth, penalty):
-    """gamma, K and the upper Cholesky factor of K + penalty I (Fortran order)."""
-    from scipy.linalg.lapack import dpotrf
-    from scipy.spatial.distance import cdist
-
+def _kernel_design(x, bandwidth, penalty, arrays=None):
+    """gamma, K and the factor of K + penalty I (``blas.lapack``'s dpotrf),
+    built in ``arrays``, a dropped design's (K, factor), where given."""
+    r = load_kernel_ridge()
     m = x.shape[0]
-    bw = _median_bandwidth(x) if bandwidth is None else bandwidth
+    k, a = arrays or (np.empty((m, m)), np.empty((m, m)))
+    # the median's distances take the room of the system, which comes after them
+    bw = (_median_bandwidth(x, a.reshape(-1)[:m * (m - 1) // 2]) if bandwidth is None
+          else bandwidth)
     gamma = 1.0 / (2.0 * bw * bw)
-    k = np.exp(-gamma * cdist(x, x, "sqeuclidean"))
-    a = k.copy()
+    r.sqdist(x, x, out=k)
+    k *= -gamma  # in place, the bits of np.exp(-gamma * D)
+    np.exp(k, out=k)
+    np.copyto(a, k)
     a.flat[::m + 1] += penalty
-    # a is symmetric, so its transpose is the Fortran-ordered array that
-    # dpotrf factors in place, without a copy
-    c, info = dpotrf(a.T, overwrite_a=True, clean=False)
+    info = r.potrf(a)
     if info != 0:
         raise SingularModelError(f"kernel system not positive definite (info={info})")
-    return gamma, k, c
+    return gamma, k, a
 
 
 def _fit_kernel_ridge(params, x, y):
-    check_kernel_ridge_rows(x.shape[0])  # before scipy or any m x m array
+    m = x.shape[0]
+    check_kernel_ridge_rows(m)  # before any m x m array
     key = (x.shape, x.tobytes(), params["bandwidth"], params["penalty"])
     held = _scope or _Scope()  # outside shared_designs(), this fit's own
     if held.design is None or held.design[0] != key:
-        held.design = None  # drop the last design before allocating this one
-        held.design = (key, *_kernel_design(x, params["bandwidth"], params["penalty"]))
+        # drop the last design before building this one, in its arrays if they fit
+        reuse = held.design and held.design[2].shape == (m, m) and held.design[2:]
+        held.design = None
+        held.design = (key, *_kernel_design(x, params["bandwidth"], params["penalty"],
+                                            reuse))
     _, gamma, k, c = held.design
-    from scipy.linalg.lapack import dpotrs
-
     intercept = float(np.mean(y))
-    alpha, _ = dpotrs(c, y - intercept, overwrite_b=True)  # info < 0: a bad argument
+    alpha = load_kernel_ridge().potrs(c, y - intercept)
     if not np.all(np.isfinite(alpha)):
         raise SingularModelError("kernel system produced non-finite solution")
     return FittedKernelRidge(x.copy(), alpha, intercept, gamma,

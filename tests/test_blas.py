@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from conftest import child_env
@@ -64,7 +65,7 @@ class TestScopedPin:
 
 
 # A first-ever kernel ridge fit inside the pin; argv[1] == "early" imports
-# scipy.linalg before pinning instead.
+# scipy.linalg, and so loads scipy's OpenBLAS through scipy, before pinning.
 _LATE_FIT = """
 import json, sys
 import numpy as np
@@ -78,14 +79,15 @@ x, y = rng.normal(size=(500, 3)), rng.normal(size=500)
 with blas.num_threads(1):
     model = regress.fit(regress.RegressorConfig("kernel_ridge"), x, y)
     threads = blas.get_num_threads()
-print(json.dumps({"loaded": loaded, "threads": threads,
+print(json.dumps({"loaded": [loaded, "scipy.linalg" in sys.modules], "threads": threads,
                   "fitted": model.fitted.tobytes().hex()}))
 """
 
 
 class TestLateLoad:
-    """The pin, set before scipy is imported, holds for the OpenBLAS that
-    kernel ridge's first fit loads with ``scipy.linalg``."""
+    """The pin holds for the library that kernel ridge calls, scipy's
+    OpenBLAS, whether scipy loaded it before the pin or not; the fit
+    itself imports no ``scipy.linalg``."""
 
     def test_pin_covers_first_kernel_ridge_fit(self):
         env = child_env(OPENBLAS_NUM_THREADS="2")
@@ -95,10 +97,29 @@ class TestLateLoad:
                                   capture_output=True, text=True)
             assert proc.returncode == 0, proc.stderr
             runs[mode] = json.loads(proc.stdout)
-        assert (runs["late"]["loaded"], runs["early"]["loaded"]) == (False, True)
+        assert runs["late"]["loaded"] == [False, False]  # before and after the fit
+        assert runs["early"]["loaded"] == [True, True]
         for run in runs.values():
             assert run["threads"] and set(run["threads"]) == {1}
         assert runs["late"]["fitted"] == runs["early"]["fitted"]
+
+
+@pytest.mark.skipif(blas.lapack() is None, reason="no LAPACK symbols in scipy's OpenBLAS")
+class TestLapackBindings:
+    """The bindings refuse an array that LAPACK would misread, before the call."""
+
+    def test_refuse_wrong_dtype_order_or_shape(self):
+        dpotrf, dpotrs, dgemv = blas.lapack()
+        eye = np.eye(3)
+        for call in (lambda: dpotrf(eye.astype(np.float32)),
+                     lambda: dpotrf(np.asfortranarray(eye[:, :2])),
+                     lambda: dpotrf(eye[:2]),
+                     lambda: dpotrs(eye, np.ones(2)),
+                     lambda: dgemv(eye, np.ones(4)),
+                     lambda: dgemv(eye[:, ::2], np.ones(2))):
+            with pytest.raises(ValueError, match="C-contiguous float64"):
+                call()
+        assert dgemv(eye[:2], np.arange(3.0)).tolist() == [0.0, 1.0]
 
 
 class TestSetOnlyWhereDifferent:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import child_env
-from tqsreg import __version__, cli, regress
+from tqsreg import __version__, blas, cli, regress
 from tqsreg.cli import (
     EXIT_OK,
     EXIT_USAGE,
@@ -1014,20 +1014,22 @@ def _python(args):
     return proc.stdout
 
 
-# Each step records the scipy modules loaded so far in one fresh interpreter;
-# "synth --jobs 2 pools" records them as each worker pool is built.
+# Each step records the scipy modules loaded so far in one fresh interpreter,
+# and each worker pool those of its workers, asked by tasks before it shuts down.
 _FOOTPRINT = """
 import concurrent.futures, json, sys
 
-def scipy_modules():
+def scipy_modules(_=None):
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
-steps = {}
-import tqsreg
-steps["import tqsreg"] = [0, scipy_modules()]
-import tqsreg.cli
-steps["import tqsreg.cli"] = [0, scipy_modules()]
-from tqsreg import cli, regress
+class SpyPool(concurrent.futures.ProcessPoolExecutor):
+    def shutdown(self, *args, **kwargs):
+        workers.append(sorted(set().union(*self.map(scipy_modules, range(4)))))
+        super().shutdown(*args, **kwargs)
+
+workers, steps = [], {}
+concurrent.futures.ProcessPoolExecutor = SpyPool
+from tqsreg import cli
 
 out = sys.argv[1]
 survey, krr, sweeps = out + "/sim/survey.csv", out + "/krr.cfg", out + "/sweeps.cfg"
@@ -1042,30 +1044,12 @@ def step(name, *argv, dest=None):
 
 step("simulate", "simulate", "--years", "3", "--days-per-year", "40",
      "--n-species", "3", dest=out + "/sim")
-step("denoise", "denoise", "--input", survey)
-step("denoise --method hs", "denoise", "--method", "hs", "--input", survey)
-step("eval", "eval", "--input", survey)
-step("eval --jobs 2", "eval", "--input", survey, "--jobs", "2")
-step("verify", "verify")
-budget, regress.KERNEL_RIDGE_BYTES = regress.KERNEL_RIDGE_BYTES, 1600
-step("oversized kernel ridge", "denoise", "--config", krr, "--input", survey)
-try:
-    regress.fit(regress.RegressorConfig("kernel_ridge"), [[0.0]] * 11, [0.0] * 11)
-except regress.RegressionError as e:
-    steps["oversized kernel ridge fit"] = [type(e).__name__, scipy_modules()]
-regress.KERNEL_RIDGE_BYTES = budget
-real_pool, built = concurrent.futures.ProcessPoolExecutor, []
-
-def spy_pool(*a, **k):
-    built.append(scipy_modules())
-    return real_pool(*a, **k)
-
-concurrent.futures.ProcessPoolExecutor = spy_pool
+step("denoise", "denoise", "--config", krr, "--input", survey)
+step("denoise --method hs", "denoise", "--method", "hs", "--config", krr,
+     "--input", survey)
+step("eval --jobs 2", "eval", "--config", krr, "--input", survey, "--jobs", "2")
 step("synth --jobs 2", "synth", "--config", sweeps, "--trials", "2", "--jobs", "2")
-concurrent.futures.ProcessPoolExecutor = real_pool
-steps["synth --jobs 2 pools"] = built
-step("kernel ridge residuals", "denoise", "--config", krr, "--input", survey)
-print(json.dumps(steps))
+print(json.dumps({"steps": steps, "workers": workers}))
 """
 
 
@@ -1076,23 +1060,14 @@ class TestImportFootprint:
                 "if m.startswith('scipy.interpolate')))")
         assert _python(["-c", code]).strip() == "[]"
 
-    def test_scipy_loads_with_kernel_ridge_only(self, tmp_path):
-        """Only kernel ridge uses scipy; it imports it on first use, after
-        refusing a fit over its row limit, or, to run on several processes,
-        before the workers fork.  The BLAS pin loads none either."""
-        steps = json.loads(_python(["-c", _FOOTPRINT, str(tmp_path)]).splitlines()[-1])
-        last = steps.pop("kernel ridge residuals")
-        synth, pools = steps.pop("synth --jobs 2"), steps.pop("synth --jobs 2 pools")
-        assert steps == {
-            **{name: [EXIT_OK, []] for name in (
-                "import tqsreg", "import tqsreg.cli", "simulate", "denoise",
-                "denoise --method hs", "eval", "eval --jobs 2", "verify")},
-            "oversized kernel ridge": [EXIT_USAGE, []],
-            "oversized kernel ridge fit": ["RegressionError", []],
-        }
-        kernel_ridge = {"scipy.linalg.blas", "scipy.linalg.lapack",
-                        "scipy.spatial.distance"}
-        assert synth[0] == EXIT_OK and len(pools) == 1
-        assert kernel_ridge <= set(pools[0])
-        assert last[0] == EXIT_OK
-        assert kernel_ridge <= set(last[1])
+    @pytest.mark.skipif(blas.lapack() is None,
+                        reason="no LAPACK symbols in scipy's OpenBLAS")
+    def test_kernel_ridge_loads_no_scipy_module(self, tmp_path):
+        """Kernel ridge calls scipy's compiled routines without importing
+        scipy: no command loads a scipy module, in its own process or in a
+        worker of its pool."""
+        run = json.loads(_python(["-c", _FOOTPRINT, str(tmp_path)]).splitlines()[-1])
+        assert run["steps"] == {name: [EXIT_OK, []] for name in (
+            "simulate", "denoise", "denoise --method hs", "eval --jobs 2",
+            "synth --jobs 2")}
+        assert run["workers"] == [[], []]  # eval's pool, then synth's

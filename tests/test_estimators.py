@@ -392,20 +392,18 @@ class TestSharedDesignsInStages:
 
     def test_one_factorization_per_run_of_equal_aux_columns(self, spline_cfg, krr_cfg,
                                                             rng, monkeypatch):
-        from scipy.linalg import lapack
-
         factored, fitted = [], []
-        real_dpotrf, real_fit = lapack.dpotrf, estimators.fit
+        real_design, real_fit = regress._kernel_design, estimators.fit
 
-        def dpotrf_spy(*args, **kwargs):
+        def design_spy(*args):  # one factorization per design
             factored.append(1)
-            return real_dpotrf(*args, **kwargs)
+            return real_design(*args)
 
         def fit_spy(cfg, x, y):
             fitted.append(cfg.kind)
             return real_fit(cfg, x, y)
 
-        monkeypatch.setattr("scipy.linalg.lapack.dpotrf", dpotrf_spy)
+        monkeypatch.setattr(regress, "_kernel_design", design_spy)
         monkeypatch.setattr(estimators, "fit", fit_spy)
         table, _ = make_table(rng, s=6, m=80)
         res = tqs_multi_species(table, spline_cfg, krr_cfg, n_aux=1)
@@ -428,7 +426,7 @@ class TestSharedDesignsInStages:
         # misses and hits in turn: every new design replaces the last one
         columns = [[0], [0], [1], [0, 1], [0, 1], [2]]
         estimators._fit_species("residual", [krr_cfg], feats, targets,
-                                columns[:1])  # scipy's imports are not the stage's
+                                columns[:1])  # loading the routines is not the stage's
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]

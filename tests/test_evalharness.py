@@ -422,20 +422,18 @@ class TestFoldReference:
         assert reports[0] == reports[1]
 
     def test_mb_factors_once_per_training_year(self, spline_cfg, krr_cfg, monkeypatch):
-        from scipy.linalg import lapack
-
         factored, fitted = [], []
-        real_dpotrf = lapack.dpotrf
+        real_design = regress._kernel_design
 
-        def dpotrf_spy(*args, **kwargs):
+        def design_spy(*args):  # one factorization per design
             factored.append(1)
-            return real_dpotrf(*args, **kwargs)
+            return real_design(*args)
 
         def fit_spy(real, kind, *args):
             fitted.append(kind)
             return real(*args)
 
-        monkeypatch.setattr("scipy.linalg.lapack.dpotrf", dpotrf_spy)
+        monkeypatch.setattr(regress, "_kernel_design", design_spy)
         for kind in ("kernel_ridge", "spline_gam"):
             real = getattr(regress, f"_fit_{kind}")
             monkeypatch.setattr(regress, f"_fit_{kind}",

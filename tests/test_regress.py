@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import BSpline
 from scipy.linalg import lapack
-from scipy.spatial.distance import cdist
+from scipy.linalg.blas import dgemv
+from scipy.spatial.distance import cdist, pdist
 
-from tqsreg import regress
+from tqsreg import blas, cli, regress
 from tqsreg.regress import (
     RegressionError,
     RegressorConfig,
@@ -185,12 +187,11 @@ class TestKernelRidge:
         assert regress.kernel_ridge_max_rows() == 10
         fit(krr_cfg, rng.normal(size=(10, 2)), rng.normal(size=10))
 
-        def no_distances(*a, **k):
+        def no_design(*a, **k):
             raise AssertionError("an m x m array was allocated")
 
-        # kernel ridge looks its distance routines up in scipy on each fit
-        monkeypatch.setattr("scipy.spatial.distance.pdist", no_distances)
-        monkeypatch.setattr("scipy.spatial.distance.cdist", no_distances)
+        # every m x m array of a fit is its design's
+        monkeypatch.setattr(regress, "_kernel_design", no_design)
         with pytest.raises(RegressionError, match="at most 10 training rows.*get 11"):
             fit(krr_cfg, rng.normal(size=(11, 2)), rng.normal(size=11))
 
@@ -915,7 +916,7 @@ class TestSharedKernelDesigns:
 
     @staticmethod
     def _factor_spy(calls):
-        real = lapack.dpotrf
+        real = regress._kernel_design  # one factorization per design
 
         def spy(*args, **kwargs):
             calls.append(1)
@@ -947,7 +948,7 @@ class TestSharedKernelDesigns:
         designs = 1 + sum(a != b for a, b in zip(species, species[1:]))
         calls = []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr("scipy.linalg.lapack.dpotrf", self._factor_spy(calls))
+            mp.setattr(regress, "_kernel_design", self._factor_spy(calls))
             with regress.shared_designs():
                 shared = [fit(cfg, xv, y) for xv, cfg, y in fits]
             assert len(calls) == designs
@@ -964,7 +965,7 @@ class TestSharedKernelDesigns:
         x_bad = np.array([[0.0], [0.0], [1.0]])
         x_good = rng.normal(size=(3, 1))
         calls = []
-        monkeypatch.setattr("scipy.linalg.lapack.dpotrf", self._factor_spy(calls))
+        monkeypatch.setattr(regress, "_kernel_design", self._factor_spy(calls))
         with regress.shared_designs():
             fit(krr_cfg, x_good, rng.normal(size=3))
             for _ in range(3):
@@ -977,7 +978,7 @@ class TestSharedKernelDesigns:
     def test_block_end_drops_the_design(self, monkeypatch, krr_cfg, rng):
         x = rng.normal(size=(20, 2))
         calls = []
-        monkeypatch.setattr("scipy.linalg.lapack.dpotrf", self._factor_spy(calls))
+        monkeypatch.setattr(regress, "_kernel_design", self._factor_spy(calls))
         with regress.shared_designs():
             for _ in range(3):
                 fit(krr_cfg, x, rng.normal(size=20))
@@ -985,6 +986,142 @@ class TestSharedKernelDesigns:
         with regress.shared_designs():
             fit(krr_cfg, x, rng.normal(size=20))
         assert len(calls) == 2
+
+
+def _scipy_kernel_ridge(x, y, penalty, bandwidth, xq):
+    """alpha, gamma, fitted and predict(xq) of a kernel ridge fit through
+    scipy's wrappers, the way kernel ridge called them before it bound the
+    compiled routines itself; None where the factorization fails."""
+    m = x.shape[0]
+    if bandwidth is None:
+        med = float(np.median(pdist(x)))
+        bandwidth = med if med > 0 else 1.0
+    gamma = 1.0 / (2.0 * bandwidth * bandwidth)
+    k = np.exp(-gamma * cdist(x, x, "sqeuclidean"))
+    a = k.copy()
+    a.flat[::m + 1] += penalty
+    c, info = lapack.dpotrf(a.T, overwrite_a=True, clean=False)
+    if info != 0:
+        return None
+    intercept = float(np.mean(y))
+    alpha, _ = lapack.dpotrs(c, y - intercept, overwrite_b=True)
+
+    def dot(k):
+        return k @ alpha if k.shape[0] < 2 else dgemv(1.0, k.T, alpha, trans=1)
+
+    kq = np.exp(-gamma * cdist(xq, x, "sqeuclidean"))
+    return alpha, gamma, dot(k) + intercept, dot(kq) + intercept
+
+
+def _kernel_ridge_facts(model, xq):
+    return [np.asarray(v).tobytes()
+            for v in (model.alpha, model.gamma, model.fitted, model.predict(xq))]
+
+
+class TestCompiledKernelRoutines:
+    """Kernel ridge calls scipy's compiled routines without scipy's wrappers,
+    builds a design in the arrays of the one it replaces, and keeps the
+    wrappers' bits."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(2, 300), d=st.integers(1, 10), decimals=st.integers(0, 2),
+           seed=st.integers(0, 2**32 - 1), penalty=st.sampled_from([1.0, 0.25, 1e-3]),
+           bandwidth=st.sampled_from([None, 0.7]), q=st.integers(1, 5))
+    def test_bits_of_scipys_wrappers(self, m, d, decimals, seed, penalty, bandwidth, q):
+        rng = np.random.default_rng(seed)
+        cfg = RegressorConfig("kernel_ridge", {"penalty": penalty, "bandwidth": bandwidth})
+        xq = rng.normal(size=(q, d)).round(decimals)
+        # rounded features tie; the second design is built in the first's arrays
+        with regress.shared_designs():
+            for _ in range(2):
+                x, y = rng.normal(size=(m, d)).round(decimals), rng.normal(size=m)
+                ref = _scipy_kernel_ridge(x, y, penalty, bandwidth, xq)
+                if ref is None:
+                    with pytest.raises(SingularModelError):
+                        fit(cfg, x, y)
+                    continue
+                assert _kernel_ridge_facts(fit(cfg, x, y), xq) == [
+                    np.asarray(v).tobytes() for v in ref]
+
+    def test_design_of_the_same_size_reuses_the_arrays(self, krr_cfg, rng):
+        m = 200
+        xq, y = rng.normal(size=(7, 2)), rng.normal(size=m)
+        regress.load_kernel_ridge()
+        with regress.shared_designs():
+            first = fit(krr_cfg, rng.normal(size=(m, 2)), y)
+            before = _kernel_ridge_facts(first, xq)
+            tracemalloc.start()
+            try:
+                fit(krr_cfg, rng.normal(size=(m, 2)), y)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # no m x m array, and the median's m (m - 1) / 2 distances in the old ones
+        assert peak < m * m * 8 // 4
+        assert _kernel_ridge_facts(first, xq) == before
+
+
+@pytest.fixture
+def reloaded_routines():
+    """Kernel ridge loads its routines afresh, and again after the test."""
+    regress.load_kernel_ridge.cache_clear()
+    yield
+    regress.load_kernel_ridge.cache_clear()
+
+
+def _broken_lapack():
+    dpotrf, dpotrs, dgemv = blas.lapack.__wrapped__()
+    return (lambda a: 0), dpotrs, dgemv  # a factorization that leaves a as it is
+
+
+class _BrokenDistances:
+    def __init__(self, module):
+        self.pdist_euclidean = module.pdist_euclidean
+
+    @staticmethod
+    def cdist_sqeuclidean(x, y, out=None):
+        return np.zeros((len(x), len(y)))  # ignores out
+
+
+@pytest.mark.skipif(blas.lapack() is None, reason="no LAPACK symbols in scipy's OpenBLAS")
+class TestScipyFallback:
+    """Without the bindings or the distance extension, or when either fails
+    its check at load, kernel ridge runs on scipy's wrappers, with the bits
+    of the compiled routines it would have called."""
+
+    @staticmethod
+    def _outputs(tmp_path, name):
+        rng = np.random.default_rng(5)
+        x, y, xq = rng.normal(size=(60, 2)).round(1), rng.normal(size=60), rng.normal(
+            size=(9, 2))
+        facts = _kernel_ridge_facts(fit(RegressorConfig("kernel_ridge"), x, y), xq)
+        out = tmp_path / name
+        assert cli.main(["denoise", "--input", str(tmp_path / "sim" / "survey.csv"),
+                         "--config", str(tmp_path / "krr.cfg"),
+                         "--out", str(out)]) == cli.EXIT_OK
+        return facts, (out / "zhat.csv").read_bytes()
+
+    @pytest.mark.parametrize("force", ["no extension", "no bindings",
+                                       "bindings fail", "extension fails"])
+    def test_fallback_has_the_bits_of_the_compiled_routines(
+            self, monkeypatch, tmp_path, reloaded_routines, force):
+        assert cli.main(["simulate", "--out", str(tmp_path / "sim"), "--seed", "3",
+                         "--years", "3", "--days-per-year", "40",
+                         "--n-species", "3"]) == cli.EXIT_OK
+        (tmp_path / "krr.cfg").write_text("regressor.res.kind = kernel_ridge\n")
+        fast = self._outputs(tmp_path, "fast")
+        assert regress.load_kernel_ridge().pdist is not pdist
+        regress.load_kernel_ridge.cache_clear()
+        extension = regress._distance_module()
+        monkeypatch.setattr(*{
+            "no extension": (regress, "_distance_module", lambda: None),
+            "no bindings": (blas, "lapack", lambda: None),
+            "bindings fail": (blas, "lapack", _broken_lapack),
+            "extension fails": (regress, "_distance_module",
+                                lambda: _BrokenDistances(extension)),
+        }[force])
+        assert self._outputs(tmp_path, "fallback") == fast
+        assert regress.load_kernel_ridge().pdist is pdist  # scipy's wrapper
 
 
 class TestReadOnlyModels:
