@@ -2,39 +2,42 @@
 
 Subcommands: denoise, synth, verify, eval, simulate.  Every run is
 fully described by a flat dotted-key config file plus command-line
-overrides (a flag beats its config key).  This module owns every output
-format: result CSVs carry a '#' metadata preamble and JSON files a
-``meta`` record, both with the tool version, seed and config hash so
+flags.  ``KEYS`` is the one place where a plain key is declared: how its
+value is read, its default, and the flag that beats it; every key,
+``out`` and ``jobs`` included, is honoured.  This module owns every
+output format: result CSVs carry a '#' metadata preamble and JSON files
+a ``meta`` record, both with the tool version, seed and config hash so
 runs can be reproduced exactly; the simulated ``survey.csv`` is written
 by ``data_model.save_table``, the pair of ``load_table``.  Outputs are
 written to a temporary file and renamed on success.
 
 ``synth`` and ``eval`` run their independent tasks (sweep trials; LOYO
-folds and diagnostics halves) on ``--jobs`` processes: at ``--jobs 1``
-the command's own, otherwise ``--jobs`` workers of one
-``synthgen.worker_pool`` while the command's process waits.  ``jobs``
-defaults to the usable CPU count and is capped at the task count, and
-at the count whose largest kernel ridge fits stay within
+folds and diagnostics halves) on ``jobs`` processes: the command's own
+at 1, otherwise the workers of one ``synthgen.worker_pool`` while the
+command's process waits.  ``jobs`` is capped at the task count, and at
+the count whose largest kernel ridge fits stay within
 ``regress.KERNEL_RIDGE_BYTES`` together (with a note on stderr).  A
 kernel ridge model on several processes has its compiled routines loaded
 (``regress.load_kernel_ridge``) before the workers fork, so each worker
-inherits them.
-``main`` runs every command at one BLAS thread (``blas.num_threads``)
-and restores the caller's count on exit; forked workers inherit the pin.
-So identical configs and seeds give byte-identical files across reruns,
-across ``--jobs`` values and across hosts with the same numpy/OpenBLAS
-build and CPU type.  Where no OpenBLAS thread setter is found, commands
-run unpinned.  Regressor configs, ``jobs``, ``method``, ``methods`` and
-``eval.test_filter`` are checked when read, so a bad value of any of them
-fails before any input is loaded; a kernel ridge model whose largest
-training set is over its row limit fails right after loading (``synth``:
-before any worker starts), and an ``eval`` test filter that empties a
-year fails before any fit.  Usage, config and table errors exit 2, and so
-does running out of memory (``MemoryError``: the input or config asks for
-more than the host has); a fit that fails on well-formed input
-(``EstimationError``, ``SingularModelError``) exits 3, also when it fails
-in a worker.  ``verify`` draws and checks its joints in blocks of
-``VERIFY_BLOCK`` (see ``oracle.random_joints``).
+inherits them.  ``main`` runs every command at one BLAS thread
+(``blas.num_threads``) and restores the caller's count on exit; forked
+workers inherit the pin.  So identical configs and seeds give
+byte-identical files across reruns, across ``jobs`` values and across
+hosts with the same numpy/OpenBLAS build and CPU type.  Where no
+OpenBLAS thread setter is found, commands run unpinned.
+
+Every setting is checked when read, and a value that does not parse
+names its key.  A command reads its settings and regressor configs
+before it loads any input, and ``synth`` checks its sweeps
+(``synthgen.check_sweep``) before any worker starts.  A kernel ridge
+model whose largest training set is over its row limit fails right after
+loading, and an ``eval`` test filter that empties a year fails before any
+fit.  Usage, config and table errors exit 2, and so does running out of
+memory (``MemoryError``: the input or config asks for more than the host
+has); a fit that fails on well-formed input (``EstimationError``,
+``SingularModelError``) exits 3, also when it fails in a worker.
+``verify`` draws and checks its joints in blocks of ``VERIFY_BLOCK``
+(see ``oracle.random_joints``).
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ import hashlib
 import json
 import os
 import sys
+import typing
 
 import numpy as np
 
@@ -59,9 +63,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_MODEL = 3  # a fit failed on well-formed input
-
-_DENOISE_METHODS = ("3qs", "hs")
-_TEST_FILTERS = ("none", "brightness-zero")
 
 
 class UsageError(ValueError):
@@ -112,35 +113,122 @@ def _coerce(value):
     return value
 
 
-KNOWN_PREFIXES = ("schema.", "regressor.x.", "regressor.res.", "regressor.smooth.",
-                  "regressor.synth.")
-KNOWN_KEYS = {
-    "input", "out", "seed", "jobs", "method", "methods", "trials", "joints",
-    "synth.species_grid", "synth.sigma_grid", "synth.n_obs",
-    "eval.brightness_column", "eval.test_filter", "eval.threshold", "eval.n_aux",
-    "simulate.years", "simulate.days_per_year", "simulate.n_species",
-    "simulate.beta", "simulate.idio_sigma",
+def _usable_cpus():
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
+def _count(text):
+    if int(text) < 1:
+        raise ValueError(text)
+    return int(text)
+
+
+def _numbers(text):
+    return [float(v) for v in text.split(",") if v.strip()]
+
+
+def _methods(text):
+    methods = [m.strip() for m in text.split(",") if m.strip()]
+    unknown = set(methods) - set(evalharness.METHODS)
+    if unknown:
+        raise UsageError(f"unknown methods: {sorted(unknown)}")
+    if not methods:
+        raise UsageError("methods names no method (expected a comma-separated "
+                         f"subset of {','.join(evalharness.METHODS)})")
+    return methods
+
+
+# what a value that its reader refuses with a ValueError should have been
+_EXPECTED = {int: "an integer", _count: "an integer >= 1", float: "a number",
+             _numbers: "comma-separated numbers"}
+
+
+class Key(typing.NamedTuple):
+    """A plain config key: how its text is read, its default, and its flag.
+
+    A ``ValueError`` from ``read`` names the key; a value outside
+    ``choices`` fails with ``unknown``.  ``flag`` beats the key in
+    ``commands``; ``{}`` in its ``help`` shows the default.
+    """
+    read: typing.Callable = str
+    default: object = None  # called, if callable
+    flag: str = None
+    commands: tuple = ("denoise", "synth", "verify", "eval", "simulate")
+    help: str = None
+    choices: tuple = ()
+    unknown: str = None
+
+
+# every plain key, in the order of its flag in a command's --help
+KEYS = {
+    "seed": Key(int, 0, "--seed", help="master random seed (default {})"),
+    "out": Key(lambda text: text or ".", ".", "--out",  # '' is the current directory too
+               help="output directory (default '{}')"),
+    "jobs": Key(_count, _usable_cpus, "--jobs", help="processes for independent tasks of "
+                "synth and eval (default: the usable CPUs)"),
+    "input": Key(str, None, "--input", ("denoise", "eval"), "input CSV path"),
+    "method": Key(str, "3qs", "--method", ("denoise",), "denoising method (default {})",
+                  ("3qs", "hs"), "unknown method {!r} (expected 3qs or hs)"),
+    "methods": Key(_methods, evalharness.METHODS, "--methods", ("eval",),
+                   "comma-separated subset of raw,hs,3qs,mb,global"),
+    "eval.test_filter": Key(str, "none", "--test-filter", ("eval",),
+                            "test-subset rule (default {})",
+                            ("none", "brightness-zero"), "unknown test filter {!r}"),
+    "trials": Key(int, 20, "--trials", ("synth",),
+                  "instances per grid point (default {})"),
+    "joints": Key(int, 100, "--joints", ("verify",),
+                  "number of random joints (default {})"),
+    "simulate.years": Key(int, 5, "--years", ("simulate",), "survey years (default {})"),
+    "simulate.days_per_year": Key(int, 180, "--days-per-year", ("simulate",),
+                                  "nights per year (default {})"),
+    "simulate.n_species": Key(int, 10, "--n-species", ("simulate",),
+                              "number of species (default {})"),
+    "simulate.beta": Key(float, 1.0),
+    "simulate.idio_sigma": Key(float, 0.1),
+    "synth.species_grid": Key(_numbers, synthgen.SPECIES_GRID),
+    "synth.sigma_grid": Key(_numbers, synthgen.SIGMA_GRID),
+    "synth.n_obs": Key(int, synthgen.DEFAULT_N_OBS),
+    "eval.brightness_column": Key(),
+    "eval.threshold": Key(float),
+    "eval.n_aux": Key(int),
 }
+
+# each regressor use and its default kind; regressor.<use>.* keys set it up
+REGRESSOR_USES = {"x": "spline_gam", "res": "boosted_trees", "smooth": "spline_gam",
+                  "synth": "kernel_ridge"}
+KNOWN_PREFIXES = ("schema.", *(f"regressor.{use}." for use in REGRESSOR_USES))
+
+
+def setting(cfg, key):
+    """The value of plain key ``key`` in ``cfg``, read and checked, or its default."""
+    spec = KEYS[key]
+    if key not in cfg:
+        return spec.default() if callable(spec.default) else spec.default
+    text = cfg[key]
+    try:
+        value = spec.read(text)
+    except UsageError:
+        raise
+    except ValueError:
+        raise UsageError(f"{key} must be {_EXPECTED[spec.read]} (got {text!r})") from None
+    if spec.choices and value not in spec.choices:
+        raise UsageError(spec.unknown.format(value))
+    return value
 
 
 def validate_keys(cfg):
     for key in cfg:
-        if key in KNOWN_KEYS:
-            continue
-        if any(key.startswith(p) for p in KNOWN_PREFIXES):
-            continue
-        raise UsageError(f"unknown config key {key!r}")
+        if key not in KEYS and not key.startswith(KNOWN_PREFIXES):
+            raise UsageError(f"unknown config key {key!r}")
 
 
-def regressor_from_config(cfg, prefix, default_kind):
-    kind = cfg.get(f"regressor.{prefix}.kind", default_kind)
-    hyper = {}
-    pre = f"regressor.{prefix}."
-    for key, value in cfg.items():
-        if key.startswith(pre) and key != pre + "kind":
-            hyper[key[len(pre):]] = _coerce(value)
-    seed = int(cfg.get("seed", 0))
-    config = RegressorConfig(kind=kind, hyperparameters=hyper, seed=seed)
+def regressor_from_config(cfg, use):
+    pre = f"regressor.{use}."
+    hyper = {key[len(pre):]: _coerce(value) for key, value in cfg.items()
+             if key.startswith(pre) and key != pre + "kind"}
+    config = RegressorConfig(kind=cfg.get(pre + "kind", REGRESSOR_USES[use]),
+                             hyperparameters=hyper, seed=setting(cfg, "seed"))
     config.resolved()  # an unknown or ill-typed key fails here, before any fit
     return config
 
@@ -185,16 +273,6 @@ def _check_kernel_rows(rows, models):
                 raise UsageError(f"regressor.{prefix}.kind = {e}") from e
 
 
-def _parse_jobs(value):
-    try:
-        jobs = int(value)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise UsageError(f"jobs must be an integer >= 1 (got {value!r})")
-    return jobs
-
-
 def _processes(cfg, tasks, rows, models):
     """How many processes run ``tasks`` independent tasks.
 
@@ -203,9 +281,7 @@ def _processes(cfg, tasks, rows, models):
     largest training set) within the byte budget together.  Kernel ridge
     on more than one process loads its routines here, before the pool forks.
     """
-    usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-              else os.cpu_count() or 1)
-    jobs = max(1, min(_parse_jobs(cfg.get("jobs", usable)), tasks))
+    jobs = max(1, min(setting(cfg, "jobs"), tasks))
     if any(config.kind == "kernel_ridge" for _, config in models):
         cap = kernel_ridge_processes(rows)
         if jobs > cap:
@@ -218,35 +294,19 @@ def _processes(cfg, tasks, rows, models):
     return jobs
 
 
-def schema_from_config(cfg):
-    schema = {
-        key[len("schema."):]: value
-        for key, value in cfg.items()
-        if key.startswith("schema.")
-    }
-    if not schema:
-        raise UsageError("no schema.* entries in config")
-    return schema
-
-
-def _grid(cfg, key, default):
-    if key not in cfg:
-        return list(default)
-    return [_coerce(v.strip()) for v in cfg[key].split(",") if v.strip()]
-
-
 # ---------------------------------------------------------------------------
 # file formats
 
 
-def _meta(cfg, seed):
-    return {"version": __version__, "seed": seed, "config_hash": config_hash(cfg)}
+def _meta(cfg):
+    return {"version": __version__, "seed": setting(cfg, "seed"),
+            "config_hash": config_hash(cfg)}
 
 
-def preamble(cfg, seed):
+def preamble(cfg):
     """The ``_meta`` facts as CSV preamble lines, the version as 'tqsreg_version'."""
     return [f"{'tqsreg_version' if k == 'version' else k}={v}"
-            for k, v in _meta(cfg, seed).items()]
+            for k, v in _meta(cfg).items()]
 
 
 def atomic(path, write_fn):
@@ -288,14 +348,12 @@ def _floats(matrix):
 
 
 def _load_input(cfg, command):
-    if "input" not in cfg:
+    path = setting(cfg, "input")
+    if path is None:
         raise UsageError(f"{command} requires --input or config key 'input'")
-    if any(k.startswith("schema.") for k in cfg):
-        schema = schema_from_config(cfg)
-    else:
-        # no schema supplied: assume a table written by this tool
-        schema = _default_schema(cfg["input"])
-    return data_model.load_table(cfg["input"], schema)
+    schema = {k[len("schema."):]: v for k, v in cfg.items() if k.startswith("schema.")}
+    # no schema supplied: assume a table written by this tool
+    return data_model.load_table(path, schema or _default_schema(path))
 
 
 def _default_schema(path):
@@ -319,26 +377,22 @@ def _default_schema(path):
     return schema
 
 
-def _out_dir(args):
-    out = args.out or "."
+def _out_dir(cfg):
+    out = setting(cfg, "out")
     os.makedirs(out, exist_ok=True)
     return out
 
 
-def merged_config(args, extra=()):
+def merged_config(args):
+    """The config file's keys, each beaten by its flag where one is given."""
     cfg = read_config(args.config) if args.config else {}
-    if args.seed is not None:
-        cfg["seed"] = str(args.seed)
-    if args.jobs is not None:
-        cfg["jobs"] = str(args.jobs)
-    if args.out:
-        cfg["out"] = args.out
-    for key, value in extra:
+    for key, spec in KEYS.items():
+        # argparse keeps --days-per-year as days_per_year
+        value = spec.flag and getattr(args, spec.flag[2:].replace("-", "_"), None)
         if value is not None:
             cfg[key] = str(value)
     validate_keys(cfg)
-    if "jobs" in cfg:
-        _parse_jobs(cfg["jobs"])
+    setting(cfg, "jobs")  # every command refuses a bad jobs; synth and eval use it
     return cfg
 
 
@@ -347,20 +401,13 @@ def merged_config(args, extra=()):
 
 
 def cmd_simulate(args):
-    cfg = merged_config(args, [
-        ("simulate.years", args.years),
-        ("simulate.days_per_year", args.days_per_year),
-        ("simulate.n_species", args.n_species),
-    ])
+    cfg = merged_config(args)
+    # the simulate.* keys are simulate_moth_survey's parameters
     sim = evalharness.simulate_moth_survey(
-        years=int(cfg.get("simulate.years", 5)),
-        days_per_year=int(cfg.get("simulate.days_per_year", 180)),
-        n_species=int(cfg.get("simulate.n_species", 10)),
-        seed=int(cfg.get("seed", 0)),
-        beta=float(cfg.get("simulate.beta", 1.0)),
-        idio_sigma=float(cfg.get("simulate.idio_sigma", 0.1)),
-    )
-    out = _out_dir(args)
+        seed=setting(cfg, "seed"),
+        **{key[len("simulate."):]: setting(cfg, key) for key in KEYS
+           if key.startswith("simulate.")})
+    out = _out_dir(cfg)
     atomic(os.path.join(out, "survey.csv"),
            lambda p: data_model.save_table(sim.table, p))
     _write_csv(os.path.join(out, "truth.csv"), sim.table.species_names,
@@ -371,13 +418,9 @@ def cmd_simulate(args):
 
 
 def cmd_denoise(args):
-    cfg = merged_config(args, [("input", args.input), ("method", args.method)])
-    seed = int(cfg.get("seed", 0))
-    method = cfg.get("method", "3qs")
-    if method not in _DENOISE_METHODS:
-        raise UsageError(f"unknown method {method!r} (expected 3qs or hs)")
-    cfg_x = regressor_from_config(cfg, "x", "spline_gam")
-    cfg_res = regressor_from_config(cfg, "res", "boosted_trees")
+    cfg = merged_config(args)
+    method = setting(cfg, "method")
+    cfg_x, cfg_res = (regressor_from_config(cfg, use) for use in ("x", "res"))
     table = _load_input(cfg, "denoise")
     if table.n_species < 2:
         raise UsageError("need >= 2 species to denoise")
@@ -392,12 +435,11 @@ def cmd_denoise(args):
     else:
         z_hat = estimators.hs_multi_species(table, cfg_res)
         per_species = [{"species": s} for s in table.species_names]
-    out = _out_dir(args)
+    out = _out_dir(cfg)
     _write_csv(os.path.join(out, "zhat.csv"), table.species_names, _floats(z_hat),
-               pre=preamble(cfg, seed) + [f"method={method}"])
+               pre=preamble(cfg) + [f"method={method}"])
     _write_json(os.path.join(out, "diagnostics.json"),
-                {"meta": _meta(cfg, seed), "method": method,
-                 "per_species": per_species})
+                {"meta": _meta(cfg), "method": method, "per_species": per_species})
     if method == "3qs":
         for entry in per_species:
             print(f"{entry['species']}: covariate_mse="
@@ -414,14 +456,13 @@ def _sweep_cells(rows):
 
 
 def cmd_synth(args):
-    cfg = merged_config(args, [("trials", args.trials)])
-    seed = int(cfg.get("seed", 0))
-    trials = int(cfg.get("trials", 20))
-    n_obs = int(cfg.get("synth.n_obs", synthgen.DEFAULT_N_OBS))
-    backend = regressor_from_config(cfg, "synth", "kernel_ridge")
+    cfg = merged_config(args)
+    seed, trials, n_obs = (setting(cfg, key) for key in ("seed", "trials", "synth.n_obs"))
+    backend = regressor_from_config(cfg, "synth")
     _check_kernel_rows(n_obs, [("synth", backend)])
-    ns = _grid(cfg, "synth.species_grid", synthgen.SPECIES_GRID)
-    sigmas = _grid(cfg, "synth.sigma_grid", synthgen.SIGMA_GRID)
+    ns, sigmas = (setting(cfg, key) for key in ("synth.species_grid", "synth.sigma_grid"))
+    synthgen.check_sweep("species", ns, trials, n_obs)
+    synthgen.check_sweep("noise", sigmas, trials, n_obs)
     jobs = _processes(cfg, max(len(ns), len(sigmas)) * trials, n_obs,
                       [("synth", backend)])
     with synthgen.worker_pool(jobs) as pool:  # one start-up for both sweeps
@@ -429,12 +470,12 @@ def cmd_synth(args):
             ns, trials, backend, master_seed=seed, n_obs=n_obs, pool=pool)
         noise_rows = synthgen.run_noise_sweep(
             sigmas, trials, backend, master_seed=seed + 1, n_obs=n_obs, pool=pool)
-    out = _out_dir(args)
+    out = _out_dir(cfg)
     header = ("sweep_value", "method", "mean_mse", "stderr_mse", "trials")
     for name, rows in (("species_sweep.csv", species_rows),
                        ("noise_sweep.csv", noise_rows)):
         _write_csv(os.path.join(out, name), header, _sweep_cells(rows),
-                   pre=preamble(cfg, seed))
+                   pre=preamble(cfg))
     print(f"wrote {out}/species_sweep.csv and {out}/noise_sweep.csv")
     return EXIT_OK
 
@@ -467,9 +508,8 @@ def _check_block(block, first, seed, corrupt):
 
 
 def cmd_verify(args):
-    cfg = merged_config(args, [("joints", args.joints)])
-    seed = int(cfg.get("seed", 0))
-    n_joints = int(cfg.get("joints", 100))
+    cfg = merged_config(args)
+    seed, n_joints = setting(cfg, "seed"), setting(cfg, "joints")
     if n_joints < 1:
         raise UsageError(f"verify needs at least 1 joint (got {n_joints})")
     rng = np.random.default_rng(np.random.SeedSequence(seed & 0xFFFFFFFF))
@@ -479,9 +519,9 @@ def cmd_verify(args):
                                      additive=True, zero_mean_f=True)
         reports += _check_block(block, first, seed, args.corrupt_for_testing)
     failures = [entry["joint"] for entry in reports if not entry["satisfied"]]
-    out = _out_dir(args)
+    out = _out_dir(cfg)
     _write_json(os.path.join(out, "theorems.json"),
-                {"meta": {**_meta(cfg, seed), "joints": n_joints},
+                {"meta": {**_meta(cfg), "joints": n_joints},
                  "failures": failures, "reports": reports})
     if failures:
         print(f"FAIL: {len(failures)}/{n_joints} joints failed: {failures}")
@@ -491,32 +531,20 @@ def cmd_verify(args):
 
 
 def cmd_eval(args):
-    cfg = merged_config(args, [
-        ("input", args.input),
-        ("methods", args.methods),
-        ("eval.test_filter", args.test_filter),
-    ])
-    seed = int(cfg.get("seed", 0))
-    methods = [m.strip() for m in cfg.get("methods", ",".join(evalharness.METHODS)).split(",")
-               if m.strip()]
-    unknown = set(methods) - set(evalharness.METHODS)
-    if unknown:
-        raise UsageError(f"unknown methods: {sorted(unknown)}")
-    filter_kind = cfg.get("eval.test_filter", "none")
-    if filter_kind not in _TEST_FILTERS:
-        raise UsageError(f"unknown test filter {filter_kind!r}")
-    cfg_x = regressor_from_config(cfg, "x", "spline_gam")
-    cfg_res = regressor_from_config(cfg, "res", "boosted_trees")
-    smooth_cfg = regressor_from_config(cfg, "smooth", "spline_gam")
+    cfg = merged_config(args)
+    methods = setting(cfg, "methods")
+    n_aux = setting(cfg, "eval.n_aux")
+    if n_aux is not None and n_aux < 1:
+        raise UsageError(f"eval.n_aux must be >= 1 (got {n_aux})")
+    brightness_zero = setting(cfg, "eval.test_filter") == "brightness-zero"
+    threshold = setting(cfg, "eval.threshold") if brightness_zero else None
+    cfg_x, cfg_res, smooth_cfg = (regressor_from_config(cfg, use)
+                                  for use in ("x", "res", "smooth"))
     table = _load_input(cfg, "eval")
     models = [("smooth", smooth_cfg)]  # the smoother scores every cell
     if "3qs" in methods or table.diagnostics:
         models.append(("x", cfg_x))
     _check_one_covariate(table, models)
-    n_aux = cfg.get("eval.n_aux")
-    n_aux = int(n_aux) if n_aux is not None else None
-    if n_aux is not None and n_aux < 1:
-        raise UsageError(f"eval.n_aux must be >= 1 (got {n_aux})")
     others = table.n_species - 1
     aux = others if n_aux is None else min(n_aux, others)
     widths = {}
@@ -536,13 +564,11 @@ def cmd_eval(args):
     # one task per fold and per training year, and the 3QS and HS halves of
     # the diagnostics
     jobs = _processes(cfg, 2 * len(groups) + 2 * bool(table.diagnostics), rows, models)
-    brightness_column = cfg.get("eval.brightness_column")
+    brightness_column = setting(cfg, "eval.brightness_column")
     test_filter = None
-    if filter_kind == "brightness-zero":
+    if brightness_zero:
         column = evalharness.resolve_brightness_column(table, brightness_column)
-        thr = cfg.get("eval.threshold")
-        thr = float(thr) if thr is not None else None
-        test_filter = lambda t: evalharness.brightness_zero_subset(t, column, thr)
+        test_filter = lambda t: evalharness.brightness_zero_subset(t, column, threshold)
     report = evalharness.loyo_evaluate(
         table, methods, cfg_x, cfg_res, smooth_cfg,
         test_filter=test_filter,
@@ -551,9 +577,9 @@ def cmd_eval(args):
         with_diagnostics=bool(table.diagnostics),
         jobs=jobs,
     )
-    out = _out_dir(args)
+    out = _out_dir(cfg)
     _write_json(os.path.join(out, "eval_report.json"), {
-        "meta": _meta(cfg, seed),
+        "meta": _meta(cfg),
         "baseline": report.baseline,
         "improvements": report.improvements,
         "diagnostics": report.diagnostics,
@@ -563,7 +589,7 @@ def cmd_eval(args):
                ("species", "train_group", "test_group", "method", "mse"),
                ([c.species, c.train_group, c.test_group, c.method, repr(c.mse)]
                 for c in report.cells),
-               pre=preamble(cfg, seed))
+               pre=preamble(cfg))
     print("mean percent improvement vs raw baseline:")
     for method in methods:
         print(f"  {method:>8s}: {report.improvements[method]:+8.2f}%")
@@ -581,56 +607,24 @@ def build_parser():
                     "three-quarter-sibling regression.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, func, about in (
+            ("denoise", cmd_denoise, "denoise a counts CSV"),
+            ("synth", cmd_synth, "run the synthetic MSE sweeps"),
+            ("verify", cmd_verify, "exact-enumeration theorem checks"),
+            ("eval", cmd_eval, "leave-one-year-out evaluation"),
+            ("simulate", cmd_simulate, "write a simulated survey CSV")):
+        p = sub.add_parser(name, help=about)
         p.add_argument("--config", help="flat dotted-key config file")
-        p.add_argument("--seed", type=int, default=None,
-                       help="master random seed (default 0)")
-        p.add_argument("--out", help="output directory (default '.')")
-        p.add_argument("--jobs", type=int, default=None,
-                       help="processes for independent tasks of synth and eval "
-                            "(default: the usable CPUs)")
-
-    p = sub.add_parser("denoise", help="denoise a counts CSV")
-    common(p)
-    p.add_argument("--input", help="input CSV path")
-    p.add_argument("--method", choices=_DENOISE_METHODS, default=None,
-                   help="denoising method (default 3qs)")
-    p.set_defaults(func=cmd_denoise)
-
-    p = sub.add_parser("synth", help="run the synthetic MSE sweeps")
-    common(p)
-    p.add_argument("--trials", type=int, default=None,
-                   help="instances per grid point (default 20)")
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("verify", help="exact-enumeration theorem checks")
-    common(p)
-    p.add_argument("--joints", type=int, default=None,
-                   help="number of random joints (default 100)")
-    p.add_argument("--corrupt-for-testing", action="store_true",
-                   help=argparse.SUPPRESS)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("eval", help="leave-one-year-out evaluation")
-    common(p)
-    p.add_argument("--input", help="input CSV path")
-    p.add_argument("--methods", default=None,
-                   help="comma-separated subset of raw,hs,3qs,mb,global")
-    p.add_argument("--test-filter", choices=_TEST_FILTERS,
-                   default=None, help="test-subset rule (default none)")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("simulate", help="write a simulated survey CSV")
-    common(p)
-    p.add_argument("--years", type=int, default=None,
-                   help="survey years (default 5)")
-    p.add_argument("--days-per-year", dest="days_per_year", type=int, default=None,
-                   help="nights per year (default 180)")
-    p.add_argument("--n-species", dest="n_species", type=int, default=None,
-                   help="number of species (default 10)")
-    p.set_defaults(func=cmd_simulate)
-
+        for spec in KEYS.values():
+            if spec.flag and name in spec.commands:
+                # integer flags are refused by argparse, as --trials abc always was
+                p.add_argument(spec.flag, type=int if spec.read in (int, _count) else None,
+                               choices=spec.choices or None,
+                               help=spec.help.format(spec.default))
+        if name == "verify":
+            p.add_argument("--corrupt-for-testing", action="store_true",
+                           help=argparse.SUPPRESS)
+        p.set_defaults(func=func)
     return parser
 
 

@@ -5,6 +5,9 @@ then builds species measurements Y_i = w_x[i] X + g_i(w_n[i] N) + eps
 with randomized sigmoids g_i.  The sweeps compare 3QS (alternate form,
 joint features (X, Y_-1)) against plain half-sibling regression on the
 reconstruction of species 1, with paired instances across methods.
+Each sweep first runs ``check_sweep``, which refuses an empty grid, a
+species count that is not an integer and whatever ``SynthConfig``
+refuses, so a bad setting fails before any trial or worker starts.
 The sweeps compute at one BLAS thread, in the serial loop and in every
 worker process, so a serial run and one on a ``worker_pool`` give
 identical rows; both sweeps of one command share one ``worker_pool``,
@@ -144,16 +147,35 @@ def _summarize(values):
     return float(arr.mean()), stderr
 
 
+def _cell_config(kind, sweep_value, n_obs, seed=0):
+    """The SynthConfig of a trial of the ``kind`` ("species" or "noise") sweep."""
+    if kind == "species":
+        if not float(sweep_value).is_integer():
+            raise ValueError(f"species counts must be integers (got {sweep_value!r})")
+        return SynthConfig(n_species=int(sweep_value), n_obs=n_obs, sigma_eps=0.0,
+                           seed=seed)
+    return SynthConfig(n_species=2, n_obs=n_obs, sigma_eps=float(sweep_value),
+                       tie_noise_functions=True, seed=seed)
+
+
+def check_sweep(kind, grid, trials, n_obs=DEFAULT_N_OBS):
+    """Raise ValueError unless every trial of the ``kind`` sweep can start.
+
+    The sweeps run this first; calling it before a ``worker_pool`` opens
+    refuses bad settings before any worker starts.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if len(grid) == 0:
+        raise ValueError(f"the {kind} sweep has no grid value")
+    for value in grid:
+        _cell_config(kind, value, n_obs)
+
+
 def _run_cell(args):
     kind, grid_index, sweep_value, trial, cfg, master_seed, n_obs = args
     seed = trial_seed(master_seed, grid_index, trial)
-    if kind == "species":
-        sc = SynthConfig(n_species=int(sweep_value), n_obs=n_obs,
-                         sigma_eps=0.0, seed=seed)
-    else:
-        sc = SynthConfig(n_species=2, n_obs=n_obs, sigma_eps=float(sweep_value),
-                         tie_noise_functions=True, seed=seed)
-    return _trial_mses(generate(sc), cfg)
+    return _trial_mses(generate(_cell_config(kind, sweep_value, n_obs, seed)), cfg)
 
 
 @contextmanager
@@ -191,8 +213,7 @@ def worker_pool(jobs):
 
 
 def _run_sweep(kind, grid, trials, cfg, master_seed, n_obs, pool):
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    check_sweep(kind, grid, trials, n_obs)
     tasks = [
         (kind, gi, gv, t, cfg, master_seed, n_obs)
         for gi, gv in enumerate(grid)

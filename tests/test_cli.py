@@ -620,6 +620,11 @@ class TestConfigFailsEarly:
         ("denoise", "method = foo", "unknown method 'foo' (expected 3qs or hs)"),
         ("eval", "methods = raw,foo", "unknown methods: ['foo']"),
         ("eval", "eval.test_filter = bogus", "unknown test filter 'bogus'"),
+        ("eval", "eval.n_aux = 0", "eval.n_aux must be >= 1 (got 0)"),
+        ("eval", "eval.n_aux = abc", "eval.n_aux must be an integer (got 'abc')"),
+        ("eval", "methods = ,", "methods names no method (expected a comma-separated "
+                                "subset of raw,hs,3qs,mb,global)"),
+        ("denoise", "seed = 1.5", "seed must be an integer (got '1.5')"),
     ])
     def test_bad_method_or_filter(self, sim_dir, tmp_path, capsys, early_calls,
                                   command, line, message):
@@ -632,8 +637,20 @@ class TestConfigFailsEarly:
             assert message in capsys.readouterr().err
         assert early_calls == {"load": 0, "fit": 0}
 
+    @pytest.mark.parametrize("line,message", [
+        ("regressor.synth.penalty = -1", "kernel_ridge penalty must be > 0"),
+        ("synth.species_grid = 2.5", "species counts must be integers (got 2.5)"),
+        ("synth.species_grid = ,", "the species sweep has no grid value"),
+        ("synth.sigma_grid = ,", "the noise sweep has no grid value"),
+        ("synth.n_obs = 10", "need at least 50 observations"),
+        ("synth.species_grid = 2,1", "need at least 2 species"),
+        ("synth.sigma_grid = 0,-0.1", "sigma_eps must be >= 0"),
+        ("synth.sigma_grid = 0,abc",
+         "synth.sigma_grid must be comma-separated numbers (got '0,abc')"),
+        ("trials = abc", "trials must be an integer (got 'abc')"),
+    ])
     def test_bad_synth_key_starts_no_pool(self, tmp_path, capsys, monkeypatch,
-                                          early_calls):
+                                          early_calls, line, message):
         import concurrent.futures
 
         def no_pool(*a, **k):
@@ -641,10 +658,10 @@ class TestConfigFailsEarly:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("regressor.synth.penalty = -1\n")
-        assert run(["synth", "--config", str(cfg), "--trials", "1", "--jobs", "2",
+        cfg.write_text("trials = 1\n" + line + "\n")  # the later line wins
+        assert run(["synth", "--config", str(cfg), "--jobs", "2",
                     "--out", str(tmp_path / "o")]) == EXIT_USAGE
-        assert "kernel_ridge penalty must be > 0" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert early_calls["fit"] == 0
 
     @pytest.mark.parametrize("command,line,prefix", [
@@ -806,6 +823,48 @@ class TestKernelRidgeRowLimit:
         assert ("regressor.synth.kind = kernel_ridge fits at most 59 training rows"
                 in capsys.readouterr().err)
         assert early_calls["fit"] == 0
+
+
+class TestFlagEqualsKey:
+    """A value given as a flag writes the same files as given as its config key."""
+
+    # each command's config lines and settings, on a 2-year 20-night survey
+    # of 3 species; the first command with a key's setting tests that key
+    COMMANDS = {
+        "verify": ("", {"joints": "5", "seed": "3"}),
+        "denoise": ("", {"input": "survey.csv", "method": "hs"}),
+        "eval": ("eval.threshold = 0.5\n",
+                 {"input": "survey.csv", "methods": "raw", "jobs": "2",
+                  "eval.test_filter": "brightness-zero"}),
+        "synth": ("synth.species_grid = 2\nsynth.sigma_grid = 0\nsynth.n_obs = 60\n",
+                  {"trials": "1"}),
+        "simulate": ("", {"simulate.years": "2", "simulate.days_per_year": "20",
+                          "simulate.n_species": "3"}),
+    }
+
+    @pytest.mark.parametrize("key", [k for k, spec in cli.KEYS.items() if spec.flag])
+    def test_same_files(self, tmp_path, monkeypatch, key):
+        monkeypatch.chdir(tmp_path)
+        assert run(["simulate", "--years", "2", "--days-per-year", "20",
+                    "--n-species", "3"]) == EXIT_OK
+        command, lines, settings = next(
+            (command, lines, {"out": "o", **settings})
+            for command, (lines, settings) in self.COMMANDS.items()
+            if key in {"out": "o", **settings})
+        written = []
+        for given in ("key", "flag"):
+            (tmp_path / "c.cfg").write_text(
+                lines + (f"{key} = {settings[key]}\n" if given == "key" else ""))
+            argv = [command, "--config", "c.cfg"]
+            for k, value in settings.items():
+                if k != key or given == "flag":
+                    argv += [cli.KEYS[k].flag, value]
+            assert run(argv) == EXIT_OK
+            out = tmp_path / "o"
+            written.append({p.name: p.read_bytes() for p in out.glob("*")})
+            for p in out.glob("*"):
+                p.unlink()
+        assert written[0] and written[0] == written[1]
 
 
 class TestExitCodes:

@@ -163,6 +163,21 @@ class TestSweeps:
             assert r.trials == 2
             assert np.isfinite(r.stderr_mse)
 
+    @pytest.mark.parametrize("sweep,grid,message", [
+        (run_species_sweep, [2.5], r"species counts must be integers \(got 2.5\)"),
+        (run_species_sweep, [2, float("inf")], "species counts must be integers"),
+        (run_species_sweep, [], "the species sweep has no grid value"),
+        (run_noise_sweep, [], "the noise sweep has no grid value"),
+        (run_noise_sweep, [0.0, -0.1], "sigma_eps must be >= 0"),
+    ])
+    def test_bad_grid_raises_before_any_trial(self, monkeypatch, sweep, grid, message):
+        def no_trial(*a, **k):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(synthgen, "generate", no_trial)
+        with pytest.raises(ValueError, match=message):
+            sweep(grid, trials=1, cfg=RegressorConfig("kernel_ridge"), n_obs=100)
+
     def test_single_trial_stderr_nan(self):
         cfg = RegressorConfig("kernel_ridge")
         rows = run_noise_sweep([0.0], trials=1, cfg=cfg, n_obs=100)
