@@ -15,8 +15,8 @@ written to a temporary file and renamed on success.
 folds and diagnostics halves) on ``jobs`` processes: the command's own
 at 1, otherwise the workers of one ``synthgen.worker_pool`` while the
 command's process waits.  ``jobs`` is capped at the task count, and at
-the count whose largest kernel ridge fits stay within
-``regress.KERNEL_RIDGE_BYTES`` together (with a note on stderr).  A
+the count whose largest fits (``regress.fit_bytes``, of any backend) stay
+within ``regress.FIT_BYTES`` together (with a note on stderr).  A
 kernel ridge model on several processes has its compiled routines loaded
 (``regress.load_kernel_ridge``) before the workers fork, so each worker
 inherits them.  ``main`` runs every command at one BLAS thread
@@ -29,14 +29,14 @@ OpenBLAS thread setter is found, commands run unpinned.
 Every setting is checked when read, and a value that does not parse
 names its key.  A command reads its settings and regressor configs
 before it loads any input, and ``synth`` checks its sweeps
-(``synthgen.check_sweep``) before any worker starts.  A kernel ridge
-model whose largest training set is over its row limit fails right after
-loading, and an ``eval`` test filter that empties a year fails before any
-fit.  Usage, config and table errors exit 2, and so does running out of
-memory (``MemoryError``: the input or config asks for more than the host
-has); a fit that fails on well-formed input (``EstimationError``,
-``SingularModelError``) exits 3, also when it fails in a worker.
-``verify`` draws and checks its joints in blocks of ``VERIFY_BLOCK``
+(``synthgen.check_sweep``) before any worker starts.  Right after
+loading (``synth``: its sweeps), a command checks every fit it will make
+by ``fit``'s own rule (``regress.check_fit``), and an ``eval`` test
+filter that empties a year fails before any fit.  Usage, config and
+table errors exit 2, and so does running out of memory (``MemoryError``:
+the input or config asks for more than the host has); a fit that fails
+on well-formed input (``EstimationError``, ``SingularModelError``) exits
+3, also when it fails in a worker.  ``verify`` draws and checks its joints in blocks of ``VERIFY_BLOCK``
 (see ``oracle.random_joints``).
 """
 
@@ -54,10 +54,9 @@ import typing
 
 import numpy as np
 
-from . import __version__, blas, data_model, estimators, evalharness, oracle, synthgen
-from .regress import (RegressionError, RegressorConfig, SingularModelError,
-                      check_kernel_ridge_rows, kernel_ridge_processes,
-                      load_kernel_ridge)
+from . import (__version__, blas, data_model, estimators, evalharness, oracle, regress,
+               synthgen)
+from .regress import RegressionError, RegressorConfig, SingularModelError, fit_bytes
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -136,6 +135,9 @@ def _methods(text):
     if not methods:
         raise UsageError("methods names no method (expected a comma-separated "
                          f"subset of {','.join(evalharness.METHODS)})")
+    for m in methods:
+        if methods.count(m) > 1:  # more likely a typo than meant
+            raise UsageError(f"methods names {m!r} twice")
     return methods
 
 
@@ -233,11 +235,11 @@ def regressor_from_config(cfg, use):
     return config
 
 
-def _check_one_covariate(table, models):
-    """Refuse a spline model (``(prefix, config)`` pairs) on several
-    covariates, and any of these covariate models on a table without one."""
+def _check_one_covariate(table, fits):
+    """Refuse a spline covariate model (``fits`` as in ``_check_fits``) on a
+    table of several covariates, and any of them on a table without one."""
     k = table.covariates.shape[1]
-    for prefix, config in models:
+    for prefix, config, *_ in fits:
         if config.kind == "spline_gam" and k != 1:
             raise UsageError(
                 f"regressor.{prefix}.kind = spline_gam needs exactly 1 covariate, "
@@ -247,50 +249,35 @@ def _check_one_covariate(table, models):
                              "covariate, but the table has none")
 
 
-def _check_residual_width(config, widths):
-    """Refuse a spline residual model that a fit would give several features.
-
-    ``widths`` maps each use of the residual model to its feature count.
-    """
-    wide = {use: k for use, k in widths.items() if k > 1}
-    if config.kind == "spline_gam" and wide:
-        uses = ", ".join(f"{k} for {use}" for use, k in wide.items())
-        raise UsageError(
-            f"regressor.res.kind = spline_gam needs exactly 1 feature, but the "
-            f"residual model would get {uses}")
+def _check_fits(fits):
+    """Refuse the first of a command's fits, each ``(prefix, config, rows,
+    features, use)``, that ``regress.check_fit`` refuses; ``rows`` is the
+    largest training set of model ``regressor.<prefix>``, fit for ``use``."""
+    for prefix, config, rows, features, use in fits:
+        try:
+            regress.check_fit(config, rows, features)
+        except RegressionError as e:
+            raise UsageError(f"regressor.{prefix}.kind = {e} for {use}") from e
 
 
-def _check_kernel_rows(rows, models):
-    """Refuse a kernel ridge model (``(prefix, config)`` pairs) over its row limit.
-
-    ``rows`` is the largest training set the command will fit.
-    """
-    for prefix, config in models:
-        if config.kind == "kernel_ridge":
-            try:
-                check_kernel_ridge_rows(rows)
-            except RegressionError as e:
-                raise UsageError(f"regressor.{prefix}.kind = {e}") from e
-
-
-def _processes(cfg, tasks, rows, models):
+def _processes(cfg, tasks, fits):
     """How many processes run ``tasks`` independent tasks.
 
     ``jobs`` (default: the usable CPUs), at most one per task, and no more
-    than keep the kernel ridge fits of all processes on ``rows`` rows (the
-    largest training set) within the byte budget together.  Kernel ridge
-    on more than one process loads its routines here, before the pool forks.
+    than keep the largest of ``fits`` (as in ``_check_fits``) in every
+    process within the byte budget together.  Kernel ridge on more than
+    one process loads its routines here, before the pool forks.
     """
     jobs = max(1, min(setting(cfg, "jobs"), tasks))
-    if any(config.kind == "kernel_ridge" for _, config in models):
-        cap = kernel_ridge_processes(rows)
-        if jobs > cap:
-            print(f"note: running {cap} processes, not {jobs}: kernel ridge fits on "
-                  f"{rows} rows in {jobs} processes would exceed the byte budget",
-                  file=sys.stderr)
-            jobs = cap
-        if jobs > 1:
-            load_kernel_ridge()
+    _, config, rows, features, _ = max(fits, key=lambda f: fit_bytes(*f[1:4]))
+    cap = regress.FIT_BYTES // max(fit_bytes(config, rows, features), 1)
+    if jobs > cap:
+        print(f"note: running {cap} processes, not {jobs}: "
+              f"{config.kind.replace('_', ' ')} fits on {rows} rows in {jobs} "
+              "processes would exceed the byte budget", file=sys.stderr)
+        jobs = cap
+    if jobs > 1 and any(f[1].kind == "kernel_ridge" for f in fits):
+        regress.load_kernel_ridge()
     return jobs
 
 
@@ -424,11 +411,12 @@ def cmd_denoise(args):
     table = _load_input(cfg, "denoise")
     if table.n_species < 2:
         raise UsageError("need >= 2 species to denoise")
-    _check_residual_width(cfg_res, {"the other species": table.n_species - 1})
-    _check_kernel_rows(table.n_rows,
-                       [("res", cfg_res)] + ([("x", cfg_x)] if method == "3qs" else []))
+    fits = ([("x", cfg_x, table.n_rows, table.covariates.shape[1], "the covariate model")]
+            if method == "3qs" else [])
+    _check_one_covariate(table, fits)
+    fits.append(("res", cfg_res, table.n_rows, table.n_species - 1, "the other species"))
+    _check_fits(fits)
     if method == "3qs":
-        _check_one_covariate(table, [("x", cfg_x)])
         result = estimators.tqs_multi_species(table, cfg_x, cfg_res)
         z_hat = result.z_hat
         per_species = result.training_diagnostics(table)
@@ -459,12 +447,14 @@ def cmd_synth(args):
     cfg = merged_config(args)
     seed, trials, n_obs = (setting(cfg, key) for key in ("seed", "trials", "synth.n_obs"))
     backend = regressor_from_config(cfg, "synth")
-    _check_kernel_rows(n_obs, [("synth", backend)])
     ns, sigmas = (setting(cfg, key) for key in ("synth.species_grid", "synth.sigma_grid"))
     synthgen.check_sweep("species", ns, trials, n_obs)
     synthgen.check_sweep("noise", sigmas, trials, n_obs)
-    jobs = _processes(cfg, max(len(ns), len(sigmas)) * trials, n_obs,
-                      [("synth", backend)])
+    # a trial's widest fit is its joint model, on x and the other species
+    fits = [("synth", backend, n_obs, int(max(ns)),
+             "the covariate and the other species")]
+    _check_fits(fits)
+    jobs = _processes(cfg, max(len(ns), len(sigmas)) * trials, fits)
     with synthgen.worker_pool(jobs) as pool:  # one start-up for both sweeps
         species_rows = synthgen.run_species_sweep(
             ns, trials, backend, master_seed=seed, n_obs=n_obs, pool=pool)
@@ -541,29 +531,26 @@ def cmd_eval(args):
     cfg_x, cfg_res, smooth_cfg = (regressor_from_config(cfg, use)
                                   for use in ("x", "res", "smooth"))
     table = _load_input(cfg, "eval")
-    models = [("smooth", smooth_cfg)]  # the smoother scores every cell
-    if "3qs" in methods or table.diagnostics:
-        models.append(("x", cfg_x))
-    _check_one_covariate(table, models)
-    others = table.n_species - 1
-    aux = others if n_aux is None else min(n_aux, others)
-    widths = {}
-    if "3qs" in methods or "hs" in methods:
-        widths["the auxiliary species"] = aux
-    if "mb" in methods:
-        widths["mb (covariate and brightness)"] = 2
-    if table.diagnostics:
-        widths["the diagnostics"] = aux
-    _check_residual_width(cfg_res, widths)
-    if {"hs", "3qs", "mb"} & set(methods) or table.diagnostics:
-        models.append(("res", cfg_res))
     # the diagnostics fit on the whole table, the folds on all but one group
     groups = collections.Counter(table.group_labels).values()
     rows = table.n_rows if table.diagnostics else table.n_rows - min(groups, default=0)
-    _check_kernel_rows(rows, models)
+    k = table.covariates.shape[1]
+    fits = [("smooth", smooth_cfg, rows, k, "the smoother")]  # it scores every cell
+    if "3qs" in methods or table.diagnostics:
+        fits.append(("x", cfg_x, rows, k, "the covariate model"))
+    _check_one_covariate(table, fits)
+    others = table.n_species - 1
+    aux = others if n_aux is None else min(n_aux, others)
+    if "3qs" in methods or "hs" in methods:
+        fits.append(("res", cfg_res, rows, aux, "the auxiliary species"))
+    if "mb" in methods:
+        fits.append(("res", cfg_res, rows, 2, "mb (covariate and brightness)"))
+    if table.diagnostics:
+        fits.append(("res", cfg_res, rows, aux, "the diagnostics"))
+    _check_fits(fits)
     # one task per fold and per training year, and the 3QS and HS halves of
     # the diagnostics
-    jobs = _processes(cfg, 2 * len(groups) + 2 * bool(table.diagnostics), rows, models)
+    jobs = _processes(cfg, 2 * len(groups) + 2 * bool(table.diagnostics), fits)
     brightness_column = setting(cfg, "eval.brightness_column")
     test_filter = None
     if brightness_zero:

@@ -24,9 +24,7 @@ by the denoising estimators:
                        K and the Cholesky factor of K + lam I (LAPACK
                        ``dpotrf``, in place), serves each target's solve
                        (``dpotrs``), and inside ``shared_designs()`` the
-                       next fit on the same design too.  A fit refuses
-                       more than ``kernel_ridge_max_rows()`` rows before
-                       it allocates any m x m array.  It calls scipy's
+                       next fit on the same design too.  It calls scipy's
                        compiled code without importing scipy
                        (``load_kernel_ridge``): ``dpotrf``, ``dpotrs`` and
                        ``dgemv`` through ``blas.lapack``, and ``cdist``'s
@@ -44,6 +42,13 @@ loop's running prediction for trees, both equal to ``predict(x_train)``
 bit for bit; for the spline, the GCV step's
 ``(B V) z``, which differs from ``predict(x_train)``'s ``B (V z)`` only
 by rounding (about 1e-15 relative).
+
+``fit`` first refuses a model that cannot fit (``check_fit``): a spline
+gets exactly 1 feature, and the largest arrays of one fit (``fit_bytes``)
+stay within ``FIT_BYTES``, one budget for every backend.  Kernel ridge
+counts its two m x m arrays, the spline its nb x nb factors and m x nb
+designs (nb = n_knots + 4, or GCV's 13 columns where fewer), and trees
+nothing: their arrays scale with the input, which is already loaded.
 
 ``shared_designs()`` is also a fit scope: inside it, ``fit`` returns the
 kernel ridge or boosted-tree model it has already fit for the same kind,
@@ -102,13 +107,12 @@ _DEFAULTS = {
 }
 _PENALTY_GRID = tuple(np.logspace(-3.0, 3.0, 13))
 
-# byte budget for the m x m float64 arrays of one kernel ridge fit; no
-# step holds more than two (the kernel and the system factored in place).
-# A design kept by ``shared_designs()`` is those same two arrays, and it
-# is dropped before the next design allocates and when the block ends.
-# The CLI keeps the fits of all its processes within it together.
-KERNEL_RIDGE_BYTES = 1 << 30
-_KERNEL_RIDGE_ARRAYS = 2
+# byte budget for the largest arrays of one fit, of any backend (see
+# ``fit_bytes``).  A kernel ridge design kept by ``shared_designs()`` is
+# its two m x m arrays, dropped before the next design allocates and when
+# the block ends.  The CLI keeps the fits of all its processes within it
+# together.
+FIT_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -218,6 +222,7 @@ def fit(config, features, targets):
         if not np.isfinite(y @ y):
             raise RegressionError("targets too large: their sum of squares overflows")
     params = config.resolved()
+    check_fit(config, m, d)
     if config.kind == "spline_gam":
         return _fit_spline_gam(params, x, y)
     key = (config.kind, tuple(sorted(params.items())), config.seed, x.shape,
@@ -231,6 +236,33 @@ def fit(config, features, targets):
 
 def predict(model, features):
     return model.predict(features)
+
+
+def fit_bytes(config, rows, features):
+    """The bytes of the largest arrays one fit of ``config`` on ``rows`` x
+    ``features`` holds at once (none of them grows with ``features``)."""
+    if config.kind == "kernel_ridge":
+        return 2 * 8 * rows * rows  # the kernel, and the system factored in place
+    if config.kind == "spline_gam":  # nb columns, or GCV's 13 where more
+        nb = config.resolved()["n_knots"] + 4
+        return 8 * max(nb, len(_PENALTY_GRID)) * (3 * rows + 7 * nb)
+    return 0
+
+
+def check_fit(config, rows, features):
+    """Refuse a fit of ``config`` on ``rows`` x ``features`` that cannot
+    run, before it allocates anything."""
+    if config.kind == "spline_gam" and features != 1:
+        raise RegressionError(
+            f"spline_gam needs exactly 1 feature, but would get {features}")
+    need = fit_bytes(config, rows, features)
+    if need > FIT_BYTES:
+        raise RegressionError(
+            f"kernel_ridge fits at most {kernel_ridge_max_rows()} training rows (its "
+            f"m x m arrays get {FIT_BYTES} bytes), but would get {rows}"
+            if config.kind == "kernel_ridge" else
+            f"spline_gam with n_knots = {config.resolved()['n_knots']} needs {need} "
+            f"bytes (its budget is {FIT_BYTES}) on {rows} training rows")
 
 
 # ---------------------------------------------------------------------------
@@ -267,13 +299,7 @@ def _kernel_dot(k, alpha):
 
 def kernel_ridge_max_rows():
     """The most training rows a kernel ridge fit accepts, from the byte budget."""
-    return math.isqrt(KERNEL_RIDGE_BYTES // (_KERNEL_RIDGE_ARRAYS * 8))
-
-
-def kernel_ridge_processes(m):
-    """How many processes (at least 1) can each hold a kernel ridge fit on
-    ``m`` rows within the byte budget together."""
-    return max(1, KERNEL_RIDGE_BYTES // (_KERNEL_RIDGE_ARRAYS * 8 * max(m, 1) ** 2))
+    return math.isqrt(FIT_BYTES // (2 * 8))
 
 
 # what kernel ridge calls: squared Euclidean cdist, pdist, blas.lapack()
@@ -331,15 +357,6 @@ def load_kernel_ridge():
                      lambda a: dpotrf(a.T, overwrite_a=True, clean=False)[1],
                      lambda c, b: dpotrs(c.T, b, overwrite_b=True)[0],
                      lambda k, v: dgemv(1.0, k.T, v, trans=1))
-
-
-def check_kernel_ridge_rows(m):
-    """Refuse a kernel ridge fit on ``m`` rows whose arrays exceed the budget."""
-    limit = kernel_ridge_max_rows()
-    if m > limit:
-        raise RegressionError(
-            f"kernel_ridge fits at most {limit} training rows (its m x m arrays "
-            f"get {KERNEL_RIDGE_BYTES} bytes), but would get {m}")
 
 
 def _median_bandwidth(x, out=None):
@@ -403,7 +420,6 @@ def _kernel_design(x, bandwidth, penalty, arrays=None):
 
 def _fit_kernel_ridge(params, x, y):
     m = x.shape[0]
-    check_kernel_ridge_rows(m)  # before any m x m array
     key = (x.shape, x.tobytes(), params["bandwidth"], params["penalty"])
     held = _scope or _Scope()  # outside shared_designs(), this fit's own
     if held.design is None or held.design[0] != key:
@@ -726,8 +742,6 @@ def _gcv_terms(mu, bv_norms, lams):
 
 
 def _fit_spline_gam(params, x, y):
-    if x.shape[1] != 1:
-        raise RegressionError("spline_gam supports exactly 1 feature")
     m = x.shape[0]
     basis = _spline_basis(params["n_knots"], x[:, 0].tobytes())
     fixed = params["penalty"] is not None

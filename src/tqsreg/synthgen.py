@@ -47,6 +47,8 @@ class SynthConfig:
             raise ValueError("need at least 2 species")
         if self.n_obs < 50:
             raise ValueError("need at least 50 observations")
+        if not np.isfinite(self.sigma_eps):
+            raise ValueError(f"sigma_eps must be finite (got {self.sigma_eps!r})")
         if self.sigma_eps < 0:
             raise ValueError("sigma_eps must be >= 0")
 

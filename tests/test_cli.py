@@ -624,6 +624,7 @@ class TestConfigFailsEarly:
         ("eval", "eval.n_aux = abc", "eval.n_aux must be an integer (got 'abc')"),
         ("eval", "methods = ,", "methods names no method (expected a comma-separated "
                                 "subset of raw,hs,3qs,mb,global)"),
+        ("eval", "methods = raw,hs,raw", "methods names 'raw' twice"),
         ("denoise", "seed = 1.5", "seed must be an integer (got '1.5')"),
     ])
     def test_bad_method_or_filter(self, sim_dir, tmp_path, capsys, early_calls,
@@ -645,6 +646,11 @@ class TestConfigFailsEarly:
         ("synth.n_obs = 10", "need at least 50 observations"),
         ("synth.species_grid = 2,1", "need at least 2 species"),
         ("synth.sigma_grid = 0,-0.1", "sigma_eps must be >= 0"),
+        ("synth.sigma_grid = 0,inf", "sigma_eps must be finite (got inf)"),
+        ("synth.sigma_grid = nan", "sigma_eps must be finite (got nan)"),
+        # a trial's joint model gets x and the other species
+        ("regressor.synth.kind = spline_gam",
+         "regressor.synth.kind = spline_gam needs exactly 1 feature, but would get "),
         ("synth.sigma_grid = 0,abc",
          "synth.sigma_grid must be comma-separated numbers (got '0,abc')"),
         ("trials = abc", "trials must be an integer (got 'abc')"),
@@ -742,7 +748,7 @@ class TestKernelRidgeRowLimit:
 
     @staticmethod
     def _limit(monkeypatch, rows):
-        monkeypatch.setattr(regress, "KERNEL_RIDGE_BYTES", 2 * 8 * rows * rows)
+        monkeypatch.setattr(regress, "FIT_BYTES", 2 * 8 * rows * rows)
 
     @pytest.mark.parametrize("command,extra,config,prefix,rows", [
         ("denoise", [], "regressor.res.kind = kernel_ridge\n", "res", 120),
@@ -790,7 +796,7 @@ class TestKernelRidgeRowLimit:
     def test_processes_share_the_budget(self, sim_dir, tmp_path, capsys, monkeypatch,
                                         pools, command, extra, config, rows):
         # room for the fits of two processes, not three
-        monkeypatch.setattr(regress, "KERNEL_RIDGE_BYTES", 2 * 2 * 8 * rows * rows)
+        monkeypatch.setattr(regress, "FIT_BYTES", 2 * 2 * 8 * rows * rows)
         extra = [str(sim_dir / "survey.csv") if a is None else a for a in extra]
         cfg = tmp_path / "c.cfg"
         cfg.write_text(config)
@@ -961,25 +967,43 @@ class TestExitCodes:
 
 
     def test_out_of_memory_is_usage_error(self, tmp_path):
-        # 200 000 knots ask numpy for a 298 GiB spline penalty matrix; the
-        # child's address space is capped, so the request fails at once
-        sim = tmp_path / "sim"
-        assert run(["simulate", "--out", str(sim), "--years", "2",
-                    "--days-per-year", "10", "--n-species", "3"]) == EXIT_OK
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text("regressor.x.n_knots = 200000\n")
+        # a billion nights ask numpy for 7.45 GiB arrays; the child's
+        # address space is capped, so the request fails at once
         out = tmp_path / "o"
-        proc = subprocess.run(
-            [sys.executable, "-m", "tqsreg.cli", "denoise", "--input",
-             str(sim / "survey.csv"), "--config", str(cfg), "--out", str(out)],
-            env=child_env(), capture_output=True, text=True,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)))
+        proc = _capped_cli(["simulate", "--years", "2", "--days-per-year", "1000000000",
+                            "--out", str(out)])
         assert proc.returncode == EXIT_USAGE, proc.stderr
         assert "Traceback" not in proc.stderr
         errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
         assert len(errors) == 1
         assert errors[0].startswith("error: out of memory: Unable to allocate")
         assert not out.exists() or not os.listdir(out)
+
+    @pytest.mark.parametrize("command,prefix", [("denoise", "x"), ("eval", "smooth")])
+    def test_spline_over_the_budget_is_refused_before_any_fit(
+            self, sim_dir, tmp_path, capsys, early_calls, monkeypatch, command, prefix):
+        # 200 000 knots would ask numpy for a 298 GiB spline penalty matrix
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"regressor.{prefix}.n_knots = 200000\n")
+        out = tmp_path / "o"
+        argv = [command, "--input", str(sim_dir / "survey.csv"), "--config", str(cfg),
+                "--out", str(out)]
+        proc = _capped_cli(argv)
+        assert proc.returncode == EXIT_USAGE, proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"error: regressor.{prefix}.kind = spline_gam with "
+                                    "n_knots = 200000 needs ")
+        assert not out.exists() or not os.listdir(out)
+
+        def no_design(*a, **k):
+            raise AssertionError("a spline design was allocated")
+
+        # in this process, where the fits are counted, nothing may allocate
+        monkeypatch.setattr(regress, "_spline_design", no_design)
+        assert run(argv) == EXIT_USAGE
+        assert errors[0] in capsys.readouterr().err.splitlines()
+        assert early_calls == {"load": 1, "fit": 0}
 
     def test_bare_memory_error(self, tmp_path, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
@@ -988,6 +1012,14 @@ class TestExitCodes:
         monkeypatch.setattr(cli.oracle, "random_joints", exhausted)
         assert run(["verify", "--out", str(tmp_path / "v")]) == EXIT_USAGE
         assert capsys.readouterr().err == "error: out of memory\n"
+
+
+def _capped_cli(argv):
+    """``tqsreg argv`` in a child process whose address space is capped at 3 GiB."""
+    return subprocess.run(
+        [sys.executable, "-m", "tqsreg.cli"] + argv, env=child_env(),
+        capture_output=True, text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)))
 
 
 class TestBlasThreadIndependence:

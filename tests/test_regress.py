@@ -183,7 +183,7 @@ class TestKernelRidge:
 
     def test_row_limit_from_byte_budget(self, monkeypatch, krr_cfg, rng):
         # 2 arrays of 10 x 10 float64 fit in 1600 bytes, 2 of 11 x 11 do not
-        monkeypatch.setattr(regress, "KERNEL_RIDGE_BYTES", 1600)
+        monkeypatch.setattr(regress, "FIT_BYTES", 1600)
         assert regress.kernel_ridge_max_rows() == 10
         fit(krr_cfg, rng.normal(size=(10, 2)), rng.normal(size=10))
 
@@ -197,6 +197,74 @@ class TestKernelRidge:
 
     def test_default_budget_allows_the_default_simulation(self):
         assert regress.kernel_ridge_max_rows() >= 5 * 180
+
+
+class TestFitCheck:
+    """``check_fit`` is ``fit``'s refusal rule; ``fit_bytes`` bounds a fit's peak."""
+
+    BACKENDS = ("_kernel_design", "_spline_basis", "_fit_boosted_trees")
+
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(["kernel_ridge", "spline_gam", "boosted_trees"]),
+           m=st.integers(2, 40), d=st.integers(1, 3), n_knots=st.integers(1, 60),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_fit_refuses_what_check_fit_refuses(self, kind, m, d, n_knots, seed, data):
+        hyper = {"spline_gam": {"n_knots": n_knots}, "boosted_trees": {"n_stages": 3},
+                 "kernel_ridge": {}}[kind]
+        cfg = RegressorConfig(kind, hyper)
+        # a budget from nothing to twice the fit's arrays
+        budget = data.draw(st.integers(0, 2 * regress.fit_bytes(cfg, m, d) + 1))
+        rng = np.random.default_rng(seed)
+        x, y = rng.normal(size=(m, d)), rng.normal(size=m)
+        ran = []
+
+        def spy(name, real):
+            def called(*a, **k):
+                ran.append(name)
+                return real(*a, **k)
+            return called
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(regress, "FIT_BYTES", budget)
+            for name in self.BACKENDS:
+                mp.setattr(regress, name, spy(name, getattr(regress, name)))
+            try:
+                regress.check_fit(cfg, m, d)
+            except RegressionError as refusal:
+                with pytest.raises(RegressionError) as e:
+                    fit(cfg, x, y)
+                assert str(e.value) == str(refusal)
+                assert ran == []
+                return
+            try:
+                fit(cfg, x, y)
+            except SingularModelError:
+                pass  # the data's fault, after a backend ran: never a refusal
+            assert ran
+
+    @pytest.mark.parametrize("kind,hyper,m,d", [
+        ("spline_gam", {"n_knots": 1}, 1000, 1),  # GCV's columns outnumber the basis
+        ("spline_gam", {"n_knots": 20}, 300, 1),
+        ("spline_gam", {"n_knots": 200}, 1000, 1),
+        ("kernel_ridge", {}, 50, 3),
+        ("kernel_ridge", {}, 200, 2),
+        ("kernel_ridge", {}, 1000, 1),
+    ])
+    def test_fit_bytes_bound_the_peak(self, kind, hyper, m, d):
+        # beyond its largest arrays a fit holds copies of its input and
+        # vectors of its rows: 128 bytes a row and feature covers them
+        cfg = RegressorConfig(kind, hyper)
+        rng = np.random.default_rng(0)
+        x, y = rng.uniform(size=(m, d)), rng.normal(size=m)
+        regress.load_kernel_ridge()
+        regress._spline_basis.cache_clear()
+        tracemalloc.start()
+        try:
+            fit(cfg, x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= regress.fit_bytes(cfg, m, d) + 128 * m * d
 
 
 class TestSplineGAM:

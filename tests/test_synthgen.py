@@ -169,6 +169,8 @@ class TestSweeps:
         (run_species_sweep, [], "the species sweep has no grid value"),
         (run_noise_sweep, [], "the noise sweep has no grid value"),
         (run_noise_sweep, [0.0, -0.1], "sigma_eps must be >= 0"),
+        (run_noise_sweep, [0.0, float("inf")], r"sigma_eps must be finite \(got inf\)"),
+        (run_noise_sweep, [float("nan")], r"sigma_eps must be finite \(got nan\)"),
     ])
     def test_bad_grid_raises_before_any_trial(self, monkeypatch, sweep, grid, message):
         def no_trial(*a, **k):
