@@ -31,12 +31,13 @@ names its key.  A command reads its settings and regressor configs
 before it loads any input, and ``synth`` checks its sweeps
 (``synthgen.check_sweep``) before any worker starts.  Right after
 loading (``synth``: its sweeps), a command checks every fit it will make
-by ``fit``'s own rule (``regress.check_fit``), and an ``eval`` test
-filter that empties a year fails before any fit.  Usage, config and
-table errors exit 2, and so does running out of memory (``MemoryError``:
-the input or config asks for more than the host has); a fit that fails
-on well-formed input (``EstimationError``, ``SingularModelError``) exits
-3, also when it fails in a worker.  ``verify`` draws and checks its joints in blocks of ``VERIFY_BLOCK``
+by ``fit``'s own rule (``regress.check_fit``); a table with too few rows
+to train on (``denoise``: under 2, ``eval``: a one-row year) and an
+``eval`` test filter that empties a year fail before any fit.  Usage,
+config and table errors exit 2, and so does running out of memory
+(``MemoryError``: the input or config asks for more than the host has);
+a fit that fails on well-formed input (``EstimationError``,
+``SingularModelError``) exits 3, also when it fails in a worker.  ``verify`` draws and checks its joints in blocks of ``VERIFY_BLOCK``
 (see ``oracle.random_joints``).
 """
 

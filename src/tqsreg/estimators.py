@@ -138,6 +138,15 @@ def _fit_species(stage, cfgs, features, targets, columns):
     return tuple(models)
 
 
+def _check_table(table):
+    """Refuse a table too small for multi-species denoising, before any fit."""
+    if table.n_species < 2:
+        raise ValueError("need >= 2 species for multi-species denoising")
+    if table.n_rows < 2:
+        raise ValueError(
+            f"need >= 2 rows for multi-species denoising (got {table.n_rows})")
+
+
 def tqs_multi_species(table, cfg_x, cfg_res, n_aux=None):
     """Residual-form 3QS denoising of every species in a table.
 
@@ -147,9 +156,8 @@ def tqs_multi_species(table, cfg_x, cfg_res, n_aux=None):
     of them.  Each species uses seeds derived from (master seed, species
     index), so results do not depend on processing order.
     """
+    _check_table(table)
     s = table.n_species
-    if s < 2:
-        raise ValueError("need >= 2 species for multi-species denoising")
     if table.covariates.shape[1] < 1:
         raise ValueError("need >= 1 process covariate")
     y = table.counts
@@ -175,9 +183,8 @@ def hs_multi_species(table, cfg_res, n_aux=None):
     ``tqs_multi_species``), plus the mean of Y_i so that the downstream
     smoother works on the measurement scale.
     """
+    _check_table(table)
     s = table.n_species
-    if s < 2:
-        raise ValueError("need >= 2 species for multi-species denoising")
     y = table.counts
     models = _fit_species("residual", _species_configs(cfg_res, s), y, y,
                           [_aux_species(y, i, n_aux) for i in range(s)])

@@ -19,6 +19,7 @@ halves of the diagnostics.  Given ``jobs`` it runs them on a
 
 from __future__ import annotations
 
+import collections
 import functools
 from dataclasses import dataclass
 
@@ -226,8 +227,9 @@ def loyo_evaluate(table, methods, cfg_x, cfg_res, smooth_cfg, test_filter=None,
     given, maps the test-year table to a boolean row mask (e.g. a
     brightness-zero rule).  ``n_aux`` caps the auxiliary species used
     by hs/3qs, in the folds and in the diagnostics.  Test rows never touch
-    any fitted model.  Before any model is fit, every test subset is built
-    and checked non-empty and, with diagnostics, every species column and
+    any fitted model.  Before any model is fit, every group is checked to
+    have 2 rows or more, every test subset is built and checked non-empty
+    and, with diagnostics, every species column and
     the brightness column are checked non-constant.  A task per held-out
     group fits the denoisers, their per-year smoothers and ``global``; a
     task per training group fits its raw smoothers and ``mb`` models once
@@ -243,6 +245,9 @@ def loyo_evaluate(table, methods, cfg_x, cfg_res, smooth_cfg, test_filter=None,
     groups = list(dict.fromkeys(table.group_labels))
     if len(groups) < 2:
         raise EvalError("need >= 2 distinct group labels")
+    for group, rows in collections.Counter(table.group_labels).items():
+        if rows < 2:  # a group's rows alone train its smoothers
+            raise EvalError(f"group {group!r} has 1 row (every group needs >= 2)")
     if table.n_species < 2:
         raise EvalError("need >= 2 species")
     needs_brightness = "mb" in methods

@@ -47,15 +47,15 @@ by rounding (about 1e-15 relative).
 gets exactly 1 feature, and the largest arrays of one fit (``fit_bytes``)
 stay within ``FIT_BYTES``, one budget for every backend.  Kernel ridge
 counts its two m x m arrays, the spline its nb x nb factors and m x nb
-designs (nb = n_knots + 4, or GCV's 13 columns where fewer), and trees
-nothing: their arrays scale with the input, which is already loaded.
+designs (nb = n_knots + 4, or GCV's 13 columns where fewer) plus every
+design its cache can keep, and trees nothing: their arrays scale with
+the input, which is already loaded.
 
-``shared_designs()`` is also a fit scope: inside it, ``fit`` returns the
-kernel ridge or boosted-tree model it has already fit for the same kind,
-resolved hyperparameters, seed, x (shape and bytes) and y bytes; a failed
-fit is not kept, nested blocks share the outermost one's models, and its
-end drops them.  The spline is not kept (its cached basis makes a refit
-cost about a hash).  Every fitted model's arrays are read-only.
+``shared_designs()`` is also a fit scope, one rule for every backend:
+inside it, ``fit`` returns the model it has already fit for the same
+kind, resolved hyperparameters, seed, x (shape and bytes) and y bytes; a
+failed fit is not kept, nested blocks share the outermost one's models,
+and its end drops them.  Every fitted model's arrays are read-only.
 
 All backends are deterministic given (config, data).  Kernel ridge and
 the spline are translation equivariant in the target up to rounding (a
@@ -110,8 +110,10 @@ _PENALTY_GRID = tuple(np.logspace(-3.0, 3.0, 13))
 # byte budget for the largest arrays of one fit, of any backend (see
 # ``fit_bytes``).  A kernel ridge design kept by ``shared_designs()`` is
 # its two m x m arrays, dropped before the next design allocates and when
-# the block ends.  The CLI keeps the fits of all its processes within it
-# together.
+# the block ends; the spline's count holds the designs ``_spline_basis``
+# keeps.  ``_span_basis``'s entries are left out: they grow with the rows
+# predicted, as trees' arrays grow with their input.  The CLI keeps the
+# fits of all its processes within it together.
 FIT_BYTES = 1 << 30
 
 
@@ -223,14 +225,14 @@ def fit(config, features, targets):
             raise RegressionError("targets too large: their sum of squares overflows")
     params = config.resolved()
     check_fit(config, m, d)
-    if config.kind == "spline_gam":
-        return _fit_spline_gam(params, x, y)
     key = (config.kind, tuple(sorted(params.items())), config.seed, x.shape,
            x.tobytes(), y.tobytes())
     models = _scope.models if _scope is not None else {}
     if key not in models:  # a failed fit raises before it is kept
-        models[key] = (_fit_kernel_ridge(params, x, y) if config.kind == "kernel_ridge"
-                       else _fit_boosted_trees(params, x, y, config.seed))
+        models[key] = (_fit_boosted_trees(params, x, y, config.seed)
+                       if config.kind == "boosted_trees" else
+                       _fit_kernel_ridge(params, x, y) if config.kind == "kernel_ridge"
+                       else _fit_spline_gam(params, x, y))
     return models[key]
 
 
@@ -240,12 +242,15 @@ def predict(model, features):
 
 def fit_bytes(config, rows, features):
     """The bytes of the largest arrays one fit of ``config`` on ``rows`` x
-    ``features`` holds at once (none of them grows with ``features``)."""
+    ``features`` holds at once (none of them grows with ``features``), and
+    for the spline the designs its cache keeps after fits of that size."""
     if config.kind == "kernel_ridge":
         return 2 * 8 * rows * rows  # the kernel, and the system factored in place
     if config.kind == "spline_gam":  # nb columns, or GCV's 13 where more
         nb = config.resolved()["n_knots"] + 4
-        return 8 * max(nb, len(_PENALTY_GRID)) * (3 * rows + 7 * nb)
+        # a kept design: B V, V, GCV's scales and vectors, and x's bytes, its key
+        kept = _KEPT_DESIGNS * 8 * (nb + 1) * (rows + nb + 16)
+        return 8 * max(nb, len(_PENALTY_GRID)) * (3 * rows + 7 * nb) + kept
     return 0
 
 
@@ -381,10 +386,11 @@ _scope = None  # the outermost open shared_designs() block's scope
 
 @contextmanager
 def shared_designs():
-    """A fit scope (see above).  Kernel ridge keeps its last design (K and
-    its Cholesky factor) through a block: a fit on its x bytes, bandwidth
-    and penalty only solves, any other fit replaces it, and every block's
-    end drops it."""
+    """A fit scope (see above): every backend's repeat fit returns the model
+    already fit.  Kernel ridge also keeps its last design (K and its
+    Cholesky factor) through a block: a fit on its x bytes, bandwidth and
+    penalty only solves, any other fit replaces it, and every block's end
+    drops it."""
     global _scope
     outer = _scope is None
     if outer:
@@ -733,6 +739,9 @@ def _spline_basis(n_knots, x_bytes):
                          *_gcv_terms(mu, bv_norms, np.array(_PENALTY_GRID)))
     _read_only(knots, mu, v, bv, bv_norms, basis.scale, basis.edf)
     return basis
+
+
+_KEPT_DESIGNS = _spline_basis.cache_info().maxsize  # counted by fit_bytes
 
 
 def _gcv_terms(mu, bv_norms, lams):

@@ -17,7 +17,7 @@ which also runs the folds of ``evalharness.loyo_evaluate``.
 from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -96,11 +96,7 @@ def generate(config):
         x=x, noise=noise, z=z, y=np.empty(0), w_x=w_x, w_n=w_n,
         sigmoid_params=np.column_stack([a, b, c]), eps=eps,
     )
-    y = z + inst.noise_term() + eps
-    return SynthInstance(
-        x=x, noise=noise, z=z, y=y, w_x=w_x, w_n=w_n,
-        sigmoid_params=inst.sigmoid_params, eps=eps,
-    )
+    return replace(inst, y=z + inst.noise_term() + eps)
 
 
 def reconstruction_mse(z_hat, z_true):

@@ -14,7 +14,7 @@ from scipy.stats import spearmanr
 
 import conftest
 from tqsreg import evalharness as ev
-from tqsreg import oracle, synthgen
+from tqsreg import oracle, regress, synthgen
 from tqsreg.cli import main as cli_main
 from tqsreg.estimators import tqs_eq1
 from tqsreg.regress import RegressorConfig
@@ -137,6 +137,7 @@ def test_criterion_4_corollary_finite_sample():
     report(4, ok, f"worst centered MSE = {worst:.2e} over 10 seeds (<= 1e-3)")
 
 
+@pytest.mark.slow
 def test_criterion_5_species_trend_both_backends(krr_sweeps):
     """Mean 3QS MSE at n = 10 strictly below n = 2 (sigma = 0, 20 paired
     seeds) for both boosted-trees and kernel-ridge backends, < 2 min."""
@@ -153,6 +154,7 @@ def test_criterion_5_species_trend_both_backends(krr_sweeps):
                   f"{trees[2]:.2e}, {elapsed:.1f}s (< 120s)")
 
 
+@pytest.mark.slow
 def test_criterion_6_noise_trend_spearman(krr_sweeps):
     """Spearman >= 0.9 between sigma grid and mean 3QS MSE (n=2, tied f)."""
     _, noise_rows = krr_sweeps
@@ -165,6 +167,7 @@ def test_criterion_6_noise_trend_spearman(krr_sweeps):
                   f"over grid {sigmas}")
 
 
+@pytest.mark.slow
 def test_criterion_7_hs_worse_everywhere(krr_sweeps):
     """Mean HS MSE > mean 3QS MSE at every grid point of both sweeps."""
     species_rows, noise_rows = krr_sweeps
@@ -182,6 +185,7 @@ def test_criterion_7_hs_worse_everywhere(krr_sweeps):
                   f"grid points (violations: {violations})")
 
 
+@pytest.mark.slow
 def test_criterion_8_table1_diagnostics(simulations, eval_cfgs):
     """10-seed simulation: mean |corr with brightness| drops >= 25% under
     3QS, and 3QS retains more per-species std than HS in the mean."""
@@ -201,6 +205,7 @@ def test_criterion_8_table1_diagnostics(simulations, eval_cfgs):
                   f"3QS {r3:.3f} > HS {rh:.3f}, 10 seeds")
 
 
+@pytest.mark.slow
 def test_criterion_9_improvement_ordering(simulations, eval_cfgs):
     """Brightness-zero subset, 10 seeds: mean percent-improvement ordering
     global > 3QS > {MB, raw} > HS, < 10 min."""
@@ -225,22 +230,28 @@ def test_criterion_9_improvement_ordering(simulations, eval_cfgs):
                   f"10 seeds, {elapsed:.0f}s (< 600s)")
 
 
+@pytest.mark.slow
 def test_criterion_10_aux_species_monotonicity(simulations, eval_cfgs):
     """Mean 3QS predictive MSE non-increasing over n_aux in {1,3,5,9} on
     the full and brightness-zero test subsets, 10 seeds."""
     cfg_x, cfg_res, smooth_cfg = eval_cfgs
+    filters = (("full", None), ("brightness-zero", _bz))
+    n_auxes = (1, 3, 5, 9)
+    vals = {(label, n_aux): [] for label, _ in filters for n_aux in n_auxes}
+    for sim in simulations:
+        # one fit scope per seed: the filter touches only test rows, so both
+        # halves share every fit, and the scope's models go with the seed
+        with regress.shared_designs():
+            for label, filt in filters:
+                for n_aux in n_auxes:
+                    vals[label, n_aux].append(
+                        ev.loyo_evaluate(sim.table, ["3qs"], cfg_x, cfg_res,
+                                         smooth_cfg, test_filter=filt,
+                                         n_aux=n_aux).mean_mse("3qs"))
     grids = {}
     ok = True
-    for label, filt in (("full", None), ("brightness-zero", _bz)):
-        means = []
-        for n_aux in (1, 3, 5, 9):
-            vals = [
-                ev.loyo_evaluate(sim.table, ["3qs"], cfg_x, cfg_res,
-                                 smooth_cfg, test_filter=filt,
-                                 n_aux=n_aux).mean_mse("3qs")
-                for sim in simulations
-            ]
-            means.append(float(np.mean(vals)))
+    for label, _ in filters:
+        means = [float(np.mean(vals[label, n_aux])) for n_aux in n_auxes]
         grids[label] = [round(v, 4) for v in means]
         ok = ok and all(b <= a + 1e-12 for a, b in zip(means, means[1:]))
     report(10, ok, f"mean 3QS MSE over n_aux {{1,3,5,9}}: full "

@@ -1,13 +1,18 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import resource
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import child_env
 from tqsreg import __version__, blas, cli, regress
@@ -747,7 +752,15 @@ class TestKernelRidgeRowLimit:
     """
 
     @staticmethod
-    def _limit(monkeypatch, rows):
+    def _keep_no_spline_design(monkeypatch):
+        """On sim_dir's few rows the spline's 8 kept designs outweigh a kernel's
+        two arrays; counting none leaves kernel ridge the largest fit of every
+        command here, as these budgets need."""
+        monkeypatch.setattr(regress, "_KEPT_DESIGNS", 0)
+
+    @classmethod
+    def _limit(cls, monkeypatch, rows):
+        cls._keep_no_spline_design(monkeypatch)
         monkeypatch.setattr(regress, "FIT_BYTES", 2 * 8 * rows * rows)
 
     @pytest.mark.parametrize("command,extra,config,prefix,rows", [
@@ -796,6 +809,7 @@ class TestKernelRidgeRowLimit:
     def test_processes_share_the_budget(self, sim_dir, tmp_path, capsys, monkeypatch,
                                         pools, command, extra, config, rows):
         # room for the fits of two processes, not three
+        self._keep_no_spline_design(monkeypatch)
         monkeypatch.setattr(regress, "FIT_BYTES", 2 * 2 * 8 * rows * rows)
         extra = [str(sim_dir / "survey.csv") if a is None else a for a in extra]
         cfg = tmp_path / "c.cfg"
@@ -1005,6 +1019,25 @@ class TestExitCodes:
         assert errors[0] in capsys.readouterr().err.splitlines()
         assert early_calls == {"load": 1, "fit": 0}
 
+    @pytest.mark.parametrize("argv,survey,message", [
+        (["denoise"], "", "need >= 2 rows for multi-species denoising (got 0)"),
+        (["denoise"], "100,1,2,2013\n", "need >= 2 rows for multi-species denoising "
+         "(got 1)"),
+        (["denoise", "--method", "hs"], "100,1,2,2013\n",
+         "need >= 2 rows for multi-species denoising (got 1)"),
+        (["eval", "--methods", "raw"], "100,1,2,y1\n101,3,1,y1\n102,2,2,y2\n",
+         "group 'y2' has 1 row (every group needs >= 2)"),
+    ])
+    def test_too_few_rows_are_refused_before_any_fit(self, tmp_path, capsys,
+                                                     early_calls, argv, survey,
+                                                     message):
+        path = tmp_path / "survey.csv"
+        path.write_text("day_of_year,species_a,species_b,year\n" + survey)
+        assert run(argv + ["--input", str(path), "--out", str(tmp_path / "o")]) \
+            == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert early_calls["fit"] == 0
+
     def test_bare_memory_error(self, tmp_path, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
             raise MemoryError
@@ -1012,6 +1045,119 @@ class TestExitCodes:
         monkeypatch.setattr(cli.oracle, "random_joints", exhausted)
         assert run(["verify", "--out", str(tmp_path / "v")]) == EXIT_USAGE
         assert capsys.readouterr().err == "error: out of memory\n"
+
+
+# each plain key's values but "out" (the test's), valid then invalid; small
+# where valid, so a command stays cheap, and "jobs" never starts a pool
+_KEY_VALUES = {
+    "seed": ("0", "7", "-1", "x", "1.5"),
+    "jobs": ("1", "0", "-2", "two"),
+    "input": ("missing.csv",),
+    "method": ("3qs", "hs", "qs"),
+    "methods": ("raw", "raw,3qs", "hs,mb,global", "raw,raw", "", "foo"),
+    "eval.test_filter": ("none", "brightness-zero", "dark"),
+    "trials": ("1", "2", "0", "x"),
+    "joints": ("1", "3", "0", "x"),
+    "simulate.years": ("2", "3", "1", "x"),
+    "simulate.days_per_year": ("1", "4", "0", "-3"),
+    "simulate.n_species": ("1", "2", "0", "-1"),
+    "simulate.beta": ("0.5", "0", "nan", "x"),
+    "simulate.idio_sigma": ("0.1", "0", "-1", "inf"),
+    "synth.species_grid": ("2", "2,3", "1", "", "x"),
+    "synth.sigma_grid": ("0", "0,0.1", "-1", "inf", ""),
+    "synth.n_obs": ("50", "60", "49", "0"),
+    "eval.brightness_column": ("moon_brightness", "species_0", "nope"),
+    "eval.threshold": ("0.5", "0", "nan", "x"),
+    "eval.n_aux": ("1", "2", "0", "x"),
+}
+# each regressor hyperparameter's values, valid then invalid
+_HYPER_VALUES = {
+    "kind": ("spline_gam", "boosted_trees", "kernel_ridge", "ridge"),
+    "n_knots": ("1", "3", "0", "2.5"),
+    "n_stages": ("2", "0", "true"),
+    "max_depth": ("1", "0"),
+    "min_leaf": ("2", "-1"),
+    "learning_rate": ("0.5", "0", "inf"),
+    "subsample": ("0.5", "1", "2"),
+    "penalty": ("0.5", "0", "nan"),
+    "bandwidth": ("1", "-1"),
+    "bogus": ("1",),
+}
+# the base config of every run: small sweeps and few joints and trees
+_SMALL = {"jobs": "1", "trials": "1", "joints": "2", "synth.species_grid": "2",
+          "synth.sigma_grid": "0", "synth.n_obs": "50", "simulate.days_per_year": "3",
+          "regressor.res.n_stages": "3"}
+
+
+@st.composite
+def _surveys(draw):
+    """A small survey CSV and its groups' sizes: 2-4 species, maybe one
+    constant, repeated days, up to 3 groups of one row or more, and maybe a
+    brightness column."""
+    s = draw(st.integers(2, 4))
+    n_groups = draw(st.sampled_from([3, 2, 3, 1, 0]))
+    sizes = [draw(st.sampled_from([5, 8, 3, 1])) for _ in range(n_groups)]
+    constant = draw(st.sampled_from([(), (), (s - 1,)]))
+    bright = draw(st.sampled_from(["varying", "varying", "varying", None, "constant"]))
+    header = ["day_of_year", *(f"species_{i}" for i in range(s)), "year"]
+    header += ["moon_brightness"] if bright else []
+    lines = [",".join(header)]
+    for year, size in enumerate(sizes):
+        for _ in range(size):
+            day = draw(st.sampled_from([100, 101, 150]))
+            counts = [0 if i in constant else draw(st.integers(0, 5)) for i in range(s)]
+            row = [day, *counts, f"y{year}"]
+            row += ([] if bright is None else
+                    [0.5 if bright == "constant" else draw(st.sampled_from([0, 0.3, 1]))])
+            lines.append(",".join(map(str, row)))
+    return "\n".join(lines) + "\n", sizes
+
+
+@st.composite
+def _configs(draw):
+    """A config of the small base, then a few keys drawn from their valid and
+    invalid values, and a few regressor keys."""
+    cfg = dict(_SMALL)
+    for key in draw(st.lists(st.sampled_from(sorted(set(cli.KEYS) - {"out"})),
+                             max_size=3)):
+        cfg[key] = draw(st.sampled_from(_KEY_VALUES[key]))
+    for _ in range(draw(st.integers(0, 2))):
+        use = draw(st.sampled_from(sorted(cli.REGRESSOR_USES)))
+        name = draw(st.sampled_from(sorted(_HYPER_VALUES)))
+        cfg[f"regressor.{use}.{name}"] = draw(st.sampled_from(_HYPER_VALUES[name]))
+    return cfg
+
+
+class TestExitCodeContract:
+    """Whatever the survey and config, ``main`` returns 0, 2 or 3 (1 only from
+    ``verify``), raises nothing, warns nothing and prints at most one
+    ``error:`` line; a table too small to train on is a usage error, not a
+    failed fit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(command=st.sampled_from(["denoise", "eval", "simulate", "synth", "verify"]),
+           survey=_surveys(), cfg=_configs())
+    def test_exit_code_contract(self, command, survey, cfg):
+        survey, sizes = survey
+        with tempfile.TemporaryDirectory() as tmp:
+            with open(os.path.join(tmp, "survey.csv"), "w") as fh:
+                fh.write(survey)
+            cfg["input"] = os.path.join(tmp, cfg.get("input", "survey.csv"))
+            config = os.path.join(tmp, "c.cfg")
+            with open(config, "w") as fh:
+                fh.writelines(f"{k} = {v}\n" for k, v in cfg.items())
+            err = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                warnings.simplefilter("error")
+                code = main([command, "--config", config,
+                             "--out", os.path.join(tmp, "out")])
+        assert code in (0, 2, 3) or (code == 1 and command == "verify"), err.getvalue()
+        # eval trains on each group alone, denoise on the whole table
+        trains_on = min(sizes, default=0) if command == "eval" else sum(sizes)
+        assert code != 3 or trains_on >= 2, err.getvalue()
+        errors = [ln for ln in err.getvalue().splitlines() if ln.startswith("error:")]
+        assert len(errors) <= 1, err.getvalue()
 
 
 def _capped_cli(argv):
