@@ -29,11 +29,11 @@ OpenBLAS thread setter is found, commands run unpinned.
 Every setting is checked when read, and a value that does not parse
 names its key.  A command reads its settings and regressor configs
 before it loads any input, and ``synth`` checks its sweeps
-(``synthgen.check_sweep``) before any worker starts.  Right after
-loading (``synth``: its sweeps), a command checks every fit it will make
-by ``fit``'s own rule (``regress.check_fit``); a table with too few rows
-to train on (``denoise``: under 2, ``eval``: a one-row year) and an
-``eval`` test filter that empties a year fail before any fit.  Usage,
+(``synthgen.check_sweep``) before any worker starts.  Right after loading
+(``synth``: its sweeps), a command refuses a table too small to denoise
+or to leave a year out, then checks every fit it will make in one pass
+by ``fit``'s own rule (``regress.check_fit``); an ``eval`` test filter
+that empties a year also fails before any fit.  Usage,
 config and table errors exit 2, and so does running out of memory
 (``MemoryError``: the input or config asks for more than the host has);
 a fit that fails on well-formed input (``EstimationError``,
@@ -44,7 +44,6 @@ a fit that fails on well-formed input (``EstimationError``,
 from __future__ import annotations
 
 import argparse
-import collections
 import csv
 import dataclasses
 import hashlib
@@ -232,22 +231,16 @@ def regressor_from_config(cfg, use):
              if key.startswith(pre) and key != pre + "kind"}
     config = RegressorConfig(kind=cfg.get(pre + "kind", REGRESSOR_USES[use]),
                              hyperparameters=hyper, seed=setting(cfg, "seed"))
-    config.resolved()  # an unknown or ill-typed key fails here, before any fit
+    try:
+        config.resolved()  # an unknown or ill-typed key fails here, before any fit
+    except RegressionError as e:
+        raise UsageError(f"regressor.{use}: {e}") from e
     return config
 
 
-def _check_one_covariate(table, fits):
-    """Refuse a spline covariate model (``fits`` as in ``_check_fits``) on a
-    table of several covariates, and any of them on a table without one."""
-    k = table.covariates.shape[1]
-    for prefix, config, *_ in fits:
-        if config.kind == "spline_gam" and k != 1:
-            raise UsageError(
-                f"regressor.{prefix}.kind = spline_gam needs exactly 1 covariate, "
-                f"but the table has {k} ({', '.join(table.covariate_names)})")
-        if k == 0:
-            raise UsageError(f"regressor.{prefix}.kind = {config.kind} needs a "
-                             "covariate, but the table has none")
+def _on_covariates(table):
+    """What a covariate model or smoother is fit on, for its refusal to name."""
+    return f"on the table's covariates ({', '.join(table.covariate_names) or 'none'})"
 
 
 def _check_fits(fits):
@@ -410,11 +403,9 @@ def cmd_denoise(args):
     method = setting(cfg, "method")
     cfg_x, cfg_res = (regressor_from_config(cfg, use) for use in ("x", "res"))
     table = _load_input(cfg, "denoise")
-    if table.n_species < 2:
-        raise UsageError("need >= 2 species to denoise")
-    fits = ([("x", cfg_x, table.n_rows, table.covariates.shape[1], "the covariate model")]
-            if method == "3qs" else [])
-    _check_one_covariate(table, fits)
+    estimators.check_table(table)
+    fits = ([("x", cfg_x, table.n_rows, table.covariates.shape[1],
+              f"the covariate model {_on_covariates(table)}")] if method == "3qs" else [])
     fits.append(("res", cfg_res, table.n_rows, table.n_species - 1, "the other species"))
     _check_fits(fits)
     if method == "3qs":
@@ -532,14 +523,14 @@ def cmd_eval(args):
     cfg_x, cfg_res, smooth_cfg = (regressor_from_config(cfg, use)
                                   for use in ("x", "res", "smooth"))
     table = _load_input(cfg, "eval")
+    estimators.check_table(table)
+    groups = evalharness.check_groups(table).values()
     # the diagnostics fit on the whole table, the folds on all but one group
-    groups = collections.Counter(table.group_labels).values()
-    rows = table.n_rows if table.diagnostics else table.n_rows - min(groups, default=0)
-    k = table.covariates.shape[1]
-    fits = [("smooth", smooth_cfg, rows, k, "the smoother")]  # it scores every cell
+    rows = table.n_rows if table.diagnostics else table.n_rows - min(groups)
+    k, on = table.covariates.shape[1], _on_covariates(table)
+    fits = [("smooth", smooth_cfg, rows, k, f"the smoother {on}")]  # it scores every cell
     if "3qs" in methods or table.diagnostics:
-        fits.append(("x", cfg_x, rows, k, "the covariate model"))
-    _check_one_covariate(table, fits)
+        fits.append(("x", cfg_x, rows, k, f"the covariate model {on}"))
     others = table.n_species - 1
     aux = others if n_aux is None else min(n_aux, others)
     if "3qs" in methods or "hs" in methods:

@@ -4,8 +4,8 @@
 measurements that share only a noise cause.  The 3QS variants first
 condition on observed process covariates so that intrinsic dependence
 between the latent quantities is preserved.  Every estimator subtracts
-a model's predictions on its own training rows, which it reads from the
-fitted model (``FittedRegressor.fitted``), not from a second ``predict``.
+a model's predictions on its own training rows: the fitted model's
+``fitted``, checked finite when the model is built, not a second ``predict``.
 
 Every per-species model, here and in ``evalharness``, is fit by one stage
 step: one model per species in one ``regress.shared_designs()`` block, so
@@ -123,14 +123,13 @@ def _species_configs(cfg, s):
 
 def _fit_species(stage, cfgs, features, targets, columns):
     """Fit species i's model, config ``cfgs[i]``, to ``targets[:, i]`` on
-    ``features[:, columns[i]]`` and return the models.  A failed fit, or a
-    non-finite fit on its own rows, names its stage and species."""
+    ``features[:, columns[i]]`` and return the models.  A failed fit names
+    its stage and species."""
     models = []
     with regress.shared_designs():
         for i, (cfg, cols) in enumerate(zip(cfgs, columns)):
             try:
                 model = fit(cfg, features[:, cols], targets[:, i])
-                model.fitted  # noqa: B018 -- raises on a non-finite fit
             except regress.RegressionError as e:
                 raise EstimationError(
                     f"{stage} model failed for species {i}: {e}") from e
@@ -138,7 +137,7 @@ def _fit_species(stage, cfgs, features, targets, columns):
     return tuple(models)
 
 
-def _check_table(table):
+def check_table(table):
     """Refuse a table too small for multi-species denoising, before any fit."""
     if table.n_species < 2:
         raise ValueError("need >= 2 species for multi-species denoising")
@@ -156,7 +155,7 @@ def tqs_multi_species(table, cfg_x, cfg_res, n_aux=None):
     of them.  Each species uses seeds derived from (master seed, species
     index), so results do not depend on processing order.
     """
-    _check_table(table)
+    check_table(table)
     s = table.n_species
     if table.covariates.shape[1] < 1:
         raise ValueError("need >= 1 process covariate")
@@ -183,7 +182,7 @@ def hs_multi_species(table, cfg_res, n_aux=None):
     ``tqs_multi_species``), plus the mean of Y_i so that the downstream
     smoother works on the measurement scale.
     """
-    _check_table(table)
+    check_table(table)
     s = table.n_species
     y = table.counts
     models = _fit_species("residual", _species_configs(cfg_res, s), y, y,

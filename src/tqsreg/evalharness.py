@@ -218,6 +218,17 @@ def _call(task):
     return task()
 
 
+def check_groups(table):
+    """Each group's rows, in table order; refuses one group or a one-row group."""
+    groups = collections.Counter(table.group_labels)
+    if len(groups) < 2:
+        raise EvalError("need >= 2 distinct group labels")
+    for group, rows in groups.items():
+        if rows < 2:  # a group's rows alone train its smoothers
+            raise EvalError(f"group {group!r} has 1 row (every group needs >= 2)")
+    return groups
+
+
 def loyo_evaluate(table, methods, cfg_x, cfg_res, smooth_cfg, test_filter=None,
                   brightness_column=None, n_aux=None, with_diagnostics=False,
                   jobs=None):
@@ -227,8 +238,8 @@ def loyo_evaluate(table, methods, cfg_x, cfg_res, smooth_cfg, test_filter=None,
     given, maps the test-year table to a boolean row mask (e.g. a
     brightness-zero rule).  ``n_aux`` caps the auxiliary species used
     by hs/3qs, in the folds and in the diagnostics.  Test rows never touch
-    any fitted model.  Before any model is fit, every group is checked to
-    have 2 rows or more, every test subset is built and checked non-empty
+    any fitted model.  Before any model is fit, the groups are checked
+    (``check_groups``), every test subset is built and checked non-empty
     and, with diagnostics, every species column and
     the brightness column are checked non-constant.  A task per held-out
     group fits the denoisers, their per-year smoothers and ``global``; a
@@ -242,12 +253,7 @@ def loyo_evaluate(table, methods, cfg_x, cfg_res, smooth_cfg, test_filter=None,
     unknown = set(methods) - set(METHODS)
     if unknown:
         raise EvalError(f"unknown methods: {sorted(unknown)}")
-    groups = list(dict.fromkeys(table.group_labels))
-    if len(groups) < 2:
-        raise EvalError("need >= 2 distinct group labels")
-    for group, rows in collections.Counter(table.group_labels).items():
-        if rows < 2:  # a group's rows alone train its smoothers
-            raise EvalError(f"group {group!r} has 1 row (every group needs >= 2)")
+    groups = list(check_groups(table))
     if table.n_species < 2:
         raise EvalError("need >= 2 species")
     needs_brightness = "mb" in methods
@@ -347,6 +353,10 @@ def simulate_moth_survey(years=5, days_per_year=180, n_species=10, seed=0,
         raise EvalError("need >= 2 years")
     if days_per_year < 1:
         raise EvalError(f"need >= 1 night per year (got {days_per_year})")
+    if not np.isfinite(beta):
+        raise EvalError(f"beta must be finite (got {beta!r})")
+    if not (np.isfinite(idio_sigma) and idio_sigma >= 0):
+        raise EvalError(f"idio_sigma must be finite and >= 0 (got {idio_sigma!r})")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, 77]))
     days = np.arange(1.0, days_per_year + 1.0)
     m = years * days_per_year

@@ -39,17 +39,18 @@ Every fitted model carries ``fitted``, its predictions on the training
 rows, taken from what the fit already holds: ``K alpha + b`` for kernel
 ridge (its products, like its solve, on scipy's OpenBLAS) and the boosting
 loop's running prediction for trees, both equal to ``predict(x_train)``
-bit for bit; for the spline, the GCV step's
-``(B V) z``, which differs from ``predict(x_train)``'s ``B (V z)`` only
-by rounding (about 1e-15 relative).
+bit for bit; for the spline, the GCV step's ``(B V) z``, which differs
+from ``predict(x_train)``'s ``B (V z)`` only by rounding (about 1e-15
+relative).  A non-finite ``fitted`` is refused when the model is built.
 
-``fit`` first refuses a model that cannot fit (``check_fit``): a spline
-gets exactly 1 feature, and the largest arrays of one fit (``fit_bytes``)
-stay within ``FIT_BYTES``, one budget for every backend.  Kernel ridge
-counts its two m x m arrays, the spline its nb x nb factors and m x nb
-designs (nb = n_knots + 4, or GCV's 13 columns where fewer) plus every
-design its cache can keep, and trees nothing: their arrays scale with
-the input, which is already loaded.
+``check_fit`` is the one gate for a fit's shape, and ``fit`` applies it
+before any backend runs.  It refuses, in this order, fewer than 2 rows,
+fewer than 1 feature, a spline without exactly 1 feature, and a fit whose
+largest arrays (``fit_bytes``) exceed ``FIT_BYTES``, one budget for every
+backend.  Kernel ridge counts its two m x m arrays, the spline its nb x nb
+factors and m x nb designs (nb = n_knots + 4, or GCV's 13 columns where
+fewer) plus every design its cache can keep, and trees nothing: their
+arrays scale with the input, which is already loaded.
 
 ``shared_designs()`` is also a fit scope, one rule for every backend:
 inside it, ``fit`` returns the model it has already fit for the same
@@ -178,16 +179,11 @@ class FittedRegressor:
     kind = None
 
     def __init__(self, n_features, fitted):
+        if not np.all(np.isfinite(fitted)):  # predict's check, on the training rows
+            raise RegressionError("model produced non-finite prediction")
         self.n_features = n_features
         _read_only(fitted)
-        self._fitted = fitted
-
-    @property
-    def fitted(self):
-        """Predictions on the training rows, with ``predict``'s finiteness check."""
-        if not np.all(np.isfinite(self._fitted)):
-            raise RegressionError("model produced non-finite prediction")
-        return self._fitted
+        self.fitted = fitted
 
     def predict(self, x):
         x = np.asarray(x, dtype=float)
@@ -213,18 +209,13 @@ def fit(config, features, targets):
     y = np.asarray(targets, dtype=float).ravel()
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
         raise RegressionError("features/targets shape mismatch")
-    m, d = x.shape
-    if m < 2:
-        raise RegressionError("need at least 2 training rows")
-    if d < 1:
-        raise RegressionError("need at least 1 feature")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise RegressionError("non-finite training data")
     with np.errstate(over="ignore"):  # every backend sums squared targets
         if not np.isfinite(y @ y):
             raise RegressionError("targets too large: their sum of squares overflows")
     params = config.resolved()
-    check_fit(config, m, d)
+    check_fit(config, *x.shape)
     key = (config.kind, tuple(sorted(params.items())), config.seed, x.shape,
            x.tobytes(), y.tobytes())
     models = _scope.models if _scope is not None else {}
@@ -257,6 +248,12 @@ def fit_bytes(config, rows, features):
 def check_fit(config, rows, features):
     """Refuse a fit of ``config`` on ``rows`` x ``features`` that cannot
     run, before it allocates anything."""
+    if rows < 2:
+        raise RegressionError(
+            f"{config.kind} needs at least 2 training rows, but would get {rows}")
+    if features < 1:
+        raise RegressionError(
+            f"{config.kind} needs at least 1 feature, but would get {features}")
     if config.kind == "spline_gam" and features != 1:
         raise RegressionError(
             f"spline_gam needs exactly 1 feature, but would get {features}")

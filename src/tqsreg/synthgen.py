@@ -23,6 +23,7 @@ import numpy as np
 
 from . import blas
 from .estimators import center, hs_estimate, tqs_eq2
+from .regress import shared_designs
 
 DEFAULT_N_OBS = 500
 SPECIES_GRID = (2, 3, 5, 7, 10)
@@ -129,13 +130,14 @@ class SweepRow:
 
 
 def _trial_mses(inst, cfg):
-    """(3QS, HS) reconstruction MSE for species 1 on one instance."""
+    """(3QS, HS) reconstruction MSE for species 1 on one instance, in one fit scope."""
     y1 = inst.y[:, 0]
     y_rest = inst.y[:, 1:]
     x = inst.x[:, None]
     z1 = inst.z[:, 0]
-    z_tqs = tqs_eq2(y1, x, y_rest, cfg, cfg)
-    z_hs = hs_estimate(y1, y_rest, cfg)
+    with shared_designs():
+        z_tqs = tqs_eq2(y1, x, y_rest, cfg, cfg)
+        z_hs = hs_estimate(y1, y_rest, cfg)
     return reconstruction_mse(z_tqs, z1), reconstruction_mse(z_hs, z1)
 
 

@@ -611,6 +611,9 @@ class TestConfigFailsEarly:
         ("eval", "regressor.smooth.bogus = 1", "unknown hyperparameters for spline_gam"),
         ("eval", "regressor.res.learning_rate = fast",
          "learning_rate must be a finite real number"),
+        # the message names the model whose key failed
+        ("denoise", "regressor.x.n_knots = abc",
+         "error: regressor.x: n_knots must be an integer >= 1 (got 'abc')"),
     ])
     def test_bad_regressor_key(self, sim_dir, tmp_path, capsys, early_calls,
                                command, line, message):
@@ -631,6 +634,12 @@ class TestConfigFailsEarly:
                                 "subset of raw,hs,3qs,mb,global)"),
         ("eval", "methods = raw,hs,raw", "methods names 'raw' twice"),
         ("denoise", "seed = 1.5", "seed must be an integer (got '1.5')"),
+        # refused before any draw, not by numpy or the table
+        ("simulate", "simulate.idio_sigma = -1",
+         "error: idio_sigma must be finite and >= 0 (got -1.0)"),
+        ("simulate", "simulate.idio_sigma = inf",
+         "error: idio_sigma must be finite and >= 0 (got inf)"),
+        ("simulate", "simulate.beta = nan", "error: beta must be finite (got nan)"),
     ])
     def test_bad_method_or_filter(self, sim_dir, tmp_path, capsys, early_calls,
                                   command, line, message):
@@ -638,7 +647,8 @@ class TestConfigFailsEarly:
         cfg = tmp_path / "c.cfg"
         cfg.write_text(line + "\n")
         for survey in (sim_dir / "survey.csv", tmp_path / "missing.csv"):
-            assert run([command, "--input", str(survey), "--config", str(cfg),
+            given = [] if command == "simulate" else ["--input", str(survey)]
+            assert run([command, *given, "--config", str(cfg),
                         "--out", str(tmp_path / "o")]) == EXIT_USAGE
             assert message in capsys.readouterr().err
         assert early_calls == {"load": 0, "fit": 0}
@@ -688,8 +698,9 @@ class TestConfigFailsEarly:
         assert run([command, "--input", str(path), "--config", str(cfg),
                     "--out", str(tmp_path / "o")]) == EXIT_USAGE
         err = capsys.readouterr().err
-        assert f"regressor.{prefix}.kind = spline_gam needs exactly 1 covariate" in err
-        assert "has 2 (day, temp)" in err
+        assert (f"regressor.{prefix}.kind = spline_gam needs exactly 1 feature, "
+                "but would get 2 for ") in err
+        assert "on the table's covariates (day, temp)" in err
         assert early_calls == {"load": 1, "fit": 0}
 
     @pytest.mark.parametrize("command,extra,config,uses", [
@@ -743,6 +754,56 @@ class TestConfigFailsEarly:
         assert run(["denoise", "--input", str(path), "--config", str(cfg),
                     "--method", "hs", "--out", str(tmp_path / "o")]) == EXIT_OK
         assert early_calls == {"load": 1, "fit": 3}
+
+
+class TestFitsListCoversFits:
+    """A command's fits list (``cli._check_fits``) covers every fit it makes:
+    for each ``regress.fit`` call, an entry of the same kind and
+    hyperparameters (the per-species seed aside) on at least as many rows,
+    and for a spline on as many features.  Each use has its own
+    hyperparameters, so a fit matches only its own model's entries."""
+
+    HYPER = ("regressor.x.n_knots = 8\nregressor.smooth.n_knots = 10\n"
+             "regressor.res.n_stages = 4\nregressor.synth.penalty = 0.5\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["denoise", "--input", None],
+        ["denoise", "--input", None, "--method", "hs"],
+        ["eval", "--input", None, "--jobs", "1", "--methods", "raw,hs,3qs,mb,global"],
+        ["synth", "--jobs", "1", "--trials", "1"],
+    ])
+    def test_every_fit_is_listed(self, sim_dir, tmp_path, monkeypatch, argv):
+        from tqsreg import estimators
+
+        listed, made = [], []
+        real_check, real_fit = cli._check_fits, regress.fit
+
+        def listing(fits):
+            listed.extend(fits)
+            return real_check(fits)
+
+        def fitting(config, features, targets):
+            x = np.asarray(features, dtype=float)
+            made.append((config, *(x[:, None] if x.ndim == 1 else x).shape))
+            return real_fit(config, features, targets)
+
+        monkeypatch.setattr(cli, "_check_fits", listing)
+        for mod in (regress, estimators):
+            monkeypatch.setattr(mod, "fit", fitting)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(self.HYPER + "synth.species_grid = 2,3\nsynth.sigma_grid = 0\n"
+                       "synth.n_obs = 60\n")
+        argv = [str(sim_dir / "survey.csv") if a is None else a for a in argv]
+        assert run(argv + ["--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert made
+        for config, rows, features in made:
+            assert any(
+                entry.kind == config.kind
+                and entry.hyperparameters == config.hyperparameters
+                and listed_rows >= rows
+                and (config.kind != "spline_gam" or listed_features == features)
+                for _, entry, listed_rows, listed_features, _ in listed), \
+                (config, rows, features, listed)
 
 
 class TestKernelRidgeRowLimit:
@@ -970,7 +1031,9 @@ class TestExitCodes:
                        "regressor.smooth.kind = boosted_trees\n")
         assert run(argv + ["--input", str(survey), "--config", str(cfg),
                            "--out", str(tmp_path / "o")]) == EXIT_USAGE
-        assert "needs a covariate, but the table has none" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "needs at least 1 feature, but would get 0 for " in err
+        assert "on the table's covariates (none)" in err
 
     def test_nonpositive_n_aux_is_usage_error(self, sim_dir, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
@@ -1027,6 +1090,9 @@ class TestExitCodes:
          "need >= 2 rows for multi-species denoising (got 1)"),
         (["eval", "--methods", "raw"], "100,1,2,y1\n101,3,1,y1\n102,2,2,y2\n",
          "group 'y2' has 1 row (every group needs >= 2)"),
+        # named as such, not as a smoother on 1 row
+        (["eval", "--methods", "raw"], "100,1,2,y1\n101,3,1,y2\n",
+         "group 'y1' has 1 row (every group needs >= 2)"),
     ])
     def test_too_few_rows_are_refused_before_any_fit(self, tmp_path, capsys,
                                                      early_calls, argv, survey,
@@ -1036,6 +1102,18 @@ class TestExitCodes:
         assert run(argv + ["--input", str(path), "--out", str(tmp_path / "o")]) \
             == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert early_calls["fit"] == 0
+
+    @pytest.mark.parametrize("argv", [["denoise"], ["eval", "--methods", "raw,hs"]])
+    def test_one_species_is_refused_before_any_fit(self, tmp_path, capsys,
+                                                   early_calls, argv):
+        path = tmp_path / "survey.csv"
+        path.write_text("day_of_year,species_a,year\n100,1,y1\n101,3,y1\n"
+                        "102,2,y2\n103,4,y2\n")
+        assert run(argv + ["--input", str(path), "--out", str(tmp_path / "o")]) \
+            == EXIT_USAGE
+        assert (capsys.readouterr().err
+                == "error: need >= 2 species for multi-species denoising\n")
         assert early_calls["fit"] == 0
 
     def test_bare_memory_error(self, tmp_path, capsys, monkeypatch):

@@ -242,6 +242,35 @@ class TestFitCheck:
                 pass  # the data's fault, after a backend ran: never a refusal
             assert ran
 
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(sorted(regress._DEFAULTS)), m=st.integers(0, 3),
+           d=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+    def test_check_fit_is_the_only_shape_gate(self, kind, m, d, seed):
+        """On finite data of any small shape, ``check_fit`` refuses exactly
+        when ``fit`` refuses before its backend runs, in the same words."""
+        rng = np.random.default_rng(seed)
+        x, y = rng.normal(size=(m, d)), rng.normal(size=m)
+        cfg = RegressorConfig(kind)
+        backend, ran, refused = f"_fit_{kind}", [], None
+        real = getattr(regress, backend)
+
+        def spy(*a, **k):
+            ran.append(kind)
+            return real(*a, **k)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(regress, backend, spy)
+            try:
+                fit(cfg, x, y)
+            except RegressionError as e:
+                refused = None if ran else str(e)
+        try:
+            regress.check_fit(cfg, m, d)
+        except RegressionError as e:
+            assert refused == str(e)
+        else:
+            assert refused is None
+
     @pytest.mark.parametrize("kind,hyper,m,d,warm", [
         ("spline_gam", {"n_knots": 1}, 1000, 1, False),  # GCV's columns outnumber nb
         ("spline_gam", {"n_knots": 20}, 300, 1, False),
@@ -949,9 +978,9 @@ class TestInSampleFit:
         model = fit(krr_cfg, rng.normal(size=(5, 1)), rng.normal(size=5))
         with pytest.raises(ValueError, match="read-only"):
             model.fitted[0] = 1.0
-        bad = regress.FittedRegressor(1, np.array([0.0, np.inf]))
+        # a non-finite fit is refused when it is built, never kept
         with pytest.raises(RegressionError, match="non-finite prediction"):
-            bad.fitted
+            regress.FittedRegressor(1, np.array([0.0, np.inf]))
 
 
 class TestMedianBandwidth:

@@ -4,7 +4,8 @@ import time
 import numpy as np
 import pytest
 
-from tqsreg import cli, synthgen
+from tqsreg import cli, regress, synthgen
+from tqsreg.estimators import hs_estimate, tqs_eq2
 from tqsreg.regress import RegressorConfig
 from tqsreg.synthgen import (
     SynthConfig,
@@ -208,6 +209,25 @@ class TestSweeps:
         with synthgen.worker_pool(2) as run:
             parallel = run_noise_sweep([0.0, 0.2], trials=2, cfg=cfg, n_obs=500, pool=run)
         assert serial == parallel
+
+    def test_trial_builds_its_designs_in_two_arrays(self, monkeypatch):
+        # the joint, x and HS designs of one trial are all m x m: inside one
+        # fit scope the second and third are built in the first's arrays
+        inst = generate(SynthConfig(n_species=3, n_obs=60, seed=4))
+        cfg = RegressorConfig("kernel_ridge")
+        z1 = inst.z[:, 0]
+        alone = (reconstruction_mse(tqs_eq2(inst.y[:, 0], inst.x[:, None],
+                                            inst.y[:, 1:], cfg, cfg), z1),
+                 reconstruction_mse(hs_estimate(inst.y[:, 0], inst.y[:, 1:], cfg), z1))
+        reused, real = [], regress._kernel_design
+
+        def spy(x, bandwidth, penalty, arrays=None):
+            reused.append(bool(arrays))
+            return real(x, bandwidth, penalty, arrays)
+
+        monkeypatch.setattr(regress, "_kernel_design", spy)
+        assert synthgen._trial_mses(inst, cfg) == alone
+        assert reused == [False, True, True]
 
     def test_invalid_trials(self):
         with pytest.raises(ValueError):
