@@ -12,9 +12,9 @@ by ``data_model.save_table``, the pair of ``load_table``.  Outputs are
 written to a temporary file and renamed on success.
 
 ``synth`` and ``eval`` run their independent tasks (sweep trials; LOYO
-folds and diagnostics halves) on ``jobs`` processes: the command's own
-at 1, otherwise the workers of one ``synthgen.worker_pool`` while the
-command's process waits.  ``jobs`` is capped at the task count, and at
+folds, then the diagnostics halves) on ``jobs`` processes: the command's
+own at 1, otherwise the workers of the one ``synthgen.worker_pool`` it
+opens.  ``jobs`` is capped at the larger task list's count, and at
 the count whose largest fits (``regress.fit_bytes``, of any backend) stay
 within ``regress.FIT_BYTES`` together (with a note on stderr).  A
 kernel ridge model on several processes has its compiled routines loaded
@@ -32,8 +32,9 @@ before it loads any input, and ``synth`` checks its sweeps
 (``synthgen.check_sweep``) before any worker starts.  Right after loading
 (``synth``: its sweeps), a command refuses a table too small to denoise
 or to leave a year out, then checks every fit it will make in one pass
-by ``fit``'s own rule (``regress.check_fit``); an ``eval`` test filter
-that empties a year also fails before any fit.  Usage,
+by ``fit``'s own rule (``regress.check_fit``); ``eval`` also refuses,
+before any fit, a constant column that its diagnostics divide by and a
+test filter that empties a year.  Usage,
 config and table errors exit 2, and so does running out of memory
 (``MemoryError``: the input or config asks for more than the host has);
 a fit that fails on well-formed input (``EstimationError``,
@@ -123,6 +124,12 @@ def _count(text):
     return int(text)
 
 
+def _finite(text):
+    if not np.isfinite(float(text)):
+        raise ValueError(text)
+    return float(text)
+
+
 def _numbers(text):
     return [float(v) for v in text.split(",") if v.strip()]
 
@@ -143,7 +150,7 @@ def _methods(text):
 
 # what a value that its reader refuses with a ValueError should have been
 _EXPECTED = {int: "an integer", _count: "an integer >= 1", float: "a number",
-             _numbers: "comma-separated numbers"}
+             _finite: "a finite number", _numbers: "comma-separated numbers"}
 
 
 class Key(typing.NamedTuple):
@@ -192,7 +199,7 @@ KEYS = {
     "synth.sigma_grid": Key(_numbers, synthgen.SIGMA_GRID),
     "synth.n_obs": Key(int, synthgen.DEFAULT_N_OBS),
     "eval.brightness_column": Key(),
-    "eval.threshold": Key(float),
+    "eval.threshold": Key(_finite),  # may be negative: a diagnostic may be signed
     "eval.n_aux": Key(int),
 }
 
@@ -540,28 +547,29 @@ def cmd_eval(args):
     if table.diagnostics:
         fits.append(("res", cfg_res, rows, aux, "the diagnostics"))
     _check_fits(fits)
-    # one task per fold and per training year, and the 3QS and HS halves of
-    # the diagnostics
-    jobs = _processes(cfg, 2 * len(groups) + 2 * bool(table.diagnostics), fits)
-    brightness_column = setting(cfg, "eval.brightness_column")
+    # one task per fold and per training year; the diagnostics are two
+    jobs = _processes(cfg, 2 * len(groups), fits)
+    column = setting(cfg, "eval.brightness_column")
+    if brightness_zero or table.diagnostics:
+        column = evalharness.resolve_brightness_column(table, column)
+    if table.diagnostics:
+        evalharness.check_diagnostics(table, column)
     test_filter = None
     if brightness_zero:
-        column = evalharness.resolve_brightness_column(table, brightness_column)
         test_filter = lambda t: evalharness.brightness_zero_subset(t, column, threshold)
-    report = evalharness.loyo_evaluate(
-        table, methods, cfg_x, cfg_res, smooth_cfg,
-        test_filter=test_filter,
-        brightness_column=brightness_column,
-        n_aux=n_aux,
-        with_diagnostics=bool(table.diagnostics),
-        jobs=jobs,
-    )
+    with synthgen.worker_pool(jobs) as pool:
+        report = evalharness.loyo_evaluate(
+            table, methods, cfg_x, cfg_res, smooth_cfg, test_filter=test_filter,
+            brightness_column=column, n_aux=n_aux, pool=pool)
+        diagnostics = (evalharness.compute_diagnostics(table, cfg_x, cfg_res, column,
+                                                       n_aux=n_aux, pool=pool)
+                       if table.diagnostics else {})
     out = _out_dir(cfg)
     _write_json(os.path.join(out, "eval_report.json"), {
         "meta": _meta(cfg),
         "baseline": report.baseline,
         "improvements": report.improvements,
-        "diagnostics": report.diagnostics,
+        "diagnostics": diagnostics,
         "cells": [dataclasses.asdict(c) for c in report.cells],
     })
     _write_csv(os.path.join(out, "eval_cells.csv"),

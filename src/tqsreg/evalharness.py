@@ -11,10 +11,12 @@ field data, and the correlation / retained-variability diagnostics.
 
 ``loyo_evaluate`` first builds every fold's training table and filtered
 test rows in the calling process (a test filter need not pickle), then
-runs independent tasks: one per held-out year, one per training year
-(its raw smoothers and ``mb`` models, each fit once), and the 3QS and HS
-halves of the diagnostics.  Given ``jobs`` it runs them on a
-``synthgen.worker_pool``; the report is the same for every ``jobs``.
+runs independent tasks: one per held-out year, then one per training year
+(its raw smoothers and ``mb`` models, each fit once).  ``compute_diagnostics``
+runs the 3QS and HS halves of the diagnostics as two such tasks, after
+``check_diagnostics`` has refused a constant column.  Both take ``pool``,
+the ``run`` of an open ``synthgen.worker_pool``; their results are the
+same on any pool.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .data_model import ObservationTable, split_by_group
 from .estimators import (_fit_species, _species_configs, hs_multi_species,
                          tqs_multi_species)
 from .regress import predict, shared_designs
-from .synthgen import worker_pool
 
 # raw smoother, HS, 3QS, brightness-feature model, and the pooled-years
 # oracle smoother
@@ -123,7 +124,6 @@ class EvalCell:
 class EvalReport:
     cells: tuple
     improvements: dict  # method -> mean percent improvement vs the baseline
-    diagnostics: dict
     baseline: str = "raw"
 
     def mean_mse(self, method):
@@ -151,13 +151,38 @@ def _method_diagnostics(method, table, column, cfg_x, cfg_res, n_aux):
     }
 
 
-def compute_diagnostics(table, cfg_x, cfg_res, column, n_aux=None):
+def _call(task):
+    return task()
+
+
+def _run(pool, tasks):
+    """Each task's result, in order: on ``pool`` if given, else here."""
+    return [task() for task in tasks] if pool is None else pool(_call, tasks)
+
+
+def check_diagnostics(table, column):
+    """Refuse a constant species column or a constant diagnostic ``column``:
+    the diagnostics divide by each one's std."""
+    for name, counts in zip(table.species_names, table.counts.T):
+        if np.all(counts == counts[0]):
+            raise EvalError(f"zero-variance species column {name!r}")
+    bright = table.diagnostics[column]
+    if np.all(bright == bright[0]):
+        raise EvalError(f"diagnostic column {column!r} has zero variance")
+
+
+def compute_diagnostics(table, cfg_x, cfg_res, column, n_aux=None, pool=None):
     """Table-1-style diagnostics from a full-table denoise per method.
 
-    ``n_aux`` caps the auxiliary species as in ``loyo_evaluate``.
+    ``column`` is resolved as by ``resolve_brightness_column`` and checked
+    by ``check_diagnostics`` before any fit.  ``n_aux`` caps the auxiliary
+    species as in ``loyo_evaluate``; ``pool`` runs the two methods as there.
     """
-    out = {m: _method_diagnostics(m, table, column, cfg_x, cfg_res, n_aux)
-           for m in DIAGNOSED}
+    column = resolve_brightness_column(table, column)
+    check_diagnostics(table, column)
+    out = dict(zip(DIAGNOSED, _run(pool, [
+        functools.partial(_method_diagnostics, m, table, column, cfg_x, cfg_res, n_aux)
+        for m in DIAGNOSED])))
     out["species"] = list(table.species_names)
     return out
 
@@ -214,10 +239,6 @@ def _year_scores(train_g, year, tests, methods, cfg_res, smooth_cfg):
     return scores
 
 
-def _call(task):
-    return task()
-
-
 def check_groups(table):
     """Each group's rows, in table order; refuses one group or a one-row group."""
     groups = collections.Counter(table.group_labels)
@@ -230,24 +251,20 @@ def check_groups(table):
 
 
 def loyo_evaluate(table, methods, cfg_x, cfg_res, smooth_cfg, test_filter=None,
-                  brightness_column=None, n_aux=None, with_diagnostics=False,
-                  jobs=None):
+                  brightness_column=None, n_aux=None, pool=None):
     """Leave-one-group-out predictive evaluation of denoising methods.
 
     ``methods`` is a subset of ``METHODS``.  ``test_filter``, if
     given, maps the test-year table to a boolean row mask (e.g. a
     brightness-zero rule).  ``n_aux`` caps the auxiliary species used
-    by hs/3qs, in the folds and in the diagnostics.  Test rows never touch
-    any fitted model.  Before any model is fit, the groups are checked
-    (``check_groups``), every test subset is built and checked non-empty
-    and, with diagnostics, every species column and
-    the brightness column are checked non-constant.  A task per held-out
-    group fits the denoisers, their per-year smoothers and ``global``; a
-    task per training group fits its raw smoothers and ``mb`` models once
-    and scores them on every other group.  ``jobs`` runs these tasks and
-    the two halves of the diagnostics, in that order, on that many processes
-    (``synthgen.worker_pool``, at one BLAS thread); None runs them here, one
-    after another, at the caller's thread count.
+    by hs/3qs.  Test rows never touch any fitted model.  Before any model
+    is fit, the groups are checked (``check_groups``) and every test subset
+    is built and checked non-empty.  A task per held-out group fits the
+    denoisers, their per-year smoothers and ``global``; a task per training
+    group fits its raw smoothers and ``mb`` models once and scores them on
+    every other group.  ``pool``, the ``run`` of an open
+    ``synthgen.worker_pool``, runs these tasks in that order; None runs
+    them here, one after another, at the caller's thread count.
     """
     methods = list(methods)
     unknown = set(methods) - set(METHODS)
@@ -257,18 +274,10 @@ def loyo_evaluate(table, methods, cfg_x, cfg_res, smooth_cfg, test_filter=None,
     if table.n_species < 2:
         raise EvalError("need >= 2 species")
     needs_brightness = "mb" in methods
-    if needs_brightness or with_diagnostics:
+    if needs_brightness:
         brightness_column = resolve_brightness_column(table, brightness_column)
-    if with_diagnostics:  # they divide by each species' and the brightness' std
-        for name, column in zip(table.species_names, table.counts.T):
-            if np.all(column == column[0]):
-                raise EvalError(f"zero-variance species column {name!r}")
-        bright = table.diagnostics[brightness_column]
-        if np.all(bright == bright[0]):
-            raise EvalError(f"diagnostic column {brightness_column!r} has zero variance")
 
     score_methods = list(dict.fromkeys(["raw"] + methods))
-    denoise_args = {"cfg_x": cfg_x, "cfg_res": cfg_res, "n_aux": n_aux}
     tests, folds, years = {}, [], []
     for test_g in groups:
         train, test = split_by_group(table, test_g)
@@ -280,24 +289,13 @@ def loyo_evaluate(table, methods, cfg_x, cfg_res, smooth_cfg, test_filter=None,
                          test.diagnostics[brightness_column][mask]
                          if needs_brightness else None)
         folds.append(functools.partial(_fold_scores, train, test_g, tests[test_g],
-                                       score_methods, smooth_cfg=smooth_cfg,
-                                       **denoise_args))
+                                       score_methods, cfg_x, cfg_res, smooth_cfg, n_aux))
         # the group's rows, unfiltered, train its training-year task
         year = (test.covariates, test.counts, test.diagnostics.get(brightness_column))
         years.append(functools.partial(_year_scores, test_g, year, tests, methods,
                                        cfg_res, smooth_cfg))
-    tasks = folds + years  # then the diagnostics: the order that ran fastest
-    if with_diagnostics:
-        tasks += [functools.partial(_method_diagnostics, m, table, brightness_column,
-                                    **denoise_args) for m in DIAGNOSED]
-
-    if jobs is None:
-        results = [task() for task in tasks]
-    else:
-        with worker_pool(min(jobs, len(tasks))) as run:
-            results = run(_call, tasks)
     scores = {}
-    for part in results[:2 * len(groups)]:
+    for part in _run(pool, folds + years):  # the order that ran fastest
         scores.update(part)
     cells = [EvalCell(sp, train_g, test_g, method, scores[train_g, test_g, method][i])
              for test_g in groups for train_g in groups if train_g != test_g
@@ -312,15 +310,9 @@ def loyo_evaluate(table, methods, cfg_x, cfg_res, smooth_cfg, test_filter=None,
         method_mean = float(np.mean([c.mse for c in cells if c.method == method]))
         improvements[method] = percent_improvement(method_mean, raw_mean)
 
-    diagnostics = {}
-    if with_diagnostics:
-        diagnostics = dict(zip(DIAGNOSED, results[2 * len(groups):]))
-        diagnostics["species"] = list(table.species_names)
-
     return EvalReport(
         cells=tuple(c for c in cells if c.method in methods),
         improvements=improvements,
-        diagnostics=diagnostics,
     )
 
 
@@ -353,6 +345,8 @@ def simulate_moth_survey(years=5, days_per_year=180, n_species=10, seed=0,
         raise EvalError("need >= 2 years")
     if days_per_year < 1:
         raise EvalError(f"need >= 1 night per year (got {days_per_year})")
+    if n_species < 1:
+        raise EvalError(f"need >= 1 species (got {n_species})")
     if not np.isfinite(beta):
         raise EvalError(f"beta must be finite (got {beta!r})")
     if not (np.isfinite(idio_sigma) and idio_sigma >= 0):

@@ -490,18 +490,15 @@ def _best_split(xs, ys, min_leaf):
 
 
 def _tree_predict(feature, threshold, left, right, value, x):
-    out = np.empty(x.shape[0])
-    stack = [(0, np.arange(x.shape[0]))]
-    while stack:
-        node, idx = stack.pop()
+    node = np.zeros(x.shape[0], dtype=np.int64)  # each row's node, one level per step
+    rows = np.arange(x.shape[0])
+    while True:
         f = feature[node]
-        if f < 0:
-            out[idx] = value[node]
-        else:
-            go_left = x[idx, f] <= threshold[node]
-            stack.append((left[node], idx[go_left]))
-            stack.append((right[node], idx[~go_left]))
-    return out
+        inner = f >= 0
+        if not inner.any():
+            return value[node]
+        go_left = x[rows, f] <= threshold[node]  # a leaf's f = -1 reads an unused column
+        node = np.where(inner, np.where(go_left, left[node], right[node]), node)
 
 
 def _grow_tree(rows, order, xs, r, max_depth, min_leaf, fitted):

@@ -10,8 +10,8 @@ species count that is not an integer and whatever ``SynthConfig``
 refuses, so a bad setting fails before any trial or worker starts.
 The sweeps compute at one BLAS thread, in the serial loop and in every
 worker process, so a serial run and one on a ``worker_pool`` give
-identical rows; both sweeps of one command share one ``worker_pool``,
-which also runs the folds of ``evalharness.loyo_evaluate``.
+identical rows; both sweeps of one command share one ``worker_pool``, as
+``evalharness.loyo_evaluate`` and ``compute_diagnostics`` do in ``eval``.
 """
 
 from __future__ import annotations

@@ -399,19 +399,20 @@ class TestJobs:
         assert pools == []
 
     def test_eval_pool_gets_a_process_per_task(self, sim_dir, tmp_path, monkeypatch):
-        from tqsreg import evalharness, synthgen
+        from tqsreg import synthgen
 
+        real_pool = synthgen.worker_pool
         sizes = []
 
         def serial_pool(jobs):  # record the size, run the tasks here
             sizes.append(jobs)
-            return synthgen.worker_pool(1)
+            return real_pool(1)
 
-        monkeypatch.setattr(evalharness, "worker_pool", serial_pool)
+        monkeypatch.setattr(synthgen, "worker_pool", serial_pool)
         assert run(["eval", "--input", str(sim_dir / "survey.csv"), "--jobs", "16",
                     "--out", str(tmp_path / "e")]) == EXIT_OK
-        # 3 folds, 3 training years and the 2 halves of the diagnostics
-        assert sizes == [8]
+        # 3 folds and 3 training years; the 2 halves of the diagnostics fit
+        assert sizes == [6]
 
     def test_no_worker_outlives_a_command(self, sim_dir, tmp_path, pools):
         import multiprocessing
@@ -640,6 +641,12 @@ class TestConfigFailsEarly:
         ("simulate", "simulate.idio_sigma = inf",
          "error: idio_sigma must be finite and >= 0 (got inf)"),
         ("simulate", "simulate.beta = nan", "error: beta must be finite (got nan)"),
+        ("simulate", "simulate.n_species = 0", "error: need >= 1 species (got 0)"),
+        # a negative threshold stays legal: a diagnostic column may be signed
+        ("eval", "eval.test_filter = brightness-zero\neval.threshold = nan",
+         "error: eval.threshold must be a finite number (got 'nan')"),
+        ("eval", "eval.test_filter = brightness-zero\neval.threshold = inf",
+         "error: eval.threshold must be a finite number (got 'inf')"),
     ])
     def test_bad_method_or_filter(self, sim_dir, tmp_path, capsys, early_calls,
                                   command, line, message):

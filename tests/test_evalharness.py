@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tqsreg import blas, cli, estimators, regress
+from tqsreg import blas, cli, estimators, regress, synthgen
 from tqsreg import evalharness as ev
 from tqsreg.data_model import ObservationTable, save_table, split_by_group
 from tqsreg.estimators import hs_multi_species, species_seed, tqs_multi_species
 from tqsreg.evalharness import (
     EvalError,
     brightness_zero_subset,
+    compute_diagnostics,
     external_correlation,
     loyo_evaluate,
     percent_improvement,
@@ -267,7 +268,9 @@ class TestLoyoProtocol:
         # at one BLAS thread, so the reference does too
         with blas.num_threads(1):
             rep = loyo_evaluate(small_sim.table, ["raw", "global"], spline_cfg,
-                                krr_cfg, smooth_cfg, with_diagnostics=True)
+                                krr_cfg, smooth_cfg)
+            diagnostics = compute_diagnostics(small_sim.table, spline_cfg, krr_cfg,
+                                              "moon_brightness")
         survey = tmp_path / "survey.csv"
         save_table(small_sim.table, survey)
         cfg_p = tmp_path / "ev.cfg"
@@ -285,7 +288,7 @@ class TestLoyoProtocol:
             for c in rep.cells
         ]
         assert doc["improvements"] == rep.improvements
-        assert doc["diagnostics"] == rep.diagnostics
+        assert doc["diagnostics"] == diagnostics
         lines = (out / "eval_cells.csv").read_text().splitlines()
         assert lines[0].startswith("# tqsreg_version=")
         assert lines[1] == "# seed=0"
@@ -302,17 +305,21 @@ class TestLoyoProtocol:
 
     def test_parallel_equals_serial(self, small_sim, smooth_cfg, krr_cfg, spline_cfg):
         # the test filter is a lambda: it runs in this process only
-        reports = [loyo_evaluate(small_sim.table, list(ev.METHODS), spline_cfg, krr_cfg,
-                                 smooth_cfg, with_diagnostics=True, jobs=jobs,
-                                 test_filter=lambda t: brightness_zero_subset(
-                                     t, "moon_brightness"))
-                   for jobs in (1, 2, 3)]
+        reports, diagnostics = [], []
+        for jobs in (1, 2, 3):
+            with synthgen.worker_pool(jobs) as pool:
+                reports.append(loyo_evaluate(
+                    small_sim.table, list(ev.METHODS), spline_cfg, krr_cfg, smooth_cfg,
+                    pool=pool, test_filter=lambda t: brightness_zero_subset(
+                        t, "moon_brightness")))
+                diagnostics.append(compute_diagnostics(
+                    small_sim.table, spline_cfg, krr_cfg, "moon_brightness", pool=pool))
         # an odd process count places fold and training-year tasks otherwise
-        for other in reports[1:]:
+        for other, other_diagnostics in zip(reports[1:], diagnostics[1:]):
             assert reports[0].cells == other.cells
             assert reports[0].improvements == other.improvements
-            assert reports[0].diagnostics == other.diagnostics
-        assert set(reports[0].diagnostics) == {"3qs", "hs", "species"}
+            assert diagnostics[0] == other_diagnostics
+        assert set(diagnostics[0]) == {"3qs", "hs", "species"}
 
     def test_constant_brightness_fails_before_any_fit(self, small_sim, smooth_cfg,
                                                       krr_cfg, spline_cfg, monkeypatch):
@@ -327,8 +334,24 @@ class TestLoyoProtocol:
             monkeypatch.setattr(mod, "fit", lambda *a: fits.append(a))
         with pytest.raises(EvalError,
                            match="diagnostic column 'moon_brightness' has zero variance"):
-            loyo_evaluate(flat, ["raw", "3qs"], spline_cfg, krr_cfg, smooth_cfg,
-                          with_diagnostics=True)
+            compute_diagnostics(flat, spline_cfg, krr_cfg, "moon_brightness")
+        assert fits == []
+
+    def test_constant_species_fails_before_any_fit(self, small_sim, krr_cfg, spline_cfg,
+                                                   monkeypatch):
+        t = small_sim.table
+        counts = t.counts.copy()
+        counts[:, 2] = 1.0
+        flat = ObservationTable(
+            covariates=t.covariates, counts=counts, species_names=t.species_names,
+            group_labels=list(t.group_labels), diagnostics=dict(t.diagnostics),
+            covariate_names=t.covariate_names, group_name=t.group_name)
+        fits = []
+        for mod in (regress, estimators):  # every module that binds fit
+            monkeypatch.setattr(mod, "fit", lambda *a: fits.append(a))
+        with pytest.raises(EvalError, match="zero-variance species column 'species_02'"):
+            # None names the table's only diagnostic column
+            compute_diagnostics(flat, spline_cfg, krr_cfg, None)
         assert fits == []
 
 
