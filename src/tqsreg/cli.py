@@ -11,10 +11,12 @@ runs can be reproduced exactly; the simulated ``survey.csv`` is written
 by ``data_model.save_table``, the pair of ``load_table``.  Outputs are
 written to a temporary file and renamed on success.
 
-``synth`` and ``eval`` run their independent tasks (sweep trials; LOYO
-folds, then the diagnostics halves) on ``jobs`` processes: the command's
-own at 1, otherwise the workers of the one ``synthgen.worker_pool`` it
-opens.  ``jobs`` is capped at the larger task list's count, and at
+``synth``, ``eval`` and ``denoise`` run their independent tasks (sweep
+trials; LOYO folds, then the diagnostics halves; the covariate stage, then
+the residual stage's species) on ``jobs`` processes: the command's own at
+1, otherwise the workers of the one ``synthgen.worker_pool`` it opens, so
+no model is fit in the command's process.  ``jobs`` is capped at the
+larger task list's count, and at
 the count whose largest fits (``regress.fit_bytes``, of any backend) stay
 within ``regress.FIT_BYTES`` together (with a note on stderr).  A
 kernel ridge model on several processes has its compiled routines loaded
@@ -175,7 +177,7 @@ KEYS = {
     "out": Key(lambda text: text or ".", ".", "--out",  # '' is the current directory too
                help="output directory (default '{}')"),
     "jobs": Key(_count, _usable_cpus, "--jobs", help="processes for independent tasks of "
-                "synth and eval (default: the usable CPUs)"),
+                "synth, eval and denoise (default: the usable CPUs)"),
     "input": Key(str, None, "--input", ("denoise", "eval"), "input CSV path"),
     "method": Key(str, "3qs", "--method", ("denoise",), "denoising method (default {})",
                   ("3qs", "hs"), "unknown method {!r} (expected 3qs or hs)"),
@@ -264,7 +266,8 @@ def _check_fits(fits):
 def _processes(cfg, tasks, fits):
     """How many processes run ``tasks`` independent tasks.
 
-    ``jobs`` (default: the usable CPUs), at most one per task, and no more
+    ``jobs`` (default: the usable CPUs), at most one per task (``tasks``
+    is the longest task list the command runs on its pool), and no more
     than keep the largest of ``fits`` (as in ``_check_fits``) in every
     process within the byte budget together.  Kernel ridge on more than
     one process loads its routines here, before the pool forks.
@@ -380,7 +383,7 @@ def merged_config(args):
         if value is not None:
             cfg[key] = str(value)
     validate_keys(cfg)
-    setting(cfg, "jobs")  # every command refuses a bad jobs; synth and eval use it
+    setting(cfg, "jobs")  # every command refuses a bad jobs; synth, eval and denoise use it
     return cfg
 
 
@@ -415,13 +418,15 @@ def cmd_denoise(args):
               f"the covariate model {_on_covariates(table)}")] if method == "3qs" else [])
     fits.append(("res", cfg_res, table.n_rows, table.n_species - 1, "the other species"))
     _check_fits(fits)
-    if method == "3qs":
-        result = estimators.tqs_multi_species(table, cfg_x, cfg_res)
-        z_hat = result.z_hat
-        per_species = result.training_diagnostics(table)
-    else:
-        z_hat = estimators.hs_multi_species(table, cfg_res)
-        per_species = [{"species": s} for s in table.species_names]
+    jobs = _processes(cfg, table.n_species, fits)  # a task per species at most
+    with synthgen.worker_pool(jobs) as pool:
+        if method == "3qs":
+            result = estimators.tqs_multi_species(table, cfg_x, cfg_res, pool=pool)
+            z_hat = result.z_hat
+            per_species = result.training_diagnostics(table)
+        else:
+            z_hat = estimators.hs_multi_species(table, cfg_res, pool=pool)
+            per_species = [{"species": s} for s in table.species_names]
     out = _out_dir(cfg)
     _write_csv(os.path.join(out, "zhat.csv"), table.species_names, _floats(z_hat),
                pre=preamble(cfg) + [f"method={method}"])
@@ -526,7 +531,7 @@ def cmd_eval(args):
     if n_aux is not None and n_aux < 1:
         raise UsageError(f"eval.n_aux must be >= 1 (got {n_aux})")
     brightness_zero = setting(cfg, "eval.test_filter") == "brightness-zero"
-    threshold = setting(cfg, "eval.threshold") if brightness_zero else None
+    threshold = setting(cfg, "eval.threshold")  # checked whether or not the filter uses it
     cfg_x, cfg_res, smooth_cfg = (regressor_from_config(cfg, use)
                                   for use in ("x", "res", "smooth"))
     table = _load_input(cfg, "eval")

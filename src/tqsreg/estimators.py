@@ -8,15 +8,20 @@ a model's predictions on its own training rows: the fitted model's
 ``fitted``, checked finite when the model is built, not a second ``predict``.
 
 Every per-species model, here and in ``evalharness``, is fit by one stage
-step: one model per species in one ``regress.shared_designs()`` block, so
-kernel ridge factors one design per run of species with equal features,
-and a failed fit names its stage and species.  ``tqs_multi_species`` and
-``hs_multi_species`` share one residual stage, one seeded model per
-species: 3QS fits it to the covariate residuals, HS to the counts.
+step: one task per run of consecutive species with equal features, each
+fitting its species in one ``regress.shared_designs()`` block, so kernel
+ridge factors one design per run, and a failed fit names its stage and
+species.  ``tqs_multi_species`` and ``hs_multi_species`` share one
+residual stage, one seeded model per species: 3QS fits it to the
+covariate residuals, HS to the counts.  Their tasks run on ``pool``, the
+``run`` of an open ``synthgen.worker_pool`` (as ``denoise`` passes it),
+or here without one; ``evalharness`` calls them inside its own tasks
+without one, so pools never nest.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,18 +126,40 @@ def _species_configs(cfg, s):
     return [cfg.with_seed(species_seed(cfg.seed, i)) for i in range(s)]
 
 
-def _fit_species(stage, cfgs, features, targets, columns):
+def _fit_species(stage, cfgs, features, targets, columns, pool=None):
     """Fit species i's model, config ``cfgs[i]``, to ``targets[:, i]`` on
     ``features[:, columns[i]]`` and return the models.  A failed fit names
-    its stage and species."""
+    its stage and species.
+
+    Each run of consecutive species with equal columns is one task, fit on
+    ``pool``, the ``run`` of an open ``synthgen.worker_pool``, or here when
+    None.  Every task holds ``features`` itself, not a copy of its columns.
+    Either way the models are the same, in species order, and the first
+    failing species raises.
+    """
+    tasks, first = [], 0
+    for cols, run in itertools.groupby(columns):
+        n = len(list(run))
+        tasks.append((stage, first, cfgs[first:first + n], features, cols,
+                      targets[:, first:first + n]))
+        first += n
+    results = [_fit_run(t) for t in tasks] if pool is None else pool(_fit_run, tasks)
+    return tuple(model for models in results for model in models)
+
+
+def _fit_run(task):
+    """The models of ``(stage, first, cfgs, features, cols, targets)``:
+    species ``first + k`` of ``_fit_species``, fit to ``targets[:, k]`` on
+    ``features[:, cols]``, all in one ``regress.shared_designs()`` block."""
+    stage, first, cfgs, features, cols, targets = task
     models = []
     with regress.shared_designs():
-        for i, (cfg, cols) in enumerate(zip(cfgs, columns)):
+        for k, cfg in enumerate(cfgs):
             try:
-                model = fit(cfg, features[:, cols], targets[:, i])
+                model = fit(cfg, features[:, cols], targets[:, k])
             except regress.RegressionError as e:
                 raise EstimationError(
-                    f"{stage} model failed for species {i}: {e}") from e
+                    f"{stage} model failed for species {first + k}: {e}") from e
             models.append(model)
     return tuple(models)
 
@@ -146,14 +173,15 @@ def check_table(table):
             f"need >= 2 rows for multi-species denoising (got {table.n_rows})")
 
 
-def tqs_multi_species(table, cfg_x, cfg_res, n_aux=None):
+def tqs_multi_species(table, cfg_x, cfg_res, n_aux=None, pool=None):
     """Residual-form 3QS denoising of every species in a table.
 
     Per species i: fit E[Y_i|X], form the residual R_i, fit E[R_i|R_-i]
     and subtract its prediction from Y_i.  ``n_aux`` limits R_-i to the
     residuals of the n_aux most abundant other species; None uses all
     of them.  Each species uses seeds derived from (master seed, species
-    index), so results do not depend on processing order.
+    index), so results do not depend on processing order, and ``pool``
+    runs both stages as in ``_fit_species``.
     """
     check_table(table)
     s = table.n_species
@@ -162,10 +190,10 @@ def tqs_multi_species(table, cfg_x, cfg_res, n_aux=None):
     y = table.counts
     aux_columns = [_aux_species(y, i, n_aux) for i in range(s)]
     cov_models = _fit_species("covariate", _species_configs(cfg_x, s), table.covariates,
-                              y, [slice(None)] * s)
+                              y, [slice(None)] * s, pool)
     residuals = y - np.column_stack([m.fitted for m in cov_models])
     res_models = _fit_species("residual", _species_configs(cfg_res, s), residuals,
-                              residuals, aux_columns)
+                              residuals, aux_columns, pool)
     return DenoiseResult(
         z_hat=y - np.column_stack([m.fitted for m in res_models]),
         residuals=residuals,
@@ -175,10 +203,10 @@ def tqs_multi_species(table, cfg_x, cfg_res, n_aux=None):
     )
 
 
-def hs_multi_species(table, cfg_res, n_aux=None):
+def hs_multi_species(table, cfg_res, n_aux=None, pool=None):
     """Half-sibling z-hat matrix: 3QS's residual stage run on the counts.
 
-    Per species i, Y_i minus its fit on Y_-i (``n_aux`` as in
+    Per species i, Y_i minus its fit on Y_-i (``n_aux`` and ``pool`` as in
     ``tqs_multi_species``), plus the mean of Y_i so that the downstream
     smoother works on the measurement scale.
     """
@@ -186,6 +214,6 @@ def hs_multi_species(table, cfg_res, n_aux=None):
     s = table.n_species
     y = table.counts
     models = _fit_species("residual", _species_configs(cfg_res, s), y, y,
-                          [_aux_species(y, i, n_aux) for i in range(s)])
+                          [_aux_species(y, i, n_aux) for i in range(s)], pool)
     return (y - np.column_stack([m.fitted for m in models])
             + [y[:, i].mean() for i in range(s)])

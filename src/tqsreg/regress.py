@@ -172,9 +172,19 @@ def _read_only(*arrays):
         a.setflags(write=False)
 
 
+def _arrays(values):
+    """The arrays among ``values`` and, at any depth, in their tuples."""
+    for v in values:
+        if isinstance(v, np.ndarray):
+            yield v
+        elif isinstance(v, tuple):
+            yield from _arrays(v)
+
+
 class FittedRegressor:
     """Immutable trained model, its arrays read-only; safe for concurrent
-    predict calls and for sharing within a fit scope."""
+    predict calls and for sharing within a fit scope.  A model unpickled
+    (say, from a worker process) is read-only too."""
 
     kind = None
 
@@ -184,6 +194,10 @@ class FittedRegressor:
         self.n_features = n_features
         _read_only(fitted)
         self.fitted = fitted
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        _read_only(*_arrays(state.values()))  # pickle.loads makes writeable arrays
 
     def predict(self, x):
         x = np.asarray(x, dtype=float)

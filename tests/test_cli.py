@@ -414,6 +414,39 @@ class TestJobs:
         # 3 folds and 3 training years; the 2 halves of the diagnostics fit
         assert sizes == [6]
 
+    @pytest.mark.parametrize("method", ["3qs", "hs"])
+    def test_denoise_fits_only_in_workers(self, sim_dir, tmp_path, monkeypatch, method):
+        from tqsreg import estimators
+
+        made = []
+        real_fit = regress.fit
+
+        def recording(config, features, targets):  # a worker's calls stay there
+            made.append((config, np.asarray(features).tobytes(),
+                         np.asarray(targets).tobytes()))
+            return real_fit(config, features, targets)
+
+        for mod in (regress, estimators):
+            monkeypatch.setattr(mod, "fit", recording)
+        survey = str(sim_dir / "survey.csv")
+        here = {}
+        for jobs in ("1", "2"):
+            made.clear()
+            assert run(["denoise", "--input", survey, "--method", method, "--jobs", jobs,
+                        "--out", str(tmp_path / jobs)]) == EXIT_OK
+            here[jobs] = list(made)
+        made.clear()
+        table = cli._load_input({"input": survey}, "denoise")
+        cfg_x, cfg_res = (cli.regressor_from_config({}, use) for use in ("x", "res"))
+        if method == "3qs":
+            tqs_multi_species(table, cfg_x, cfg_res)
+        else:
+            estimators.hs_multi_species(table, cfg_res)
+        # at one job the library's serial calls, in the same order; at two, none
+        assert made and here == {"1": made, "2": []}
+        for name in ("zhat.csv", "diagnostics.json"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
     def test_no_worker_outlives_a_command(self, sim_dir, tmp_path, pools):
         import multiprocessing
 
@@ -660,6 +693,24 @@ class TestConfigFailsEarly:
             assert message in capsys.readouterr().err
         assert early_calls == {"load": 0, "fit": 0}
 
+    # each key whose text can fail to parse, with each command that reads it:
+    # a key with a flag, its flag's commands; a command's own key, that command
+    @pytest.mark.parametrize("key,command", [
+        (key, command) for key, spec in cli.KEYS.items() if spec.read in cli._EXPECTED
+        for command in (spec.commands if spec.flag else (key.split(".")[0],))])
+    def test_unparsable_key_fails_before_loading(self, sim_dir, tmp_path, capsys,
+                                                 early_calls, key, command):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{key} = abc\n")  # read even where unused (eval's default filter)
+        given = (["--input", str(sim_dir / "survey.csv")]
+                 if command in cli.KEYS["input"].commands else [])
+        assert run([command, *given, "--config", str(cfg),
+                    "--out", str(tmp_path / "o")]) == EXIT_USAGE
+        read = cli.KEYS[key].read
+        assert (f"error: {key} must be {cli._EXPECTED[read]} (got 'abc')"
+                in capsys.readouterr().err)
+        assert early_calls == {"load": 0, "fit": 0}
+
     @pytest.mark.parametrize("line,message", [
         ("regressor.synth.penalty = -1", "kernel_ridge penalty must be > 0"),
         ("synth.species_grid = 2.5", "species counts must be integers (got 2.5)"),
@@ -758,8 +809,8 @@ class TestConfigFailsEarly:
         path, schema = two_covariate_csv
         cfg = tmp_path / "c.cfg"
         cfg.write_text(schema + "regressor.res.kind = kernel_ridge\n")
-        assert run(["denoise", "--input", str(path), "--config", str(cfg),
-                    "--method", "hs", "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert run(["denoise", "--input", str(path), "--config", str(cfg), "--method",
+                    "hs", "--jobs", "1", "--out", str(tmp_path / "o")]) == EXIT_OK
         assert early_calls == {"load": 1, "fit": 3}
 
 
@@ -774,8 +825,8 @@ class TestFitsListCoversFits:
              "regressor.res.n_stages = 4\nregressor.synth.penalty = 0.5\n")
 
     @pytest.mark.parametrize("argv", [
-        ["denoise", "--input", None],
-        ["denoise", "--input", None, "--method", "hs"],
+        ["denoise", "--input", None, "--jobs", "1"],
+        ["denoise", "--input", None, "--jobs", "1", "--method", "hs"],
         ["eval", "--input", None, "--jobs", "1", "--methods", "raw,hs,3qs,mb,global"],
         ["synth", "--jobs", "1", "--trials", "1"],
     ])
@@ -990,23 +1041,28 @@ class TestExitCodes:
         assert "spline_gam needs at least 2 distinct x values" in capsys.readouterr().err
         assert not out.exists() or not os.listdir(out)
 
-    def test_singular_model_in_a_worker_exits_3(self, tmp_path, capsys):
-        # the first task goes to the worker, and every fold is singular
+    @pytest.mark.parametrize("argv", [["eval", "--methods", "raw"], ["denoise"]])
+    def test_singular_model_in_a_worker_exits_3(self, tmp_path, capsys, argv):
+        # the first task goes to a worker: eval's first fold, in which every
+        # model is singular, or denoise's covariate stage, one task
         survey = self._constant_covariate_survey(tmp_path)
         errors = []
         for jobs in ("1", "2"):
-            assert run(["eval", "--input", str(survey), "--methods", "raw", "--jobs",
-                        jobs, "--out", str(tmp_path / jobs)]) == cli.EXIT_MODEL
+            assert run(argv + ["--input", str(survey), "--jobs", jobs,
+                               "--out", str(tmp_path / jobs)]) == cli.EXIT_MODEL
             errors.append(capsys.readouterr().err)
+        assert " model failed for species 0: " in errors[0]
         assert "spline_gam needs at least 2 distinct x values" in errors[0]
         assert errors[0] == errors[1]
 
     @pytest.mark.parametrize("argv,stage", [
-        (["denoise"], "covariate"),
-        (["denoise", "--method", "hs"], "residual"),
+        (["denoise", "--jobs", "1"], "covariate"),
+        (["denoise", "--method", "hs", "--jobs", "1"], "residual"),
         *((["eval", "--methods", methods, "--jobs", jobs], stage)
           for methods, stage in (("raw", "smoother"), ("raw,global", "global"))
           for jobs in ("1", "2")),
+        (["denoise", "--jobs", "2"], "covariate"),
+        (["denoise", "--method", "hs", "--jobs", "2"], "residual"),
     ])
     def test_overflowing_fit_exits_3_and_names_species(self, tmp_path, capsys, argv,
                                                        stage):
@@ -1366,9 +1422,9 @@ def step(name, *argv, dest=None):
 
 step("simulate", "simulate", "--years", "3", "--days-per-year", "40",
      "--n-species", "3", dest=out + "/sim")
-step("denoise", "denoise", "--config", krr, "--input", survey)
-step("denoise --method hs", "denoise", "--method", "hs", "--config", krr,
-     "--input", survey)
+step("denoise --jobs 2", "denoise", "--config", krr, "--input", survey, "--jobs", "2")
+step("denoise --method hs --jobs 2", "denoise", "--method", "hs", "--config", krr,
+     "--input", survey, "--jobs", "2")
 step("eval --jobs 2", "eval", "--config", krr, "--input", survey, "--jobs", "2")
 step("synth --jobs 2", "synth", "--config", sweeps, "--trials", "2", "--jobs", "2")
 print(json.dumps({"steps": steps, "workers": workers}))
@@ -1390,6 +1446,6 @@ class TestImportFootprint:
         worker of its pool."""
         run = json.loads(_python(["-c", _FOOTPRINT, str(tmp_path)]).splitlines()[-1])
         assert run["steps"] == {name: [EXIT_OK, []] for name in (
-            "simulate", "denoise", "denoise --method hs", "eval --jobs 2",
-            "synth --jobs 2")}
-        assert run["workers"] == [[], []]  # eval's pool, then synth's
+            "simulate", "denoise --jobs 2", "denoise --method hs --jobs 2",
+            "eval --jobs 2", "synth --jobs 2")}
+        assert run["workers"] == [[], [], [], []]  # both denoise pools, eval's, synth's

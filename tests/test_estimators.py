@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tqsreg import cli, estimators, regress
+from tqsreg import cli, estimators, regress, synthgen
 from tqsreg.data_model import ObservationTable, save_table
 from tqsreg.estimators import (
     EstimationError,
@@ -443,3 +443,89 @@ class TestSharedDesignsInStages:
         # the models (x, alpha, fitted) remain; no kernel does
         assert now - start < kernel // 2
         assert len(models) == 6
+
+
+class TestStagesOnAPool:
+    """A stage fits one task per run of consecutive species with equal
+    columns, and gives the same models in species order on any pool or
+    with none."""
+
+    @staticmethod
+    def _outputs(table, cfg_x, cfg_res, pool):
+        res = tqs_multi_species(table, cfg_x, cfg_res, pool=pool)
+        return [res.z_hat, res.residuals, hs_multi_species(table, cfg_res, pool=pool),
+                *(m.fitted for m in res.covariate_models + res.residual_models)]
+
+    @pytest.mark.parametrize("kinds", [("spline_gam", "boosted_trees"),
+                                       ("kernel_ridge", "kernel_ridge")])
+    def test_a_worker_pool_gives_the_serial_bytes(self, rng, kinds):
+        table, _ = make_table(rng, m=120, s=4)
+        cfg_x, cfg_res = (RegressorConfig(kind, seed=5) for kind in kinds)
+        # the pool holds this process at its workers' one BLAS thread
+        with synthgen.worker_pool(2) as pool:
+            serial = self._outputs(table, cfg_x, cfg_res, None)
+            pooled = self._outputs(table, cfg_x, cfg_res, pool)
+        assert len(pooled) == 3 + 2 * table.n_species
+        assert [a.tobytes() for a in pooled] == [a.tobytes() for a in serial]
+
+    @pytest.mark.parametrize("n_aux", [None, 1])
+    def test_tasks_and_factorizations(self, krr_cfg, rng, monkeypatch, n_aux):
+        factored, sizes = [], []
+        real_design = regress._kernel_design
+
+        def design_spy(*args):  # one factorization per design
+            factored.append(1)
+            return real_design(*args)
+
+        def here(fn, tasks):  # a pool that runs its tasks in this process
+            results = [fn(t) for t in tasks]
+            sizes.append([len(models) for models in results])
+            return results
+
+        monkeypatch.setattr(regress, "_kernel_design", design_spy)
+        table, _ = make_table(rng, s=6, m=80)
+        serial = tqs_multi_species(table, krr_cfg, krr_cfg, n_aux=n_aux)
+        serial_factored = len(factored)
+        factored.clear()
+        pooled = tqs_multi_species(table, krr_cfg, krr_cfg, n_aux=n_aux, pool=here)
+        assert pooled.z_hat.tobytes() == serial.z_hat.tobytes()
+        assert len(factored) == serial_factored
+        runs = [len(list(run)) for _, run in itertools.groupby(serial.aux_columns)]
+        # every species shares the covariates: one covariate task
+        assert sizes == [[6], runs]
+        if n_aux is None:  # each species has its own auxiliary columns
+            assert runs == [1] * 6
+        else:  # the species besides the most abundant share its column
+            assert len(runs) < 6
+        sizes.clear()
+        hs_multi_species(table, krr_cfg, n_aux=n_aux, pool=here)
+        assert sizes == [runs]
+
+    def test_tasks_share_the_features(self, rng):
+        # the default residual stage: a task per species, on all the others
+        m, s = 2000, 16
+        feats = rng.normal(size=(m, s))
+        columns = [estimators._aux_species(feats, i, None) for i in range(s)]
+        cfgs = [RegressorConfig("boosted_trees", {"n_stages": 2, "max_depth": 1}, seed=i)
+                for i in range(s)]
+        held = []
+        with synthgen.worker_pool(2) as pool:
+            def watched(fn, tasks):  # what this process holds as the tasks start
+                held.append(tracemalloc.get_traced_memory()[0])
+                return pool(fn, tasks)
+
+            # the workers start before the trace
+            estimators._fit_species("residual", cfgs, feats, feats, columns, pool)
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                models = estimators._fit_species("residual", cfgs, feats, feats,
+                                                 columns, watched)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        copies = feats.nbytes * (s - 1)  # every task's columns copied: 3.8 MB
+        assert held[0] - start < feats.nbytes // 8  # measured 3 kB
+        # the tasks in the pool's call queue and the models: measured 0.87 MB
+        assert peak - start < copies // 2
+        assert len(models) == s

@@ -1,4 +1,5 @@
 import os
+import pickle
 import tracemalloc
 import warnings
 
@@ -1230,25 +1231,37 @@ class TestScipyFallback:
 
 
 class TestReadOnlyModels:
-    """A fit scope hands one model to several callers: no caller can write
-    into its arrays."""
+    """A fit scope hands one model to several callers, and a worker pool
+    hands models back pickled: no caller can write into a model's arrays."""
 
-    def test_kernel_ridge(self, krr_cfg, rng):
-        model = fit(krr_cfg, *toy_1d(rng, m=30))
+    @staticmethod
+    def _model(cfg, rng, how):
+        x, y = toy_1d(rng, m=30)
+        model = fit(cfg, x, y)
+        if how == "as fit":
+            return model
+        loaded = pickle.loads(pickle.dumps(model))
+        probe = rng.uniform(-2, 2, size=(17, 1))
+        assert loaded.predict(probe).tobytes() == model.predict(probe).tobytes()
+        return loaded
+
+    @pytest.mark.parametrize("how", ["as fit", "after a pickle round trip"])
+    def test_kernel_ridge(self, krr_cfg, rng, how):
+        model = self._model(krr_cfg, rng, how)
         for a in (model.x_train, model.alpha, model.fitted):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 1.0
 
-    def test_boosted_trees(self, rng):
-        cfg = RegressorConfig("boosted_trees", {"n_stages": 3})
-        model = fit(cfg, *toy_1d(rng, m=30))
-        for tree in model.trees:
-            for a in tree:
-                with pytest.raises(ValueError, match="read-only"):
-                    a[0] = 1
+    @pytest.mark.parametrize("how", ["as fit", "after a pickle round trip"])
+    def test_boosted_trees(self, rng, how):
+        model = self._model(RegressorConfig("boosted_trees", {"n_stages": 3}), rng, how)
+        for a in (model.fitted, *(a for tree in model.trees for a in tree)):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
 
-    def test_spline_gam(self, spline_cfg, rng):
-        model = fit(spline_cfg, *toy_1d(rng, m=30))
+    @pytest.mark.parametrize("how", ["as fit", "after a pickle round trip"])
+    def test_spline_gam(self, spline_cfg, rng, how):
+        model = self._model(spline_cfg, rng, how)
         for a in (model.coef, model.knots, model.fitted):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 1.0
