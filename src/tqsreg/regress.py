@@ -16,7 +16,10 @@ by the denoising estimators:
 * ``boosted_trees``  - gradient boosted regression trees, squared-error
                        loss, exact greedy splits on features sorted once
                        per fit; tied values keep row order, so the trees
-                       do not depend on numpy's sort implementation.
+                       do not depend on numpy's sort implementation.  A
+                       fitted ensemble is five stacked (n_stages, width)
+                       node arrays, and predict walks all its trees at
+                       once, one level per step.
 * ``kernel_ridge``   - RBF kernel ridge regression with an unpenalized
                        intercept and median-distance bandwidth heuristic
                        (the median from one partition of the pairwise
@@ -49,8 +52,9 @@ fewer than 1 feature, a spline without exactly 1 feature, and a fit whose
 largest arrays (``fit_bytes``) exceed ``FIT_BYTES``, one budget for every
 backend.  Kernel ridge counts its two m x m arrays, the spline its nb x nb
 factors and m x nb designs (nb = n_knots + 4, or GCV's 13 columns where
-fewer) plus every design its cache can keep, and trees nothing: their
-arrays scale with the input, which is already loaded.
+fewer) plus every design its cache can keep, and trees their stacked
+node arrays, 40 bytes a node for n_stages trees of at most
+min(2^(max_depth + 1) - 1, 2 rows - 1) nodes each.
 
 ``shared_designs()`` is also a fit scope, one rule for every backend:
 inside it, ``fit`` returns the model it has already fit for the same
@@ -113,8 +117,7 @@ _PENALTY_GRID = tuple(np.logspace(-3.0, 3.0, 13))
 # its two m x m arrays, dropped before the next design allocates and when
 # the block ends; the spline's count holds the designs ``_spline_basis``
 # keeps.  ``_span_basis``'s entries are left out: they grow with the rows
-# predicted, as trees' arrays grow with their input.  The CLI keeps the
-# fits of all its processes within it together.
+# predicted.  The CLI keeps the fits of all its processes within it together.
 FIT_BYTES = 1 << 30
 
 
@@ -172,15 +175,6 @@ def _read_only(*arrays):
         a.setflags(write=False)
 
 
-def _arrays(values):
-    """The arrays among ``values`` and, at any depth, in their tuples."""
-    for v in values:
-        if isinstance(v, np.ndarray):
-            yield v
-        elif isinstance(v, tuple):
-            yield from _arrays(v)
-
-
 class FittedRegressor:
     """Immutable trained model, its arrays read-only; safe for concurrent
     predict calls and for sharing within a fit scope.  A model unpickled
@@ -197,7 +191,8 @@ class FittedRegressor:
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        _read_only(*_arrays(state.values()))  # pickle.loads makes writeable arrays
+        # pickle.loads makes writeable arrays; no model keeps one below the top
+        _read_only(*(v for v in state.values() if isinstance(v, np.ndarray)))
 
     def predict(self, x):
         x = np.asarray(x, dtype=float)
@@ -256,7 +251,12 @@ def fit_bytes(config, rows, features):
         # a kept design: B V, V, GCV's scales and vectors, and x's bytes, its key
         kept = _KEPT_DESIGNS * 8 * (nb + 1) * (rows + nb + 16)
         return 8 * max(nb, len(_PENALTY_GRID)) * (3 * rows + 7 * nb) + kept
-    return 0
+    # trees: the five stacked node arrays, each tree padded to the largest; a
+    # tree has at most 2^(depth + 1) - 1 nodes (the depth capped before the
+    # power: it comes from the user) and 2 rows - 1 on its rows
+    p = config.resolved()
+    nodes = min(2 ** (min(p["max_depth"], 64) + 1) - 1, 2 * rows - 1)
+    return 40 * p["n_stages"] * nodes
 
 
 def check_fit(config, rows, features):
@@ -272,13 +272,17 @@ def check_fit(config, rows, features):
         raise RegressionError(
             f"spline_gam needs exactly 1 feature, but would get {features}")
     need = fit_bytes(config, rows, features)
-    if need > FIT_BYTES:
+    if need <= FIT_BYTES:
+        return
+    if config.kind == "kernel_ridge":
         raise RegressionError(
             f"kernel_ridge fits at most {kernel_ridge_max_rows()} training rows (its "
-            f"m x m arrays get {FIT_BYTES} bytes), but would get {rows}"
-            if config.kind == "kernel_ridge" else
-            f"spline_gam with n_knots = {config.resolved()['n_knots']} needs {need} "
-            f"bytes (its budget is {FIT_BYTES}) on {rows} training rows")
+            f"m x m arrays get {FIT_BYTES} bytes), but would get {rows}")
+    p = config.resolved()
+    size = (f"n_knots = {p['n_knots']}" if config.kind == "spline_gam" else
+            f"n_stages = {p['n_stages']} and max_depth = {p['max_depth']}")
+    raise RegressionError(f"{config.kind} with {size} needs {need} bytes (its budget "
+                          f"is {FIT_BYTES}) on {rows} training rows")
 
 
 # ---------------------------------------------------------------------------
@@ -458,23 +462,45 @@ def _fit_kernel_ridge(params, x, y):
 # boosted trees
 
 
+_NODE_FIELDS = ("feature", "threshold", "left", "right", "value")
+_PAD = (-1, 0.0, -1, -1, 0.0)  # a padding node is a leaf that no walk reaches
+
+
 class FittedBoostedTrees(FittedRegressor):
+    """The trees stacked: ``feature``, ``threshold``, ``left``, ``right``
+    and ``value`` are (n_stages, width) arrays holding tree k's nodes in
+    the first ``sizes[k]`` of row k, width the largest tree's node count."""
+
     kind = "boosted_trees"
 
     def __init__(self, n_features, init, learning_rate, trees, fitted):
         super().__init__(n_features, fitted)
-        for tree in trees:
-            _read_only(*tree)
         self.init = init
         self.learning_rate = learning_rate
-        self.trees = tuple(trees)
+        self.sizes = np.array([tree[0].size for tree in trees])
+        held = np.arange(self.sizes.max()) < self.sizes[:, None]
+        for k, (name, pad) in enumerate(zip(_NODE_FIELDS, _PAD)):
+            a = np.full(held.shape, pad, dtype=trees[0][k].dtype)
+            a[held] = np.concatenate([tree[k] for tree in trees])  # row by row
+            setattr(self, name, a)
+        _read_only(self.sizes, *self._nodes)
+
+    @property
+    def _nodes(self):
+        return tuple(getattr(self, name) for name in _NODE_FIELDS)
+
+    @property
+    def trees(self):
+        """Each tree's (feature, threshold, left, right, value), as views of
+        its rows; made on each call, never stored, so no pickle copies them."""
+        return tuple(tuple(a[k, :n] for a in self._nodes)
+                     for k, n in enumerate(self.sizes))
 
     def _predict(self, x):
+        step = np.take_along_axis(self.value, _walk(*self._nodes[:4], x), axis=1)
         out = np.full(x.shape[0], self.init)
-        for feat, thr, left, right, value in self.trees:
-            out += self.learning_rate * _tree_predict(
-                feat, thr, left, right, value, x
-            )
+        for s in step:  # tree by tree, in the order the fit added them
+            out += self.learning_rate * s
         return out
 
 
@@ -503,16 +529,25 @@ def _best_split(xs, ys, min_leaf):
     return float(sse[f, j]), f, lo + j
 
 
-def _tree_predict(feature, threshold, left, right, value, x):
-    node = np.zeros(x.shape[0], dtype=np.int64)  # each row's node, one level per step
+def _walk(feature, threshold, left, right, x):
+    """The (T, m) leaf of each row of ``x`` in each of the T trees whose
+    (T, width) node arrays are given; every tree moves one level per step."""
+    tree = np.arange(feature.shape[0])[:, None]
+    node = np.zeros((feature.shape[0], x.shape[0]), dtype=np.int64)
     rows = np.arange(x.shape[0])
     while True:
-        f = feature[node]
+        f = feature[tree, node]
         inner = f >= 0
         if not inner.any():
-            return value[node]
-        go_left = x[rows, f] <= threshold[node]  # a leaf's f = -1 reads an unused column
-        node = np.where(inner, np.where(go_left, left[node], right[node]), node)
+            return node
+        go_left = x[rows, f] <= threshold[tree, node]  # a leaf's f = -1 reads any column
+        node = np.where(inner, np.where(go_left, left[tree, node], right[tree, node]),
+                        node)
+
+
+def _tree_predict(feature, threshold, left, right, value, x):
+    """One tree's leaf values at ``x``: the one-tree case of ``_walk``."""
+    return value[_walk(feature[None], threshold[None], left[None], right[None], x)[0]]
 
 
 def _grow_tree(rows, order, xs, r, max_depth, min_leaf, fitted):

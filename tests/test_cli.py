@@ -1145,6 +1145,29 @@ class TestExitCodes:
         assert errors[0] in capsys.readouterr().err.splitlines()
         assert early_calls == {"load": 1, "fit": 0}
 
+    @pytest.mark.parametrize("argv", [["denoise"], ["denoise", "--method", "hs"],
+                                      ["eval", "--methods", "raw,3qs"]])
+    def test_trees_over_the_budget_are_refused_before_any_fit(
+            self, sim_dir, tmp_path, capsys, early_calls, monkeypatch, argv):
+        # 10^8 stages of up to 15 nodes each would be 60 GB of node arrays
+        grown = []
+        real = regress._fit_boosted_trees
+        monkeypatch.setattr(regress, "_fit_boosted_trees",
+                            lambda *a: grown.append(a) or real(*a))
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("regressor.res.n_stages = 100000000\n")
+        out = tmp_path / "o"
+        assert run(argv + ["--input", str(sim_dir / "survey.csv"), "--config", str(cfg),
+                           "--jobs", "1", "--out", str(out)]) == EXIT_USAGE
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1
+        assert errors[0].startswith("error: regressor.res.kind = boosted_trees with "
+                                    "n_stages = 100000000 and max_depth = 3 needs "
+                                    "60000000000 bytes (its budget is ")
+        assert grown == [] and early_calls == {"load": 1, "fit": 0}
+        assert not out.exists() or not os.listdir(out)
+
     @pytest.mark.parametrize("argv,survey,message", [
         (["denoise"], "", "need >= 2 rows for multi-species denoising (got 0)"),
         (["denoise"], "100,1,2,2013\n", "need >= 2 rows for multi-species denoising "

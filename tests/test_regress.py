@@ -470,6 +470,18 @@ class TestBoostedTrees:
         leaf_vals, counts = np.unique(np.round(pred, 12), return_counts=True)
         assert counts.min() >= 5
 
+    def test_pickle_carries_only_the_stacked_arrays(self, rng):
+        x, y = toy_1d(rng, m=60)
+        cfg = RegressorConfig("boosted_trees", {"n_stages": 20, "subsample": 0.6})
+        model = fit(cfg, x, y)
+        loaded = pickle.loads(pickle.dumps(model))
+        state = vars(loaded)
+        assert "trees" not in vars(model) and "trees" not in state
+        assert {k for k, v in state.items() if isinstance(v, np.ndarray)} == {
+            "feature", "threshold", "left", "right", "value", "sizes", "fitted"}
+        assert not any(isinstance(v, (tuple, list, dict)) for v in state.values())
+        assert loaded.predict(x).tobytes() == model.predict(x).tobytes()
+
 
 class TestGoldenTrees:
     """Boosted-tree fits must reproduce the trees in ``data/golden_trees.npz``.
@@ -642,6 +654,42 @@ class TestPresortedEngine:
             for a, b in zip(t_got, t_want):
                 assert a.dtype == b.dtype
                 assert np.array_equal(a, b)
+
+
+def _ref_tree_predict(tree, x):
+    """One tree's leaf values at ``x``, row by row, node by node."""
+    feature, threshold, left, right, value = tree
+    out = np.empty(x.shape[0])
+    for i, row in enumerate(x):
+        node = 0
+        while feature[node] >= 0:
+            node = left[node] if row[feature[node]] <= threshold[node] else right[node]
+        out[i] = value[node]
+    return out
+
+
+class TestStackedWalk:
+    """``predict`` walks every tree of the stacked node arrays at once and
+    gives, bit for bit, the sum a walk of each tree on its own gives."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(tied_problems(), st.integers(1, 6), st.integers(1, 12), st.booleans())
+    def test_matches_a_per_row_walk(self, problem, max_depth, n_stages, constant):
+        x, y, hyper, seed = problem
+        if constant:  # every tree a single leaf
+            y = np.full_like(y, y[0])
+        hyper = dict(hyper, max_depth=max_depth, n_stages=n_stages)
+        cfg = RegressorConfig("boosted_trees", hyper, seed=seed)
+        model = fit(cfg, x, y)
+        # the training rows, and points on and between their grid values
+        probe = np.vstack([x, x[::-1] + 0.25, np.round(x * 0.5, 1)])
+        want = np.full(probe.shape[0], model.init)
+        for tree in model.trees:
+            step = _ref_tree_predict(tree, probe)
+            assert regress._tree_predict(*tree, probe).tobytes() == step.tobytes()
+            want += model.learning_rate * step
+        assert model.predict(probe).tobytes() == want.tobytes()
+        assert sum(a.nbytes for a in model._nodes) <= regress.fit_bytes(cfg, *x.shape)
 
 
 # Reference spline fit: the per-penalty solve loop that the one-factorization
